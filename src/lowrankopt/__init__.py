@@ -8,7 +8,6 @@ copies of each iterate.
 
 from .linalg import (
     NumericalFailure,
-    RankParams,
     SvdFactorization,
     compute_svd,
     delta_rank,
@@ -19,13 +18,11 @@ from .linalg import (
 )
 from .problems import (
     CostFunction,
-    ExperimentBundle,
     LowRankApproxProblem,
     MatrixCompletionProblem,
     UserPolynomialProblem,
     finite_difference_check,
     load_problem,
-    make_apocalypse_candidate,
 )
 from .solver import (
     IterationRecord,
@@ -58,7 +55,6 @@ from .variety import (
 
 __all__ = [
     "CostFunction",
-    "ExperimentBundle",
     "InfeasiblePointError",
     "IterationRecord",
     "LineSearchFailure",
@@ -66,7 +62,6 @@ __all__ = [
     "LowRankApproxProblem",
     "MatrixCompletionProblem",
     "NumericalFailure",
-    "RankParams",
     "SolverParams",
     "StationarityReport",
     "StepOutcome",
@@ -82,7 +77,6 @@ __all__ = [
     "frobenius",
     "kappa_bound",
     "load_problem",
-    "make_apocalypse_candidate",
     "p2gd_plain",
     "p2gd_step",
     "p2gdr",

@@ -52,6 +52,8 @@ class RunConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} must be a JSON object")
         if overrides:
             doc.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -80,9 +82,11 @@ class RunConfig:
             raise ConfigError(f"unknown algorithm {algorithm!r}")
 
         base = path.parent
-        problem_path = Path(doc["problem"]) if "problem" in doc else None
-        if problem_path is None:
+        if "problem" not in doc:
             raise ConfigError("config is missing the 'problem' field")
+        if not isinstance(doc["problem"], str):
+            raise ConfigError(f"'problem' must be a path string, got {doc['problem']!r}")
+        problem_path = Path(doc["problem"])
         if not problem_path.is_absolute():
             problem_path = base / problem_path
         if not problem_path.exists():

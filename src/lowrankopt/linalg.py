@@ -42,24 +42,6 @@ def rank_threshold(sigma_max: float, shape: tuple[int, int], rel_tol: float = 1.
 
 
 @dataclass(frozen=True)
-class RankParams:
-    """Thresholds controlling rank decisions.
-
-    ``delta`` is the singular-value cutoff for the numerical (delta-) rank;
-    ``rank_rel_tol`` scales the exact-rank detection threshold.
-    """
-
-    delta: float
-    rank_rel_tol: float = 1.0
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if not self.rank_rel_tol > 0:
-            raise ValueError("rank_rel_tol must be positive")
-
-
-@dataclass(frozen=True)
 class SvdFactorization:
     """Thin SVD ``X = U diag(sigma) V^T`` with a detected numerical rank.
 

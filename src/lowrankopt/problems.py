@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .linalg import as_matrix
-from .variety import point_from_matrix
+from .serialize import matrix_from_json
 
 
 class CostFunction(ABC):
@@ -142,29 +141,6 @@ class UserPolynomialProblem(CostFunction):
         return g
 
 
-@dataclass(frozen=True)
-class ExperimentBundle:
-    """A (problem, start, rank bound) triple for solver comparison runs."""
-
-    problem: CostFunction
-    x0: np.ndarray
-    rank_bound: int
-
-
-def make_apocalypse_candidate(problem: UserPolynomialProblem, x0, rank_bound: int) -> ExperimentBundle:
-    """Bundle a user-supplied instance for the comparison harness.
-
-    Only feasibility of the start is checked here; whether the instance
-    actually defeats the plain method is established empirically by
-    running the comparison.
-    """
-    a = as_matrix(x0)
-    if a.shape != problem.shape:
-        raise ValueError(f"x0 shape {a.shape} does not match problem shape {problem.shape}")
-    point_from_matrix(a, rank_bound)
-    return ExperimentBundle(problem, a, int(rank_bound))
-
-
 def finite_difference_check(problem: CostFunction, x, h: float) -> float:
     """Largest discrepancy between analytic and central-difference derivatives.
 
@@ -202,11 +178,6 @@ def finite_difference_check(problem: CostFunction, x, h: float) -> float:
     return worst
 
 
-def _matrix_from_json(obj) -> np.ndarray:
-    entries = np.asarray(obj["entries"], dtype=np.float64)
-    return as_matrix(entries.reshape(int(obj["rows"]), int(obj["cols"])))
-
-
 def load_problem(source) -> CostFunction:
     """Build a problem from a JSON document (path, JSON text, or dict).
 
@@ -225,13 +196,13 @@ def load_problem(source) -> CostFunction:
     shape = tuple(int(s) for s in doc["shape"])
     payload = doc.get("payload", {})
     if kind == "lowrank_approx":
-        target = _matrix_from_json(payload["target"])
+        target = matrix_from_json(payload["target"])
         if target.shape != shape:
             raise ValueError(f"target shape {target.shape} does not match {shape}")
         return LowRankApproxProblem(target)
     if kind == "completion":
-        target = _matrix_from_json(payload["target"])
-        mask = _matrix_from_json(payload["mask"]) != 0.0
+        target = matrix_from_json(payload["target"])
+        mask = matrix_from_json(payload["mask"]) != 0.0
         if target.shape != shape:
             raise ValueError(f"target shape {target.shape} does not match {shape}")
         return MatrixCompletionProblem(target, mask)

@@ -17,13 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius, rank_threshold
+from .linalg import rank_threshold
 from .variety import (
+    StationarityReport,
     TangentDecomposition,
     VarietyPoint,
     point_from_matrix,
-    project_to_tangent_cone,
-    project_to_variety,
     stationarity_measure,
 )
 
@@ -83,8 +82,8 @@ class SolverParams:
 
     ``delta`` is the singular-value cutoff that triggers rank-reduction
     candidates. ``stop_tol`` of None resolves at solve start to
-    ``1e-8 * (1 + ||grad f(x0)||)``; an exact zero is unattainable in
-    floating point.
+    ``1e-8 * (1 + ||grad f(x0)||)``, with the gradient taken at the
+    factored start point; an exact zero is unattainable in floating point.
     """
 
     rank_bound: int
@@ -177,9 +176,9 @@ def project_step_factored(
 
     Writes the displaced matrix as a product of concatenated thin factors
     of combined rank at most ``rank(X) + rank_bound``, orthonormalizes both
-    sides by QR, and runs the SVD on the small core only. Agrees with the
-    dense path to tight tolerance; exists as the structure-exploiting
-    option for larger shapes.
+    sides by QR, and runs the SVD on the small core only, so no m-by-n
+    matrix is formed or factored. Agrees with the dense projection
+    :func:`~lowrankopt.variety.project_to_variety` to tight tolerance.
     """
     m, n = point.shape
     k = point.rank
@@ -207,16 +206,24 @@ def project_step_factored(
 
 
 def p2gd_step(
-    problem, point: VarietyPoint, params: LineSearchParams, projection: str = "dense"
+    problem,
+    point: VarietyPoint,
+    params: LineSearchParams,
+    report: StationarityReport | None = None,
+    f_value: float | None = None,
 ) -> StepOutcome:
     """One projected steepest-descent step with backtracking line search.
 
     Projects the negative gradient onto the cone of feasible directions at
     ``point``, then shrinks the step size geometrically until
     ``f(Y) <= f(X) - c * alpha * s**2`` where Y is the projection of
-    ``X + alpha G`` back to the feasible set and s the direction norm. The
-    projection is recomputed for every trial alpha; it does not factor
-    through a single SVD.
+    ``X + alpha G`` back to the feasible set and s the direction norm. Each
+    trial projects through :func:`project_step_factored`, which reuses the
+    blocks of G; only the small core SVD is recomputed per trial alpha.
+
+    ``report`` (the stationarity report at ``point``) and ``f_value``
+    (the cost there) are computed when not supplied; a caller that already
+    holds them passes them in to save a gradient and a cost evaluation.
 
     Raises
     ------
@@ -225,19 +232,16 @@ def p2gd_step(
     ValueError
         If the point is already stationary (zero direction norm).
     """
-    x = point.matrix()
-    g = as_matrix(problem.gradient(x))
-    tangent, direction, s = project_to_tangent_cone(point, -g)
+    if report is None:
+        report = stationarity_measure(problem, point)
+    s = report.s_value
     if s == 0.0:
         raise ValueError("point is stationary: the projected direction vanishes")
-    f0 = float(problem.eval(x))
+    f0 = float(problem.eval(point.matrix())) if f_value is None else f_value
 
     alpha = params.start_alpha
     for backtracks in range(params.max_backtracks + 1):
-        if projection == "factored":
-            y = project_step_factored(point, tangent, alpha)
-        else:
-            y = project_to_variety(x + alpha * direction, point.rank_bound)
+        y = project_step_factored(point, report.tangent, alpha)
         fy = float(problem.eval(y.matrix()))
         if fy <= f0 - params.c * alpha * s * s:
             return StepOutcome(y, alpha, backtracks, f0, fy, s)
@@ -269,32 +273,30 @@ def kappa_bound(problem, point: VarietyPoint, alpha_hi: float, lipschitz: float)
     )
 
 
-def _resolve_stop_tol(problem, x0: np.ndarray, params: SolverParams) -> float:
-    if params.stop_tol is not None:
-        return params.stop_tol
-    return 1e-8 * (1.0 + frobenius(problem.gradient(x0)))
-
-
 def p2gdr_search(
     problem,
     point: VarietyPoint,
     params: SolverParams,
     *,
     reduce: bool = True,
-    report=None,
+    report: StationarityReport | None = None,
+    f_value: float | None = None,
     index: int = 0,
-) -> tuple[VarietyPoint, IterationRecord]:
+) -> tuple[VarietyPoint, IterationRecord, float]:
     """One outer iteration: candidate steps from rank-truncated copies.
 
     Runs the descent step from the iterate itself (depth 0) and, when the
     delta-rank sits below the rank, from each truncation of the iterate
-    down to the delta-rank. Returns the candidate with the smallest cost;
-    ties go to the smallest truncation depth. A truncated copy that is
-    already stationary within ``params.stop_tol`` stands as its own
-    candidate without stepping.
+    down to the delta-rank. Returns the candidate with the smallest cost,
+    its record and that cost; ties go to the smallest truncation depth. A
+    truncated copy that is already stationary within ``params.stop_tol``
+    stands as its own candidate without stepping. ``report`` and
+    ``f_value`` at ``point`` are computed when not supplied.
     """
     if report is None:
         report = stationarity_measure(problem, point)
+    if f_value is None:
+        f_value = float(problem.eval(point.matrix()))
     stop_tol = params.stop_tol if params.stop_tol is not None else 0.0
     if not report.s_value > stop_tol:
         raise ValueError("search requires a non-stationary point")
@@ -307,31 +309,25 @@ def p2gdr_search(
     best_f = np.inf
     best_j = 0
     best_alpha = 0.0
-    f_at_x = None
     for j in range(depth + 1):
         hat = point if j == 0 else point.truncated(rank - j)
         rep = report if j == 0 else stationarity_measure(problem, hat)
+        f_hat = f_value if j == 0 else float(problem.eval(hat.matrix()))
         if rep.s_value <= stop_tol:
-            cand_point = hat
-            cand_f = float(problem.eval(hat.matrix()))
-            cand_alpha = 0.0
+            cand_point, cand_f, cand_alpha = hat, f_hat, 0.0
         else:
             try:
-                out = p2gd_step(problem, hat, params.line_search)
+                out = p2gd_step(problem, hat, params.line_search, rep, f_hat)
             except LineSearchFailure as exc:
                 exc.reduction_depth = j
                 raise
             cand_point, cand_f, cand_alpha = out.next_point, out.f_after, out.accepted_alpha
-            if j == 0:
-                f_at_x = out.f_before
         if cand_f < best_f:
             best_point, best_f, best_j, best_alpha = cand_point, cand_f, j, cand_alpha
-    if f_at_x is None:
-        f_at_x = float(problem.eval(point.matrix()))
 
     record = IterationRecord(
         index=index,
-        f_value=f_at_x,
+        f_value=f_value,
         s_value=report.s_value,
         rank=rank,
         delta_rank=rdelta,
@@ -339,43 +335,42 @@ def p2gdr_search(
         accepted_alpha=best_alpha,
         candidates_evaluated=depth + 1,
     )
-    return best_point, record
+    return best_point, record, best_f
 
 
 def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
     start = time.perf_counter()
-    x0 = as_matrix(x0)
     point = point_from_matrix(x0, params.rank_bound)
-    params = replace(params, stop_tol=_resolve_stop_tol(problem, x0, params))
+    report = stationarity_measure(problem, point)
+    f_value = float(problem.eval(point.matrix()))
+    if params.stop_tol is None:
+        params = replace(params, stop_tol=1e-8 * (1.0 + report.gradient_norm))
 
     records: list[IterationRecord] = []
-    termination = "max_iters"
-    report = None
-    i = 0
     while True:
-        report = stationarity_measure(problem, point)
         if report.s_value <= params.stop_tol:
             termination = "stationary"
             break
-        if i >= params.max_iters:
+        if len(records) >= params.max_iters:
             termination = "max_iters"
             break
         try:
-            point, record = p2gdr_search(
-                problem, point, params, reduce=reduce, report=report, index=i
+            point, record, f_value = p2gdr_search(
+                problem, point, params, reduce=reduce, report=report, f_value=f_value,
+                index=len(records),
             )
         except LineSearchFailure:
             termination = "line_search_failure"
             break
         records.append(record)
-        i += 1
+        report = stationarity_measure(problem, point)
 
     return Trace(
         records=records,
         final_point=point,
         termination=termination,
         stop_tol=params.stop_tol,
-        final_f=float(problem.eval(point.matrix())),
+        final_f=f_value,
         final_s=report.s_value,
         wall_time_ms=(time.perf_counter() - start) * 1e3,
     )

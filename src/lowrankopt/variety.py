@@ -138,11 +138,14 @@ class StationarityReport:
     the cone of feasible directions; ``residual_distance`` is the distance
     from the negative gradient to that cone. The two sides are orthogonal,
     so ``s_value**2 + residual_distance**2 == gradient_norm**2``.
+    ``tangent`` holds the blocks of the negative gradient behind these
+    norms, so a descent step from the same point can reuse them.
     """
 
     s_value: float
     gradient_norm: float
     residual_distance: float
+    tangent: TangentDecomposition
 
 
 def point_from_matrix(x, rank_bound: int, rank_rel_tol: float = 1.0) -> VarietyPoint:
@@ -263,6 +266,7 @@ def stationarity_measure(problem, point: VarietyPoint) -> StationarityReport:
         s_value=s,
         gradient_norm=frobenius(g),
         residual_distance=decomp.d_residual_norm,
+        tangent=decomp,
     )
 
 

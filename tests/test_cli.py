@@ -59,10 +59,15 @@ class TestRun:
 
     def test_malformed_json_exits_1(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
-        config.write_text("{not json")
-        assert cli.main(["run", str(config)]) == 1
-        assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "results").exists()
+        for text in (
+            "{not json",
+            "[1, 2]",
+            json.dumps({"problem": 3, "rank_bound": 2, "delta": 0.1}),
+        ):
+            config.write_text(text)
+            assert cli.main(["run", str(config)]) == 1
+            assert "config error" in capsys.readouterr().err
+            assert not (tmp_path / "results").exists()
 
     def test_missing_problem_file_exits_1(self, tmp_path):
         config = tmp_path / "config.json"

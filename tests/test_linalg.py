@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lowrankopt.linalg import (
-    RankParams,
     compute_svd,
     delta_rank,
     distance_to_bounded_rank,
@@ -167,11 +166,3 @@ def test_local_delta_rank():
         assert compute_svd(y).numerical_rank >= rank
         y_tr, _ = truncate_to_rank(y, rank)
         assert frobenius(y_tr - x) <= 2 * eps + 1e-12
-
-
-def test_rank_params_validation():
-    RankParams(delta=0.5)
-    with pytest.raises(ValueError):
-        RankParams(delta=0.0)
-    with pytest.raises(ValueError):
-        RankParams(delta=0.5, rank_rel_tol=-1.0)

@@ -11,10 +11,9 @@ from lowrankopt.problems import (
     UserPolynomialProblem,
     finite_difference_check,
     load_problem,
-    make_apocalypse_candidate,
     problem_skeleton,
 )
-from lowrankopt.variety import InfeasiblePointError, point_from_matrix, stationarity_measure
+from lowrankopt.variety import point_from_matrix, stationarity_measure
 
 
 @pytest.fixture
@@ -153,24 +152,6 @@ class TestFiniteDifferences:
             finite_difference_check(problem, np.eye(2), 0.0)
 
 
-class TestBundle:
-    def test_echoes_inputs(self, poly_deg4):
-        x0 = np.diag([1.0, 0.5, 0.0])
-        bundle = make_apocalypse_candidate(poly_deg4, x0, 2)
-        assert bundle.problem is poly_deg4
-        assert np.array_equal(bundle.x0, x0)
-        assert bundle.rank_bound == 2
-
-    def test_matches_reference_shape(self, poly_deg4):
-        bundle = make_apocalypse_candidate(poly_deg4, np.zeros((3, 3)), 2)
-        assert bundle.problem.shape == (3, 3)
-        assert bundle.rank_bound == 2
-
-    def test_infeasible_start_rejected(self, poly_deg4):
-        with pytest.raises(InfeasiblePointError):
-            make_apocalypse_candidate(poly_deg4, np.diag([3.0, 2.0, 1.0]), 2)
-
-
 class TestLoading:
     def test_lowrank_roundtrip(self, tmp_path):
         doc = {
@@ -218,6 +199,13 @@ class TestLoading:
         }
         with pytest.raises(ValueError, match="shape"):
             load_problem(doc)
+        short = {
+            "type": "lowrank_approx",
+            "shape": [2, 2],
+            "payload": {"target": {"rows": 2, "cols": 2, "entries": [1.0, 2.0, 3.0]}},
+        }
+        with pytest.raises(ValueError, match="expected 4 entries, got 3"):
+            load_problem(short)
 
     @pytest.mark.parametrize("kind", ["lowrank_approx", "completion", "polynomial"])
     def test_skeletons_load(self, kind):

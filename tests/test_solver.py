@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from oracles import random_point_factors, reference_backtracking_step
 
+from lowrankopt import solver
 from lowrankopt.linalg import frobenius, singular_values, truncate_to_rank
 from lowrankopt.problems import CostFunction, LowRankApproxProblem, MatrixCompletionProblem
 from lowrankopt.solver import (
@@ -28,6 +29,22 @@ from lowrankopt.variety import (
 def make_point(rng, m, n, rank_bound, rank):
     u, sigma, v = random_point_factors(rng, m, n, rank)
     return VarietyPoint(u, sigma, v, rank_bound)
+
+
+class CountingCompletion(MatrixCompletionProblem):
+    """Completion problem that counts its cost and gradient evaluations."""
+
+    def __init__(self, target, mask):
+        super().__init__(target, mask)
+        self.calls = {"eval": 0, "gradient": 0}
+
+    def eval(self, x):
+        self.calls["eval"] += 1
+        return super().eval(x)
+
+    def gradient(self, x):
+        self.calls["gradient"] += 1
+        return super().gradient(x)
 
 
 class BadGradient(CostFunction):
@@ -148,13 +165,18 @@ class TestStep:
             )
 
     def test_factored_projection_path_in_step(self):
+        # the step projects through the factored path and still reproduces
+        # the dense reference step, from rank 0, deficient and full rank
         rng = np.random.default_rng(3)
-        point = make_point(rng, 6, 5, 3, 2)
-        problem = LowRankApproxProblem(rng.standard_normal((6, 5)))
-        dense = p2gd_step(problem, point, LineSearchParams())
-        fact = p2gd_step(problem, point, LineSearchParams(), projection="factored")
-        assert dense.accepted_alpha == fact.accepted_alpha
-        assert frobenius(dense.next_point.matrix() - fact.next_point.matrix()) <= 1e-10
+        ls = LineSearchParams()
+        for rank in (0, 1, 2, 3):
+            for _ in range(5):
+                point = make_point(rng, 6, 5, 3, rank)
+                problem = LowRankApproxProblem(rng.standard_normal((6, 5)))
+                out = p2gd_step(problem, point, ls)
+                y, _, alpha = reference_backtracking_step(problem, point.matrix(), 3)
+                assert out.accepted_alpha == alpha
+                assert frobenius(out.next_point.matrix() - y) <= 1e-10
 
 
 class TestKappaBound:
@@ -210,7 +232,7 @@ class TestSearch:
         params = SolverParams(rank_bound=3, delta=0.1, stop_tol=1e-12)
         assert point.delta_rank(0.1) == point.rank
         step = p2gd_step(problem, point, params.line_search)
-        best, record = p2gdr_search(problem, point, params)
+        best, record, _ = p2gdr_search(problem, point, params)
         assert record.candidates_evaluated == 1
         assert record.chosen_j == 0
         assert record.delta_rank == record.rank == 3
@@ -223,7 +245,7 @@ class TestSearch:
         problem = LowRankApproxProblem(rng.standard_normal((3, 3)))
         point = point_from_matrix(x0, 2)
         params = SolverParams(rank_bound=2, delta=delta, stop_tol=1e-12)
-        _, record = p2gdr_search(problem, point, params)
+        _, record, _ = p2gdr_search(problem, point, params)
         assert record.rank == 2
         assert record.delta_rank == 1
         assert record.candidates_evaluated == 2
@@ -240,7 +262,7 @@ class TestSearch:
                 rank_bound=3, delta=float(rng.uniform(0.4, 2.5)), stop_tol=1e-12
             )
             plain = p2gd_step(problem, point, params.line_search)
-            best, _ = p2gdr_search(problem, point, params)
+            best, _, _ = p2gdr_search(problem, point, params)
             assert problem.eval(best.matrix()) <= plain.f_after + 1e-12
 
     def test_requires_nonstationary(self):
@@ -363,6 +385,28 @@ class TestOuterLoop:
         assert all(rec.delta_rank == rec.rank for rec in t_reduce.records)
         assert t_reduce.to_csv() == t_plain.to_csv()
 
+    @pytest.mark.parametrize("solve", [p2gd_plain, p2gdr], ids=["p2gd_plain", "p2gdr"])
+    def test_one_gradient_and_cost_per_iterate(self, solve, monkeypatch):
+        # one gradient and one cost per iterate, plus one cost per backtrack
+        rng = np.random.default_rng(21)
+        a, _ = truncate_to_rank(rng.standard_normal((40, 30)), 4)
+        problem = CountingCompletion(a, rng.uniform(size=(40, 30)) < 0.5)
+        backtracks = []
+        step = solver.p2gd_step
+
+        def counted_step(*args, **kwargs):
+            out = step(*args, **kwargs)
+            backtracks.append(out.backtrack_count)
+            return out
+
+        monkeypatch.setattr(solver, "p2gd_step", counted_step)
+        params = SolverParams(rank_bound=4, delta=1e-12, max_iters=300)
+        trace = solve(problem, np.zeros((40, 30)), params)
+        assert trace.records
+        assert all(rec.candidates_evaluated == 1 for rec in trace.records)
+        assert problem.calls["gradient"] == len(trace.records) + 1
+        assert problem.calls["eval"] == 1 + len(trace.records) + sum(backtracks)
+
     def test_plain_never_reduces(self):
         rng = np.random.default_rng(17)
         x0 = np.diag([1.0, 0.01, 0.0])
@@ -419,7 +463,7 @@ def test_search_agrees_with_bruteforce_candidates():
         x0 = np.diag([1.0, 0.1, 0.0, 0.0])[:4, :4]
         point = point_from_matrix(x0, 2)
         params = SolverParams(rank_bound=2, delta=0.25, stop_tol=1e-12)
-        best, record = p2gdr_search(problem, point, params)
+        best, record, _ = p2gdr_search(problem, point, params)
         fs = []
         for j in range(record.candidates_evaluated):
             x_hat = np.diag([1.0, 0.1, 0.0, 0.0])[:4, :4] if j == 0 else np.diag(
