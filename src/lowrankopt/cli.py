@@ -24,9 +24,12 @@ from .linalg import truncate_to_rank
 from .problems import load_problem, problem_skeleton
 from .serialize import load_matrix
 from .solver import LineSearchParams, SolverParams, Trace, p2gd_plain, p2gdr
-from .variety import point_from_matrix
 
 _TERMINATION_EXIT = {"stationary": 0, "max_iters": 2, "line_search_failure": 3}
+_CONFIG_KEYS = {
+    "problem", "x0", "rank_bound", "delta", "alpha_lo", "alpha_hi", "beta", "c",
+    "max_backtracks", "stop_tol", "max_iters", "out", "algorithm",
+}
 
 
 class ConfigError(ValueError):
@@ -54,6 +57,9 @@ class RunConfig:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} must be a JSON object")
+        unknown = sorted(set(doc) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         if overrides:
             doc.update({k: v for k, v in overrides.items() if v is not None})
 
@@ -65,7 +71,6 @@ class RunConfig:
                 beta=float(doc.get("beta", 0.5)),
                 c=float(doc.get("c", 1e-4)),
                 max_backtracks=int(doc.get("max_backtracks", 60)),
-                initial_alpha=doc.get("initial_alpha"),
             )
             params = SolverParams(
                 rank_bound=rank_bound,
@@ -78,7 +83,7 @@ class RunConfig:
             x0_source = str(doc.get("x0", "zero"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config field: {exc}") from exc
-        if algorithm not in ("p2gdr", "p2gd", "both"):
+        if algorithm not in ("p2gdr", "p2gd"):
             raise ConfigError(f"unknown algorithm {algorithm!r}")
 
         base = path.parent
@@ -127,7 +132,6 @@ def _solve_one(config: RunConfig, algorithm: str) -> Trace:
     if not config.rank_bound < min(m, n):
         raise ConfigError(f"rank_bound {config.rank_bound} must be below min{m, n}")
     x0 = _build_x0(config, problem.shape)
-    point_from_matrix(x0, config.rank_bound)
     solve = p2gdr if algorithm == "p2gdr" else p2gd_plain
     return solve(problem, x0, config.params)
 
@@ -142,8 +146,6 @@ def _write_outputs(config: RunConfig, algorithm: str, trace: Trace) -> None:
 
 def cmd_run(args) -> int:
     config = RunConfig.load(args.config, _overrides(args))
-    if config.algorithm == "both":
-        return cmd_compare(args)
     trace = _solve_one(config, config.algorithm)
     _write_outputs(config, config.algorithm, trace)
     return _TERMINATION_EXIT[trace.termination]

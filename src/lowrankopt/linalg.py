@@ -30,15 +30,13 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def rank_threshold(sigma_max: float, shape: tuple[int, int], rel_tol: float = 1.0) -> float:
+def rank_threshold(sigma_max: float, shape: tuple[int, int]) -> float:
     """Numerical-rank cutoff: singular values at or below it count as zero.
 
-    Scale-invariant rule ``rel_tol * sigma_max * max(m, n) * eps``, the
-    standard surrogate for exact rank in floating point.
+    Scale-invariant rule ``sigma_max * max(m, n) * eps``, the standard
+    surrogate for exact rank in floating point.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    return rel_tol * sigma_max * max(shape) * EPS
+    return sigma_max * max(shape) * EPS
 
 
 @dataclass(frozen=True)
@@ -72,15 +70,14 @@ class SvdFactorization:
         )
 
 
-def compute_svd(x, rank_rel_tol: float = 1.0) -> SvdFactorization:
+def compute_svd(x) -> SvdFactorization:
     """Thin SVD of ``x`` with numerical-rank detection.
 
     Parameters
     ----------
     x : array_like, shape (m, n)
-        Finite real matrix.
-    rank_rel_tol : float
-        Relative factor for the rank threshold, see :func:`rank_threshold`.
+        Finite real matrix. Its numerical rank counts the singular values
+        above :func:`rank_threshold`.
 
     Returns
     -------
@@ -97,7 +94,7 @@ def compute_svd(x, rank_rel_tol: float = 1.0) -> SvdFactorization:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge for shape {a.shape}") from exc
-    tau = rank_threshold(float(s[0]) if s.size else 0.0, a.shape, rank_rel_tol)
+    tau = rank_threshold(float(s[0]) if s.size else 0.0, a.shape)
     rank = int(np.count_nonzero(s > tau))
     return SvdFactorization(u, s, vh.T.copy(), rank)
 
@@ -123,13 +120,6 @@ def delta_rank(x, delta: float) -> int:
         raise ValueError("delta must be positive")
     fact = compute_svd(x)
     return int(np.count_nonzero(fact.sigma[: fact.numerical_rank] > delta))
-
-
-def delta_rank_of_sigma(sigma: np.ndarray, delta: float) -> int:
-    """`delta_rank` evaluated directly on a nonincreasing spectrum."""
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    return int(np.count_nonzero(np.asarray(sigma) > delta))
 
 
 def tail_norm(sigma: np.ndarray, keep: int) -> float:

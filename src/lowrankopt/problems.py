@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import as_matrix
-from .serialize import matrix_from_json
+from .serialize import matrix_from_json, matrix_to_json
 
 
 class CostFunction(ABC):
@@ -23,13 +23,9 @@ class CostFunction(ABC):
     ----------
     shape : (int, int)
         Ambient matrix shape.
-    lipschitz_hint : float or None
-        A valid global Lipschitz constant of the gradient, when one is
-        known. Solvers never require it; tests use it.
     """
 
     shape: tuple[int, int]
-    lipschitz_hint: float | None = None
 
     @abstractmethod
     def eval(self, x) -> float:
@@ -52,7 +48,6 @@ class LowRankApproxProblem(CostFunction):
     def __init__(self, target):
         self.target = as_matrix(target)
         self.shape = self.target.shape
-        self.lipschitz_hint = 1.0
 
     def eval(self, x) -> float:
         d = self._check_shape(x) - self.target
@@ -73,7 +68,6 @@ class MatrixCompletionProblem(CostFunction):
                 f"mask shape {self.mask.shape} does not match target {self.target.shape}"
             )
         self.shape = self.target.shape
-        self.lipschitz_hint = 1.0
 
     def eval(self, x) -> float:
         d = np.where(self.mask, self._check_shape(x) - self.target, 0.0)
@@ -221,15 +215,15 @@ def problem_skeleton(kind: str) -> dict:
         return {
             "type": "lowrank_approx",
             "shape": [3, 3],
-            "payload": {"target": {"rows": 3, "cols": 3, "entries": [0.0] * 9}},
+            "payload": {"target": matrix_to_json(np.zeros((3, 3)))},
         }
     if kind == "completion":
         return {
             "type": "completion",
             "shape": [3, 3],
             "payload": {
-                "target": {"rows": 3, "cols": 3, "entries": [0.0] * 9},
-                "mask": {"rows": 3, "cols": 3, "entries": [1.0] * 9},
+                "target": matrix_to_json(np.zeros((3, 3))),
+                "mask": matrix_to_json(np.ones((3, 3))),
             },
         }
     if kind == "polynomial":

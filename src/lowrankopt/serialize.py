@@ -1,7 +1,7 @@
-"""Lossless text codecs for matrices and factored points.
-
-Floats are printed with 17 significant digits, which round-trips every
-finite double exactly.
+"""Lossless text codecs for matrices: CSV, and the JSON matrix document
+``{"rows": m, "cols": n, "entries": [row-major]}`` that problem and x0
+files use. Floats are printed with 17 significant digits, which
+round-trips every finite double exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import as_matrix
-from .variety import VarietyPoint
 
 
 def _fmt(v: float) -> str:
@@ -49,29 +48,6 @@ def matrix_from_json(obj) -> np.ndarray:
     if entries.size != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
     return as_matrix(entries.reshape(rows, cols))
-
-
-def point_to_json(point: VarietyPoint) -> dict:
-    m, n = point.shape
-    return {
-        "u": matrix_to_json(point.u) if point.rank else {"rows": m, "cols": 0, "entries": []},
-        "sigma": point.sigma.tolist(),
-        "v": matrix_to_json(point.v) if point.rank else {"rows": n, "cols": 0, "entries": []},
-        "rank": point.rank,
-        "m": m,
-        "n": n,
-        "r": point.rank_bound,
-    }
-
-
-def point_from_json(obj) -> VarietyPoint:
-    m, n, rank = int(obj["m"]), int(obj["n"]), int(obj["rank"])
-    if rank == 0:
-        u, v = np.zeros((m, 0)), np.zeros((n, 0))
-    else:
-        u, v = matrix_from_json(obj["u"]), matrix_from_json(obj["v"])
-    sigma = np.asarray(obj["sigma"], dtype=np.float64)
-    return VarietyPoint(u, sigma, v, int(obj["r"]))
 
 
 def save_matrix(x, path) -> None:

@@ -44,10 +44,9 @@ class LineSearchFailure(RuntimeError):
 class LineSearchParams:
     """Backtracking constants.
 
-    The search starts at ``initial_alpha`` (default: ``alpha_hi``) and
-    multiplies by ``beta`` until the sufficient-decrease test with margin
-    ``c`` passes. ``alpha_lo`` is the lower end of the admissible initial
-    range and enters the theoretical step-size floor.
+    The search starts at ``alpha_hi`` and multiplies by ``beta`` until the
+    sufficient-decrease test with margin ``c`` passes. ``alpha_lo`` enters
+    the theoretical step-size floor ``min(alpha_lo, beta * (1 - c) / kappa)``.
     """
 
     alpha_lo: float = 1e-8
@@ -55,7 +54,6 @@ class LineSearchParams:
     beta: float = 0.5
     c: float = 1e-4
     max_backtracks: int = 60
-    initial_alpha: float | None = None
 
     def __post_init__(self):
         if not 0 < self.alpha_lo < self.alpha_hi:
@@ -66,14 +64,6 @@ class LineSearchParams:
             raise ValueError("c must lie in (0, 1)")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be positive")
-        if self.initial_alpha is not None and not (
-            self.alpha_lo <= self.initial_alpha <= self.alpha_hi
-        ):
-            raise ValueError("initial_alpha must lie in [alpha_lo, alpha_hi]")
-
-    @property
-    def start_alpha(self) -> float:
-        return self.alpha_hi if self.initial_alpha is None else self.initial_alpha
 
 
 @dataclass(frozen=True)
@@ -181,18 +171,13 @@ def project_step_factored(
     :func:`~lowrankopt.variety.project_to_variety` to tight tolerance.
     """
     m, n = point.shape
-    k = point.rank
     d = tangent.d_truncated
-    if k > 0:
-        left = [point.u @ (np.diag(point.sigma) + alpha * tangent.a) + alpha * tangent.c_rows,
-                alpha * point.u,
-                alpha * (d.u * d.sigma)]
-        right = [point.v, tangent.b_cols.T, d.v]
-    else:
-        left = [alpha * (d.u * d.sigma)]
-        right = [d.v]
+    # At rank 0 the first two blocks on each side have width 0.
+    left = [point.u @ (np.diag(point.sigma) + alpha * tangent.a) + alpha * tangent.c_rows,
+            alpha * point.u,
+            alpha * (d.u * d.sigma)]
     big_l = np.hstack(left)
-    big_r = np.hstack(right)
+    big_r = np.hstack([point.v, tangent.b_cols.T, d.v])
     if big_l.shape[1] == 0:
         return VarietyPoint(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), point.rank_bound)
     ql, rl = np.linalg.qr(big_l)
@@ -239,7 +224,7 @@ def p2gd_step(
         raise ValueError("point is stationary: the projected direction vanishes")
     f0 = float(problem.eval(point.matrix())) if f_value is None else f_value
 
-    alpha = params.start_alpha
+    alpha = params.alpha_hi
     for backtracks in range(params.max_backtracks + 1):
         y = project_step_factored(point, report.tangent, alpha)
         fy = float(problem.eval(y.matrix()))

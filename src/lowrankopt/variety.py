@@ -19,7 +19,6 @@ from .linalg import (
     SvdFactorization,
     as_matrix,
     compute_svd,
-    delta_rank_of_sigma,
     frobenius,
     tail_norm,
 )
@@ -85,12 +84,13 @@ class VarietyPoint:
         return float(self.sigma[-1])
 
     def matrix(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros(self.shape)
         return (self.u * self.sigma) @ self.v.T
 
     def delta_rank(self, delta: float) -> int:
-        return delta_rank_of_sigma(self.sigma, delta)
+        """Number of singular values strictly greater than ``delta``."""
+        if not delta > 0:
+            raise ValueError("delta must be positive")
+        return int(np.count_nonzero(self.sigma > delta))
 
     def truncated(self, new_rank: int) -> "VarietyPoint":
         """Closest point of rank ``new_rank``, by dropping trailing triplets."""
@@ -148,7 +148,7 @@ class StationarityReport:
     tangent: TangentDecomposition
 
 
-def point_from_matrix(x, rank_bound: int, rank_rel_tol: float = 1.0) -> VarietyPoint:
+def point_from_matrix(x, rank_bound: int) -> VarietyPoint:
     """Factor a feasible matrix into a :class:`VarietyPoint`.
 
     Raises :class:`InfeasiblePointError` if the numerical rank of ``x``
@@ -158,7 +158,7 @@ def point_from_matrix(x, rank_bound: int, rank_rel_tol: float = 1.0) -> VarietyP
     rank_bound = int(rank_bound)
     if not 0 <= rank_bound < min(a.shape):
         raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
-    fact = compute_svd(a, rank_rel_tol)
+    fact = compute_svd(a)
     if fact.numerical_rank > rank_bound:
         raise InfeasiblePointError(
             f"matrix has numerical rank {fact.numerical_rank} > bound {rank_bound}"
@@ -167,13 +167,13 @@ def point_from_matrix(x, rank_bound: int, rank_rel_tol: float = 1.0) -> VarietyP
     return VarietyPoint(lead.u, lead.sigma, lead.v, rank_bound)
 
 
-def project_to_variety(x, rank_bound: int, rank_rel_tol: float = 1.0) -> VarietyPoint:
+def project_to_variety(x, rank_bound: int) -> VarietyPoint:
     """Closest point of rank at most ``rank_bound``, in factored form."""
     a = as_matrix(x)
     rank_bound = int(rank_bound)
     if not 0 <= rank_bound < min(a.shape):
         raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
-    fact = compute_svd(a, rank_rel_tol)
+    fact = compute_svd(a)
     keep = min(rank_bound, fact.numerical_rank)
     lead = fact.leading(keep)
     return VarietyPoint(lead.u, lead.sigma, lead.v, rank_bound)
@@ -210,6 +210,7 @@ def project_to_tangent_cone(
     k = point.rank
     budget = point.rank_bound - k
 
+    # Kept although the general path covers k = 0: G goes to the SVD without m-by-n copies.
     if k == 0:
         fact = compute_svd(a_mat)
         keep = min(budget, fact.numerical_rank)
@@ -224,11 +225,12 @@ def project_to_tangent_cone(
 
     u, v = point.u, point.v
     utg = u.T @ a_mat
-    gv = a_mat @ v
     core = utg @ v
     b_cols = utg - core @ v.T
-    c_rows = gv - u @ core
-    d_full = a_mat - u @ utg - gv @ v.T + u @ core @ v.T
+    c_rows = a_mat @ v - u @ core
+    # Tangent-space part U a V^T + U b_cols + c_rows V^T; D and the projection reuse it.
+    t = u @ utg + c_rows @ v.T
+    d_full = a_mat - t
 
     if budget == 0:
         d_tr = _empty_factors(m, n)
@@ -240,7 +242,7 @@ def project_to_tangent_cone(
         residual = tail_norm(fact.sigma, budget)
 
     decomp = TangentDecomposition(core, b_cols, c_rows, d_tr, residual)
-    projected = u @ core @ v.T + u @ b_cols + c_rows @ v.T + d_tr.reconstruct()
+    projected = t + d_tr.reconstruct()
     norm = float(
         np.sqrt(
             np.sum(core * core)

@@ -69,6 +69,16 @@ class TestRun:
             assert "config error" in capsys.readouterr().err
             assert not (tmp_path / "results").exists()
 
+    def test_unknown_config_keys_exit_1(self, tmp_path, capsys):
+        a = np.diag([3.0, 2.0, 1.0])
+        for extra in ({"initial_alpha": 0.5}, {"algorithm": "both"}, {"detla": 0.1}):
+            config = write_lowrank_setup(tmp_path, a, 2, 0.1, **extra)
+            assert cli.main(["run", str(config)]) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err
+            assert not (tmp_path / "results").exists()
+        assert "detla" in err
+
     def test_missing_problem_file_exits_1(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"problem": "nope.json", "rank_bound": 2, "delta": 0.1}))

@@ -37,7 +37,6 @@ class TestLowRankApprox:
         x = rng.standard_normal((4, 5))
         assert problem.eval(x) == pytest.approx(0.5 * frobenius(x - a) ** 2)
         assert_allclose(problem.gradient(x), x - a)
-        assert problem.lipschitz_hint == 1.0
 
     def test_truncated_target_is_stationary(self):
         rng = np.random.default_rng(1)

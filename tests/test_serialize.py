@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
 
-from oracles import random_point_factors
-
 from lowrankopt.serialize import (
     load_matrix,
     matrix_from_csv,
     matrix_from_json,
     matrix_to_csv,
     matrix_to_json,
-    point_from_json,
-    point_to_json,
     save_matrix,
 )
-from lowrankopt.variety import VarietyPoint, point_from_matrix
 
 
 def awkward_matrix():
@@ -60,26 +55,6 @@ def test_json_roundtrip_bit_exact():
 def test_json_rejects_wrong_count():
     with pytest.raises(ValueError, match="entries"):
         matrix_from_json({"rows": 2, "cols": 2, "entries": [1.0, 2.0, 3.0]})
-
-
-def test_point_roundtrip():
-    rng = np.random.default_rng(1)
-    u, sigma, v = random_point_factors(rng, 6, 5, 3)
-    point = VarietyPoint(u, sigma, v, 4)
-    back = point_from_json(point_to_json(point))
-    assert back.rank == 3
-    assert back.rank_bound == 4
-    assert np.array_equal(back.u, point.u)
-    assert np.array_equal(back.sigma, point.sigma)
-    assert np.array_equal(back.v, point.v)
-
-
-def test_zero_point_roundtrip():
-    point = point_from_matrix(np.zeros((4, 3)), 2)
-    back = point_from_json(point_to_json(point))
-    assert back.rank == 0
-    assert back.shape == (4, 3)
-    assert np.array_equal(back.matrix(), np.zeros((4, 3)))
 
 
 def test_save_load_dispatch(tmp_path):

@@ -71,8 +71,6 @@ class TestParams:
             LineSearchParams(beta=1.0)
         with pytest.raises(ValueError):
             LineSearchParams(c=0.0)
-        with pytest.raises(ValueError):
-            LineSearchParams(initial_alpha=2.0)
 
     def test_solver_validation(self):
         SolverParams(rank_bound=2, delta=0.1)
