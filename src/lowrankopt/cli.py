@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 
 from .checks import run_all_checks
 from .linalg import truncate_to_rank
-from .problems import load_problem, problem_skeleton
+from .problems import CostFunction, load_problem, problem_skeleton
 from .serialize import load_matrix
 from .solver import LineSearchParams, SolverParams, Trace, p2gd_plain, p2gdr
 
@@ -41,7 +40,6 @@ class RunConfig:
     base_dir: Path
     problem_path: Path
     x0_source: str
-    rank_bound: int
     params: SolverParams
     out_dir: Path
     algorithm: str
@@ -64,7 +62,6 @@ class RunConfig:
             doc.update({k: v for k, v in overrides.items() if v is not None})
 
         try:
-            rank_bound = int(doc["rank_bound"])
             ls = LineSearchParams(
                 alpha_lo=float(doc.get("alpha_lo", 1e-8)),
                 alpha_hi=float(doc.get("alpha_hi", 1.0)),
@@ -73,7 +70,7 @@ class RunConfig:
                 max_backtracks=int(doc.get("max_backtracks", 60)),
             )
             params = SolverParams(
-                rank_bound=rank_bound,
+                rank_bound=int(doc["rank_bound"]),
                 delta=float(doc["delta"]),
                 line_search=ls,
                 stop_tol=None if doc.get("stop_tol") is None else float(doc["stop_tol"]),
@@ -99,7 +96,7 @@ class RunConfig:
         out_dir = Path(doc.get("out", "."))
         if not out_dir.is_absolute():
             out_dir = base / out_dir
-        return RunConfig(base, problem_path, x0_source, rank_bound, params, out_dir, algorithm)
+        return RunConfig(base, problem_path, x0_source, params, out_dir, algorithm)
 
 
 def _build_x0(config: RunConfig, shape: tuple[int, int]) -> np.ndarray:
@@ -112,11 +109,8 @@ def _build_x0(config: RunConfig, shape: tuple[int, int]) -> np.ndarray:
             seed = int(src.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad random seed in x0 source {src!r}") from exc
-        env_seed = os.environ.get("LOWRANK_SEED")
-        if env_seed is not None:
-            seed = int(env_seed)
         rng = np.random.default_rng(seed)
-        x, _ = truncate_to_rank(rng.standard_normal((m, n)), config.rank_bound)
+        x, _ = truncate_to_rank(rng.standard_normal((m, n)), config.params.rank_bound)
         return x
     x0_path = Path(src)
     if not x0_path.is_absolute():
@@ -126,14 +120,18 @@ def _build_x0(config: RunConfig, shape: tuple[int, int]) -> np.ndarray:
     return load_matrix(x0_path)
 
 
-def _solve_one(config: RunConfig, algorithm: str) -> Trace:
+def _load(config: RunConfig) -> tuple[CostFunction, np.ndarray]:
     problem = load_problem(config.problem_path)
     m, n = problem.shape
-    if not config.rank_bound < min(m, n):
-        raise ConfigError(f"rank_bound {config.rank_bound} must be below min{m, n}")
-    x0 = _build_x0(config, problem.shape)
+    rank_bound = config.params.rank_bound
+    if not rank_bound < min(m, n):
+        raise ConfigError(f"rank_bound {rank_bound} must be below min{m, n}")
+    return problem, _build_x0(config, problem.shape)
+
+
+def _solve(problem, x0, params: SolverParams, algorithm: str) -> Trace:
     solve = p2gdr if algorithm == "p2gdr" else p2gd_plain
-    return solve(problem, x0, config.params)
+    return solve(problem, x0, params)
 
 
 def _write_outputs(config: RunConfig, algorithm: str, trace: Trace) -> None:
@@ -146,17 +144,19 @@ def _write_outputs(config: RunConfig, algorithm: str, trace: Trace) -> None:
 
 def cmd_run(args) -> int:
     config = RunConfig.load(args.config, _overrides(args))
-    trace = _solve_one(config, config.algorithm)
+    problem, x0 = _load(config)
+    trace = _solve(problem, x0, config.params, config.algorithm)
     _write_outputs(config, config.algorithm, trace)
     return _TERMINATION_EXIT[trace.termination]
 
 
 def cmd_compare(args) -> int:
     config = RunConfig.load(args.config, _overrides(args))
+    problem, x0 = _load(config)
     codes = {}
     traces = {}
     for algorithm in ("p2gd", "p2gdr"):
-        trace = _solve_one(config, algorithm)
+        trace = _solve(problem, x0, config.params, algorithm)
         _write_outputs(config, algorithm, trace)
         traces[algorithm] = trace
         codes[algorithm] = _TERMINATION_EXIT[trace.termination]

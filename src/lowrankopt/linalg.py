@@ -82,7 +82,9 @@ def compute_svd(x) -> SvdFactorization:
     Returns
     -------
     SvdFactorization
-        Factors with k = min(m, n) triplets.
+        Factors with k = min(m, n) triplets. ``v`` is a read-only
+        transposed view of the routine's ``vh``; :meth:`SvdFactorization.leading`
+        copies what it keeps.
 
     Raises
     ------
@@ -96,7 +98,7 @@ def compute_svd(x) -> SvdFactorization:
         raise NumericalFailure(f"SVD did not converge for shape {a.shape}") from exc
     tau = rank_threshold(float(s[0]) if s.size else 0.0, a.shape)
     rank = int(np.count_nonzero(s > tau))
-    return SvdFactorization(u, s, vh.T.copy(), rank)
+    return SvdFactorization(u, s, vh.T, rank)
 
 
 def singular_values(x) -> np.ndarray:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from pathlib import Path
 
 import numpy as np
 
@@ -173,19 +172,27 @@ def finite_difference_check(problem: CostFunction, x, h: float) -> float:
 
 
 def load_problem(source) -> CostFunction:
-    """Build a problem from a JSON document (path, JSON text, or dict).
+    """Build a problem from a JSON document, given as a file path or a dict.
 
     The document is ``{"type": ..., "shape": [m, n], "payload": {...}}``
     with type one of ``lowrank_approx``, ``completion``, ``polynomial``.
+    A document that is not an object or has wrongly typed fields raises
+    ``ValueError``.
     """
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
+    if isinstance(source, dict):
+        doc = source
+    else:
         with open(source, encoding="utf-8") as fh:
             doc = json.load(fh)
-    elif isinstance(source, str):
-        doc = json.loads(source)
-    else:
-        doc = source
+    if not isinstance(doc, dict):
+        raise ValueError("problem document must be a JSON object")
+    try:
+        return _problem_from_doc(doc)
+    except TypeError as exc:
+        raise ValueError(f"malformed problem document: {exc}") from exc
 
+
+def _problem_from_doc(doc: dict) -> CostFunction:
     kind = doc.get("type")
     shape = tuple(int(s) for s in doc["shape"])
     payload = doc.get("payload", {})

@@ -43,8 +43,13 @@ def matrix_to_json(x) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = np.asarray(obj["entries"], dtype=np.float64)
+    if not isinstance(obj, dict):
+        raise ValueError("matrix document must be a JSON object")
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+        entries = np.asarray(obj["entries"], dtype=np.float64)
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix document: {exc}") from exc
     if entries.size != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
     return as_matrix(entries.reshape(rows, cols))

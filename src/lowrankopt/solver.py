@@ -172,14 +172,13 @@ def project_step_factored(
     """
     m, n = point.shape
     d = tangent.d_truncated
-    # At rank 0 the first two blocks on each side have width 0.
+    # At rank 0 the first two blocks on each side have width 0; with D's too, QR and SVD
+    # of the zero-width factors give the zero point.
     left = [point.u @ (np.diag(point.sigma) + alpha * tangent.a) + alpha * tangent.c_rows,
             alpha * point.u,
             alpha * (d.u * d.sigma)]
     big_l = np.hstack(left)
     big_r = np.hstack([point.v, tangent.b_cols.T, d.v])
-    if big_l.shape[1] == 0:
-        return VarietyPoint(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), point.rank_bound)
     ql, rl = np.linalg.qr(big_l)
     qr_, rr = np.linalg.qr(big_r)
     uu, ss, vvh = np.linalg.svd(rl @ rr.T)

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SvdFactorization,
-    as_matrix,
-    compute_svd,
-    frobenius,
-    tail_norm,
-)
+from .linalg import as_matrix, compute_svd, frobenius
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -116,18 +110,13 @@ class TangentDecomposition:
     ``b_cols = U^T G (I - V V^T)`` (k-by-n), the column-space part
     ``c_rows = (I - U U^T) G V`` (m-by-k), and the fully orthogonal part
     D = (I - U U^T) G (I - V V^T). Only the best approximation of D within
-    the remaining rank budget is stored, as ``d_truncated``, together with
-    the norm of what the budget forced to drop.
+    the remaining rank budget is kept, as the point ``d_truncated``.
     """
 
     a: np.ndarray
     b_cols: np.ndarray
     c_rows: np.ndarray
-    d_truncated: SvdFactorization
-    d_residual_norm: float
-
-    def d_matrix(self) -> np.ndarray:
-        return self.d_truncated.reconstruct()
+    d_truncated: VarietyPoint
 
 
 @dataclass(frozen=True)
@@ -135,16 +124,13 @@ class StationarityReport:
     """Norms attached to one first-order stationarity evaluation.
 
     ``s_value`` is the norm of the projection of the negative gradient onto
-    the cone of feasible directions; ``residual_distance`` is the distance
-    from the negative gradient to that cone. The two sides are orthogonal,
-    so ``s_value**2 + residual_distance**2 == gradient_norm**2``.
-    ``tangent`` holds the blocks of the negative gradient behind these
-    norms, so a descent step from the same point can reuse them.
+    the cone of feasible directions, at most ``gradient_norm``.
+    ``tangent`` holds the blocks of the negative gradient behind it, so a
+    descent step from the same point can reuse them.
     """
 
     s_value: float
     gradient_norm: float
-    residual_distance: float
     tangent: TangentDecomposition
 
 
@@ -168,19 +154,19 @@ def point_from_matrix(x, rank_bound: int) -> VarietyPoint:
 
 
 def project_to_variety(x, rank_bound: int) -> VarietyPoint:
-    """Closest point of rank at most ``rank_bound``, in factored form."""
+    """Closest point of rank at most ``rank_bound``, in factored form.
+
+    At ``rank_bound`` 0 the zero matrix is the only candidate, so no SVD runs.
+    """
     a = as_matrix(x)
     rank_bound = int(rank_bound)
     if not 0 <= rank_bound < min(a.shape):
         raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
+    if rank_bound == 0:
+        return VarietyPoint(np.zeros((a.shape[0], 0)), np.zeros(0), np.zeros((a.shape[1], 0)), 0)
     fact = compute_svd(a)
-    keep = min(rank_bound, fact.numerical_rank)
-    lead = fact.leading(keep)
+    lead = fact.leading(min(rank_bound, fact.numerical_rank))
     return VarietyPoint(lead.u, lead.sigma, lead.v, rank_bound)
-
-
-def _empty_factors(m: int, n: int) -> SvdFactorization:
-    return SvdFactorization(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), 0)
 
 
 def project_to_tangent_cone(
@@ -189,11 +175,11 @@ def project_to_tangent_cone(
     """Project ``g`` onto the cone of feasible directions at ``point``.
 
     The cone at a point of rank k keeps the ``a``, ``b_cols`` and
-    ``c_rows`` blocks unrestricted and bounds the fully orthogonal block by
-    the leftover budget ``rank_bound - k``, so the projection truncates
-    that block and leaves the rest untouched. At the zero matrix the cone
-    is the whole bounded-rank set and the projection is the best rank-r
-    approximation of ``g``.
+    ``c_rows`` blocks unrestricted and bounds the fully orthogonal block D
+    by the leftover budget ``rank_bound - k``, so the projection replaces D
+    by :func:`project_to_variety` of D within that budget and leaves the
+    rest untouched. At the zero matrix D is ``g`` itself and the projection
+    is the best rank-r approximation of ``g``.
 
     Returns
     -------
@@ -207,42 +193,18 @@ def project_to_tangent_cone(
     m, n = point.shape
     if a_mat.shape != (m, n):
         raise ValueError(f"direction shape {a_mat.shape} does not match point shape {(m, n)}")
-    k = point.rank
-    budget = point.rank_bound - k
-
-    # Kept although the general path covers k = 0: G goes to the SVD without m-by-n copies.
-    if k == 0:
-        fact = compute_svd(a_mat)
-        keep = min(budget, fact.numerical_rank)
-        d_tr = fact.leading(keep)
-        residual = tail_norm(fact.sigma, budget)
-        decomp = TangentDecomposition(
-            np.zeros((0, 0)), np.zeros((0, n)), np.zeros((m, 0)), d_tr, residual
-        )
-        projected = d_tr.reconstruct()
-        norm = float(np.sqrt(np.dot(d_tr.sigma, d_tr.sigma)))
-        return decomp, projected, norm
-
     u, v = point.u, point.v
     utg = u.T @ a_mat
     core = utg @ v
     b_cols = utg - core @ v.T
     c_rows = a_mat @ v - u @ core
-    # Tangent-space part U a V^T + U b_cols + c_rows V^T; D and the projection reuse it.
-    t = u @ utg + c_rows @ v.T
-    d_full = a_mat - t
-
-    if budget == 0:
-        d_tr = _empty_factors(m, n)
-        residual = frobenius(d_full)
-    else:
-        fact = compute_svd(d_full)
-        keep = min(budget, fact.numerical_rank)
-        d_tr = fact.leading(keep)
-        residual = tail_norm(fact.sigma, budget)
-
-    decomp = TangentDecomposition(core, b_cols, c_rows, d_tr, residual)
-    projected = t + d_tr.reconstruct()
+    # D = G - U U^T G - c_rows V^T in one buffer: at rank 0 the SVD sees a single copy of G.
+    d_full = u @ utg
+    d_full += c_rows @ v.T
+    np.subtract(a_mat, d_full, out=d_full)
+    d_tr = project_to_variety(d_full, point.rank_bound - point.rank)
+    d_full -= d_tr.matrix()
+    projected = a_mat - d_full
     norm = float(
         np.sqrt(
             np.sum(core * core)
@@ -251,7 +213,7 @@ def project_to_tangent_cone(
             + np.dot(d_tr.sigma, d_tr.sigma)
         )
     )
-    return decomp, projected, norm
+    return TangentDecomposition(core, b_cols, c_rows, d_tr), projected, norm
 
 
 def stationarity_measure(problem, point: VarietyPoint) -> StationarityReport:
@@ -264,12 +226,7 @@ def stationarity_measure(problem, point: VarietyPoint) -> StationarityReport:
     """
     g = as_matrix(problem.gradient(point.matrix()))
     decomp, _, s = project_to_tangent_cone(point, -g)
-    return StationarityReport(
-        s_value=s,
-        gradient_norm=frobenius(g),
-        residual_distance=decomp.d_residual_norm,
-        tangent=decomp,
-    )
+    return StationarityReport(s_value=s, gradient_norm=frobenius(g), tangent=decomp)
 
 
 def stationarity_sandwich_check(point: VarietyPoint, report: StationarityReport) -> bool:
@@ -305,7 +262,7 @@ def tangent_curve(point: VarietyPoint, tangent: TangentDecomposition, t: float) 
     u, s, v = point.u, point.sigma, point.v
     left = u + t * ((tangent.c_rows + 0.5 * u @ tangent.a) / s)
     right = v + t * ((tangent.b_cols.T + 0.5 * v @ tangent.a.T) / s)
-    return (left * s) @ right.T + t * tangent.d_matrix()
+    return (left * s) @ right.T + t * tangent.d_truncated.matrix()
 
 
 def tangent_line_distance_bound(point: VarietyPoint, tangent_norm: float) -> float:

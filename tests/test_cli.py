@@ -79,6 +79,31 @@ class TestRun:
             assert not (tmp_path / "results").exists()
         assert "detla" in err
 
+    @pytest.mark.parametrize(
+        "problem_text, x0_text",
+        [
+            ("[1, 2]", None),
+            ('{"type": "lowrank_approx", "shape": 3, "payload": {}}', None),
+            (
+                '{"type": "polynomial", "shape": [2, 2],'
+                ' "payload": {"terms": [{"monomial": 5, "coeff": 1.0}]}}',
+                None,
+            ),
+            (None, "[[1, 2]]"),
+        ],
+        ids=["problem-array", "shape-int", "monomial-int", "x0-array"],
+    )
+    def test_malformed_documents_exit_1(self, tmp_path, capsys, problem_text, x0_text):
+        config = write_lowrank_setup(tmp_path, np.diag([3.0, 2.0, 1.0]), 2, 0.1, x0="x0.json")
+        if problem_text is not None:
+            (tmp_path / "problem.json").write_text(problem_text)
+        if x0_text is not None:
+            (tmp_path / "x0.json").write_text(x0_text)
+        else:
+            save_matrix(np.zeros((3, 3)), tmp_path / "x0.json")
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_problem_file_exits_1(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"problem": "nope.json", "rank_bound": 2, "delta": 0.1}))
@@ -175,18 +200,19 @@ class TestRun:
         assert cli.main(["run", str(config)]) == 0
         assert (tmp_path / "results" / "trace_p2gdr.csv").exists()
 
-    def test_env_seed_override(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((6, 5))
-        config = write_lowrank_setup(tmp_path, a, 2, 0.2, x0="random:11", max_iters=10)
-        cli.main(["run", str(config)])
-        baseline = (tmp_path / "results" / "trace_p2gdr.csv").read_text()
-        monkeypatch.setenv("LOWRANK_SEED", "99")
-        cli.main(["run", str(config)])
-        assert (tmp_path / "results" / "trace_p2gdr.csv").read_text() != baseline
-
 
 class TestCompare:
+    def test_loads_problem_once(self, lowrank_config, monkeypatch):
+        calls = []
+
+        def counting_load(path):
+            calls.append(path)
+            return load_problem(path)
+
+        monkeypatch.setattr(cli, "load_problem", counting_load)
+        assert cli.main(["compare", str(lowrank_config[0])]) == 0
+        assert len(calls) == 1
+
     def test_benign_quadratic_not_flagged(self, lowrank_config):
         config, _, out_dir = lowrank_config
         assert cli.main(["compare", str(config)]) == 0

@@ -162,6 +162,15 @@ class TestStep:
                 1.0 + frobenius(dense.matrix())
             )
 
+    def test_factored_projection_from_zero_with_zero_tangent(self):
+        point = point_from_matrix(np.zeros((6, 5)), 2)
+        tangent, _, _ = project_to_tangent_cone(point, np.zeros((6, 5)))
+        out = project_step_factored(point, tangent, 0.5)
+        assert out.rank == 0
+        assert out.shape == (6, 5)
+        assert out.rank_bound == 2
+        assert_allclose(out.matrix(), np.zeros((6, 5)))
+
     def test_factored_projection_path_in_step(self):
         # the step projects through the factored path and still reproduces
         # the dense reference step, from rank 0, deficient and full rank

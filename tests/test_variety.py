@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from oracles import complement, random_point_factors, reference_tangent_projection
 
+from lowrankopt import variety
 from lowrankopt.linalg import compute_svd, distance_to_bounded_rank, frobenius
 from lowrankopt.problems import LowRankApproxProblem
 from lowrankopt.variety import (
@@ -73,6 +76,16 @@ class TestProjectToVariety:
             distance_to_bounded_rank(x, 2), rel=1e-10
         )
 
+    def test_rank_zero_needs_no_svd(self, monkeypatch):
+        def no_svd(_):
+            raise AssertionError("compute_svd called for rank bound 0")
+
+        monkeypatch.setattr(variety, "compute_svd", no_svd)
+        p = project_to_variety(np.arange(12.0).reshape(4, 3), 0)
+        assert p.rank == 0
+        assert p.shape == (4, 3)
+        assert_allclose(p.matrix(), np.zeros((4, 3)))
+
 
 class TestTangentProjection:
     def test_hand_example(self):
@@ -96,10 +109,25 @@ class TestTangentProjection:
 
     def test_full_rank_point_zero_budget(self):
         point = point_from_matrix(np.diag([1.0, 1.0, 0.0]), 2)
-        decomp, projected, norm = project_to_tangent_cone(point, np.diag([0.0, 0.0, 7.0]))
+        g = np.diag([0.0, 0.0, 7.0])
+        _, projected, norm = project_to_tangent_cone(point, g)
         assert_allclose(projected, np.zeros((3, 3)), atol=1e-12)
         assert norm == pytest.approx(0.0, abs=1e-12)
-        assert decomp.d_residual_norm == pytest.approx(7.0, rel=1e-12)
+        assert frobenius(g - projected) == pytest.approx(7.0, rel=1e-12)
+
+    @pytest.mark.parametrize("rank", [0, 3, 5])
+    def test_peak_memory_within_three_copies(self, rank):
+        # D lives in one m-by-n buffer and the SVD's V factor is not copied
+        rng = np.random.default_rng(40)
+        g = rng.standard_normal((400, 300))
+        point = make_point(rng, 400, 300, 5, rank)
+        tracemalloc.start()
+        try:
+            project_to_tangent_cone(point, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * g.nbytes
 
     def test_shape_mismatch(self):
         point = point_from_matrix(np.zeros((3, 3)), 2)
@@ -225,10 +253,11 @@ class TestStationarity:
             r = int(rng.integers(1, min(m, n)))
             rank = int(rng.integers(0, r + 1))
             point = make_point(rng, m, n, r, rank)
-            report = stationarity_measure(
-                LowRankApproxProblem(rng.standard_normal((m, n))), point
-            )
-            lhs = report.s_value**2 + report.residual_distance**2
+            problem = LowRankApproxProblem(rng.standard_normal((m, n)))
+            report = stationarity_measure(problem, point)
+            g = problem.gradient(point.matrix())
+            _, projected, _ = project_to_tangent_cone(point, -g)
+            lhs = report.s_value**2 + frobenius(-g - projected) ** 2
             assert lhs == pytest.approx(report.gradient_norm**2, rel=1e-9)
 
     def test_sandwich_property(self):
