@@ -7,6 +7,7 @@ copies of each iterate.
 """
 
 from .linalg import (
+    NonFiniteError,
     NumericalFailure,
     SvdFactorization,
     compute_svd,
@@ -61,6 +62,7 @@ __all__ = [
     "LineSearchParams",
     "LowRankApproxProblem",
     "MatrixCompletionProblem",
+    "NonFiniteError",
     "NumericalFailure",
     "SolverParams",
     "StationarityReport",

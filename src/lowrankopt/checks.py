@@ -55,7 +55,7 @@ def _require(cond: bool, message: str) -> None:
 def random_point(rng, m: int, n: int, rank_bound: int, rank: int) -> VarietyPoint:
     """Random feasible point of exact rank ``rank`` with spectrum in [0.5, 2]."""
     if rank == 0:
-        return VarietyPoint(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), rank_bound)
+        return VarietyPoint.zero((m, n), rank_bound)
     u = np.linalg.qr(rng.standard_normal((m, rank)))[0]
     v = np.linalg.qr(rng.standard_normal((n, rank)))[0]
     sigma = np.sort(rng.uniform(0.5, 2.0, size=rank))[::-1].copy()

@@ -5,7 +5,7 @@ and plain variants from the same start, ``check`` the property suite, and
 ``gen-problem`` to emit a problem-document skeleton. Exit codes: 0 the run
 reached stationarity, 1 configuration error, 2 iteration budget exhausted,
 3 line-search failure, 4 a property check or trace-equality assertion
-failed.
+failed, 5 a NaN or Inf gradient or cost ended the run.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .problems import CostFunction, load_problem, problem_skeleton
 from .serialize import load_matrix
 from .solver import LineSearchParams, SolverParams, Trace, p2gd_plain, p2gdr
 
-_TERMINATION_EXIT = {"stationary": 0, "max_iters": 2, "line_search_failure": 3}
+_TERMINATION_EXIT = {"stationary": 0, "max_iters": 2, "line_search_failure": 3, "nonfinite": 5}
 _CONFIG_KEYS = {
     "problem", "x0", "rank_bound", "delta", "alpha_lo", "alpha_hi", "beta", "c",
     "max_backtracks", "stop_tol", "max_iters", "out", "algorithm",
@@ -189,7 +189,8 @@ def cmd_compare(args) -> int:
 
 
 def _verdict_entry(trace: Trace) -> dict:
-    return {"final_s": trace.final_s, "final_f": trace.final_f, "final_rank": trace.final_rank}
+    summary = trace.summary()
+    return {key: summary[key] for key in ("final_s", "final_f", "final_rank")}
 
 
 def cmd_check(_args) -> int:

@@ -18,15 +18,20 @@ class NumericalFailure(RuntimeError):
     """The underlying factorization routine did not converge."""
 
 
+class NonFiniteError(ValueError):
+    """A matrix holds NaN or Inf entries."""
+
+
 def as_matrix(x) -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject empty or non-finite input."""
+    """Coerce to a 2-D float64 array; reject empty input (ValueError) and
+    NaN or Inf entries (:class:`NonFiniteError`)."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < 1 or a.shape[1] < 1:
         raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise NonFiniteError("matrix contains NaN or Inf entries")
     return a
 
 

@@ -67,13 +67,27 @@ class MatrixCompletionProblem(CostFunction):
                 f"mask shape {self.mask.shape} does not match target {self.target.shape}"
             )
         self.shape = self.target.shape
+        self._weights = self.mask.astype(np.float64)
+
+    def _residual(self, x) -> np.ndarray:
+        """``x - target`` on the observed entries and +0.0 elsewhere, in one buffer.
+
+        Multiplying by the 0/1 weights leaves -0.0 where a negative residual
+        is unobserved; adding 0.0 turns that into +0.0 and changes no other
+        entry's value.
+        """
+        d = self._check_shape(x) - self.target
+        d *= self._weights
+        d += 0.0
+        return d
 
     def eval(self, x) -> float:
-        d = np.where(self.mask, self._check_shape(x) - self.target, 0.0)
-        return 0.5 * float(np.sum(d * d))
+        d = self._residual(x)
+        np.square(d, out=d)
+        return 0.5 * float(np.sum(d))
 
     def gradient(self, x) -> np.ndarray:
-        return np.where(self.mask, self._check_shape(x) - self.target, 0.0)
+        return self._residual(x)
 
 
 class UserPolynomialProblem(CostFunction):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import rank_threshold
+from .linalg import NonFiniteError, rank_threshold
 from .variety import (
     StationarityReport,
     TangentDecomposition,
@@ -125,7 +125,14 @@ class IterationRecord:
 
 @dataclass
 class Trace:
-    """Full run history plus the final iterate and termination reason."""
+    """Full run history plus the final iterate and termination reason.
+
+    ``termination`` is ``stationary``, ``max_iters``, ``line_search_failure``
+    or ``nonfinite`` (a NaN or Inf gradient or cost at an iterate or a
+    truncated candidate). A ``nonfinite`` trace keeps the records of the
+    iterations completed before it, ``final_s`` is NaN, and so is
+    ``stop_tol`` if it was to be resolved from a gradient that was not finite.
+    """
 
     records: list[IterationRecord]
     final_point: VarietyPoint
@@ -149,14 +156,27 @@ class Trace:
         return "\n".join(lines) + "\n"
 
     def summary(self) -> dict:
+        """JSON-ready run summary; a non-finite ``final_f`` or ``final_s`` is None."""
         return {
             "termination": self.termination,
             "iters": len(self.records),
-            "final_f": self.final_f,
-            "final_s": self.final_s,
+            "final_f": _finite_or_none(self.final_f),
+            "final_s": _finite_or_none(self.final_s),
             "final_rank": self.final_rank,
             "wall_time_ms": self.wall_time_ms,
         }
+
+
+def _finite_or_none(x: float) -> float | None:
+    return x if np.isfinite(x) else None
+
+
+def _cost(problem, point: VarietyPoint) -> float:
+    """Cost at a point the solver may stand on; NaN or Inf raises NonFiniteError."""
+    f = float(problem.eval(point.matrix()))
+    if not np.isfinite(f):
+        raise NonFiniteError(f"cost is {f} at a rank-{point.rank} point")
+    return f
 
 
 def project_step_factored(
@@ -209,10 +229,15 @@ def p2gd_step(
     (the cost there) are computed when not supplied; a caller that already
     holds them passes them in to save a gradient and a cost evaluation.
 
+    A NaN or Inf cost at a trial point fails the decrease test, so the
+    search backtracks past it.
+
     Raises
     ------
     LineSearchFailure
         If ``max_backtracks`` reductions never reach sufficient decrease.
+    NonFiniteError
+        If the gradient or cost at ``point`` (when computed here) is not finite.
     ValueError
         If the point is already stationary (zero direction norm).
     """
@@ -221,7 +246,7 @@ def p2gd_step(
     s = report.s_value
     if s == 0.0:
         raise ValueError("point is stationary: the projected direction vanishes")
-    f0 = float(problem.eval(point.matrix())) if f_value is None else f_value
+    f0 = _cost(problem, point) if f_value is None else f_value
 
     alpha = params.alpha_hi
     for backtracks in range(params.max_backtracks + 1):
@@ -275,12 +300,14 @@ def p2gdr_search(
     its record and that cost; ties go to the smallest truncation depth. A
     truncated copy that is already stationary within ``params.stop_tol``
     stands as its own candidate without stepping. ``report`` and
-    ``f_value`` at ``point`` are computed when not supplied.
+    ``f_value`` at ``point`` are computed when not supplied. A NaN or Inf
+    gradient or cost at ``point`` or at a truncated copy raises
+    :class:`~lowrankopt.linalg.NonFiniteError`.
     """
     if report is None:
         report = stationarity_measure(problem, point)
     if f_value is None:
-        f_value = float(problem.eval(point.matrix()))
+        f_value = _cost(problem, point)
     stop_tol = params.stop_tol if params.stop_tol is not None else 0.0
     if not report.s_value > stop_tol:
         raise ValueError("search requires a non-stationary point")
@@ -296,7 +323,7 @@ def p2gdr_search(
     for j in range(depth + 1):
         hat = point if j == 0 else point.truncated(rank - j)
         rep = report if j == 0 else stationarity_measure(problem, hat)
-        f_hat = f_value if j == 0 else float(problem.eval(hat.matrix()))
+        f_hat = f_value if j == 0 else _cost(problem, hat)
         if rep.s_value <= stop_tol:
             cand_point, cand_f, cand_alpha = hat, f_hat, 0.0
         else:
@@ -325,37 +352,44 @@ def p2gdr_search(
 def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
     start = time.perf_counter()
     point = point_from_matrix(x0, params.rank_bound)
-    report = stationarity_measure(problem, point)
-    f_value = float(problem.eval(point.matrix()))
-    if params.stop_tol is None:
-        params = replace(params, stop_tol=1e-8 * (1.0 + report.gradient_norm))
-
     records: list[IterationRecord] = []
-    while True:
-        if report.s_value <= params.stop_tol:
-            termination = "stationary"
-            break
-        if len(records) >= params.max_iters:
-            termination = "max_iters"
-            break
-        try:
-            point, record, f_value = p2gdr_search(
-                problem, point, params, reduce=reduce, report=report, f_value=f_value,
-                index=len(records),
-            )
-        except LineSearchFailure:
-            termination = "line_search_failure"
-            break
-        records.append(record)
+    f_value = np.nan
+    try:
         report = stationarity_measure(problem, point)
+        f_value = _cost(problem, point)
+        if params.stop_tol is None:
+            params = replace(params, stop_tol=1e-8 * (1.0 + report.gradient_norm))
+        while True:
+            if report.s_value <= params.stop_tol:
+                termination = "stationary"
+                break
+            if len(records) >= params.max_iters:
+                termination = "max_iters"
+                break
+            try:
+                point, record, f_value = p2gdr_search(
+                    problem, point, params, reduce=reduce, report=report, f_value=f_value,
+                    index=len(records),
+                )
+            except LineSearchFailure:
+                termination = "line_search_failure"
+                break
+            records.append(record)
+            if not np.isfinite(f_value):
+                raise NonFiniteError(f"cost is {f_value} at the accepted step")
+            report = stationarity_measure(problem, point)
+        final_s = report.s_value
+    except NonFiniteError:
+        termination = "nonfinite"
+        final_s = np.nan
 
     return Trace(
         records=records,
         final_point=point,
         termination=termination,
-        stop_tol=params.stop_tol,
+        stop_tol=np.nan if params.stop_tol is None else params.stop_tol,
         final_f=f_value,
-        final_s=report.s_value,
+        final_s=final_s,
         wall_time_ms=(time.perf_counter() - start) * 1e3,
     )
 

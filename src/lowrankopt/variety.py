@@ -62,6 +62,12 @@ class VarietyPoint:
         self.sigma.setflags(write=False)
         self.v.setflags(write=False)
 
+    @classmethod
+    def zero(cls, shape: tuple[int, int], rank_bound: int) -> "VarietyPoint":
+        """The zero matrix of ``shape``: factors of width 0."""
+        m, n = shape
+        return cls(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), rank_bound)
+
     @property
     def shape(self) -> tuple[int, int]:
         return (self.u.shape[0], self.v.shape[0])
@@ -138,12 +144,15 @@ def point_from_matrix(x, rank_bound: int) -> VarietyPoint:
     """Factor a feasible matrix into a :class:`VarietyPoint`.
 
     Raises :class:`InfeasiblePointError` if the numerical rank of ``x``
-    exceeds ``rank_bound``.
+    exceeds ``rank_bound``. A matrix with no nonzero entry is the zero point
+    and needs no SVD.
     """
     a = as_matrix(x)
     rank_bound = int(rank_bound)
     if not 0 <= rank_bound < min(a.shape):
         raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
+    if not a.any():
+        return VarietyPoint.zero(a.shape, rank_bound)
     fact = compute_svd(a)
     if fact.numerical_rank > rank_bound:
         raise InfeasiblePointError(
@@ -163,10 +172,45 @@ def project_to_variety(x, rank_bound: int) -> VarietyPoint:
     if not 0 <= rank_bound < min(a.shape):
         raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
     if rank_bound == 0:
-        return VarietyPoint(np.zeros((a.shape[0], 0)), np.zeros(0), np.zeros((a.shape[1], 0)), 0)
+        return VarietyPoint.zero(a.shape, 0)
     fact = compute_svd(a)
     lead = fact.leading(min(rank_bound, fact.numerical_rank))
     return VarietyPoint(lead.u, lead.sigma, lead.v, rank_bound)
+
+
+def _cone_blocks(point: VarietyPoint, g: np.ndarray) -> tuple[TangentDecomposition, float]:
+    """Blocks of the projection of ``g`` onto the tangent cone, and its norm.
+
+    D = G - U U^T G - c_rows V^T is formed (in one m-by-n buffer, an exact
+    copy of G at rank 0) and truncated only when the point has spare rank
+    budget; at full rank the cone is the tangent space and D's share is the
+    zero point.
+    """
+    m, n = point.shape
+    if g.shape != (m, n):
+        raise ValueError(f"direction shape {g.shape} does not match point shape {(m, n)}")
+    u, v = point.u, point.v
+    utg = u.T @ g
+    core = utg @ v
+    b_cols = utg - core @ v.T
+    c_rows = g @ v - u @ core
+    budget = point.rank_bound - point.rank
+    if budget > 0:
+        d_full = u @ utg
+        d_full += c_rows @ v.T
+        np.subtract(g, d_full, out=d_full)
+        d_tr = project_to_variety(d_full, budget)
+    else:
+        d_tr = VarietyPoint.zero((m, n), 0)
+    norm = float(
+        np.sqrt(
+            np.sum(core * core)
+            + np.sum(b_cols * b_cols)
+            + np.sum(c_rows * c_rows)
+            + np.dot(d_tr.sigma, d_tr.sigma)
+        )
+    )
+    return TangentDecomposition(core, b_cols, c_rows, d_tr), norm
 
 
 def project_to_tangent_cone(
@@ -184,36 +228,18 @@ def project_to_tangent_cone(
     Returns
     -------
     (TangentDecomposition, ndarray, float)
-        The block decomposition, the projected matrix, and its norm. At
-        ties in the orthogonal block's spectrum the projection is
-        set-valued; the member kept is the deterministic first-triplets
-        choice of the SVD routine.
+        The block decomposition, the projected matrix
+        ``U (a V^T + b_cols) + c_rows V^T + D_r``, and its norm. At ties in
+        the orthogonal block's spectrum the projection is set-valued; the
+        member kept is the deterministic first-triplets choice of the SVD
+        routine.
     """
-    a_mat = as_matrix(g)
-    m, n = point.shape
-    if a_mat.shape != (m, n):
-        raise ValueError(f"direction shape {a_mat.shape} does not match point shape {(m, n)}")
+    decomp, norm = _cone_blocks(point, as_matrix(g))
     u, v = point.u, point.v
-    utg = u.T @ a_mat
-    core = utg @ v
-    b_cols = utg - core @ v.T
-    c_rows = a_mat @ v - u @ core
-    # D = G - U U^T G - c_rows V^T in one buffer: at rank 0 the SVD sees a single copy of G.
-    d_full = u @ utg
-    d_full += c_rows @ v.T
-    np.subtract(a_mat, d_full, out=d_full)
-    d_tr = project_to_variety(d_full, point.rank_bound - point.rank)
-    d_full -= d_tr.matrix()
-    projected = a_mat - d_full
-    norm = float(
-        np.sqrt(
-            np.sum(core * core)
-            + np.sum(b_cols * b_cols)
-            + np.sum(c_rows * c_rows)
-            + np.dot(d_tr.sigma, d_tr.sigma)
-        )
-    )
-    return TangentDecomposition(core, b_cols, c_rows, d_tr), projected, norm
+    projected = u @ (decomp.a @ v.T + decomp.b_cols)
+    projected += decomp.c_rows @ v.T
+    projected += decomp.d_truncated.matrix()
+    return decomp, projected, norm
 
 
 def stationarity_measure(problem, point: VarietyPoint) -> StationarityReport:
@@ -225,7 +251,7 @@ def stationarity_measure(problem, point: VarietyPoint) -> StationarityReport:
     dense matrix.
     """
     g = as_matrix(problem.gradient(point.matrix()))
-    decomp, _, s = project_to_tangent_cone(point, -g)
+    decomp, s = _cone_blocks(point, -g)
     return StationarityReport(s_value=s, gradient_norm=frobenius(g), tangent=decomp)
 
 

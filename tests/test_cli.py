@@ -120,6 +120,13 @@ class TestRun:
         save_matrix(np.diag([3.0, 2.0, 1.0]), tmp_path / "x0.csv")
         assert cli.main(["run", str(config)]) == 1
 
+    def test_nonfinite_x0_exits_1(self, tmp_path, capsys):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 1, 0.1, x0="x0.csv")
+        (tmp_path / "x0.csv").write_text("nan,0,0\n0,0,0\n0,0,0\n")
+        assert cli.main(["run", str(config)]) == 1
+        assert "NaN or Inf" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_max_iters_exits_2(self, tmp_path):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((8, 6))
@@ -155,6 +162,30 @@ class TestRun:
             alpha_hi=1e18, max_backtracks=1, stop_tol=1e-10,
         )
         assert cli.main(["run", str(config)]) == 3
+
+    def test_nonfinite_cost_exits_5(self, tmp_path):
+        # x0 = 1e100 e_00 is feasible, but its cost x_00^4 overflows to Inf
+        problem_doc = {
+            "type": "polynomial",
+            "shape": [3, 3],
+            "payload": {"terms": [{"monomial": [[0, 0, 4]], "coeff": 1.0}]},
+        }
+        (tmp_path / "problem.json").write_text(json.dumps(problem_doc))
+        x0 = np.zeros((3, 3))
+        x0[0, 0] = 1e100
+        save_matrix(x0, tmp_path / "x0.csv")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"problem": "problem.json", "x0": "x0.csv", "rank_bound": 1, "delta": 0.1,
+             "out": "results"}
+        ))
+        with np.errstate(over="ignore"):
+            assert cli.main(["run", str(config)]) == 5
+        text = (tmp_path / "results" / "summary_p2gdr.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        summary = json.loads(text)
+        assert summary["termination"] == "nonfinite"
+        assert (summary["iters"], summary["final_f"], summary["final_s"]) == (0, None, None)
 
     def test_override_flags(self, lowrank_config):
         config, _, out_dir = lowrank_config

@@ -75,6 +75,21 @@ class TestMatrixCompletion:
             assert full.eval(x) == plain.eval(x)
             assert np.all(full.gradient(x) == plain.gradient(x))
 
+    def test_matches_where_formula_bitwise(self):
+        # The residual is x - target on observed entries and +0.0 elsewhere,
+        # also where an unobserved residual is negative.
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            a = rng.standard_normal((8, 9))
+            mask = rng.random((8, 9)) < 0.4
+            problem = MatrixCompletionProblem(a, mask)
+            x = a - np.abs(rng.standard_normal((8, 9)))
+            ref = np.where(mask, x - a, 0.0)
+            g = problem.gradient(x)
+            assert g.tobytes() == ref.tobytes()
+            assert not np.any(np.signbit(g[~mask]))
+            assert problem.eval(x) == 0.5 * float(np.sum(ref * ref))
+
     def test_mask_shape_mismatch(self):
         with pytest.raises(ValueError):
             MatrixCompletionProblem(np.eye(3), np.ones((2, 3), dtype=bool))

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from oracles import random_point_factors, reference_backtracking_step
 
 from lowrankopt import solver
-from lowrankopt.linalg import frobenius, singular_values, truncate_to_rank
+from lowrankopt.linalg import NonFiniteError, frobenius, singular_values, truncate_to_rank
 from lowrankopt.problems import CostFunction, LowRankApproxProblem, MatrixCompletionProblem
 from lowrankopt.solver import (
     LineSearchFailure,
@@ -45,6 +45,33 @@ class CountingCompletion(MatrixCompletionProblem):
     def gradient(self, x):
         self.calls["gradient"] += 1
         return super().gradient(x)
+
+
+class NaNGradientAfterFirst(CountingCompletion):
+    """Completion problem whose gradient turns NaN from its second call on."""
+
+    def gradient(self, x):
+        g = super().gradient(x)
+        return g if self.calls["gradient"] == 1 else np.full_like(g, np.nan)
+
+
+class NaNCost(CountingCompletion):
+    """Completion problem whose cost is NaN everywhere."""
+
+    def eval(self, x):
+        super().eval(x)
+        return float("nan")
+
+
+class NaNCostFar(MatrixCompletionProblem):
+    """Completion problem whose cost is NaN outside a ball around the origin."""
+
+    def __init__(self, target, mask, radius):
+        super().__init__(target, mask)
+        self.radius = radius
+
+    def eval(self, x):
+        return super().eval(x) if frobenius(x) <= self.radius else float("nan")
 
 
 class BadGradient(CostFunction):
@@ -257,6 +284,18 @@ class TestSearch:
         assert record.delta_rank == 1
         assert record.candidates_evaluated == 2
 
+    def test_nonfinite_cost_at_truncated_candidate(self):
+        class NaNAtRankOne(LowRankApproxProblem):
+            def eval(self, x):
+                return float("nan") if np.linalg.matrix_rank(x) == 1 else super().eval(x)
+
+        rng = np.random.default_rng(7)
+        problem = NaNAtRankOne(rng.standard_normal((3, 3)))
+        point = point_from_matrix(np.diag([1.0, 0.2, 0.0]), 2)
+        params = SolverParams(rank_bound=2, delta=0.4, stop_tol=1e-12)
+        with pytest.raises(NonFiniteError, match="cost is nan"):
+            p2gdr_search(problem, point, params)
+
     def test_candidate_dominance(self):
         # the reduction never loses to the plain step it includes
         rng = np.random.default_rng(8)
@@ -350,6 +389,41 @@ class TestOuterLoop:
         )
         trace = p2gdr(problem, np.zeros((4, 4)), params)
         assert trace.termination == "line_search_failure"
+
+    def test_nonfinite_gradient_keeps_partial_trace(self):
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((6, 5))
+        problem = NaNGradientAfterFirst(a, rng.uniform(size=(6, 5)) < 0.7)
+        params = SolverParams(rank_bound=2, delta=0.1, stop_tol=1e-12)
+        trace = p2gdr(problem, np.zeros((6, 5)), params)
+        assert trace.termination == "nonfinite"
+        assert [rec.index for rec in trace.records] == [0]
+        assert trace.final_point.rank > 0
+        assert trace.final_f < trace.records[0].f_value
+        assert np.isnan(trace.final_s)
+        assert trace.summary()["final_s"] is None
+        assert trace.summary()["final_f"] == trace.final_f
+
+    def test_nonfinite_cost_at_start_takes_no_backtracks(self):
+        rng = np.random.default_rng(24)
+        a = rng.standard_normal((6, 5))
+        problem = NaNCost(a, rng.uniform(size=(6, 5)) < 0.7)
+        params = SolverParams(rank_bound=2, delta=0.1, stop_tol=1e-12)
+        trace = p2gdr(problem, np.zeros((6, 5)), params)
+        assert trace.termination == "nonfinite"
+        assert trace.records == []
+        assert problem.calls["eval"] == 1
+        assert trace.summary()["final_f"] is None
+
+    def test_nonfinite_trial_cost_backtracks(self):
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((6, 5))
+        problem = NaNCostFar(a, np.ones((6, 5), dtype=bool), 0.1 * frobenius(a))
+        params = SolverParams(rank_bound=2, delta=0.1, stop_tol=1e-12, max_iters=1)
+        trace = p2gdr(problem, np.zeros((6, 5)), params)
+        assert trace.termination == "max_iters"
+        assert 0.0 < trace.records[0].accepted_alpha < 1.0
+        assert np.isfinite(trace.final_f)
 
     def test_infeasible_start(self):
         from lowrankopt.variety import InfeasiblePointError

@@ -41,6 +41,14 @@ class TestPointFromMatrix:
         assert p.sigma.size == 0
         assert_allclose(p.matrix(), np.zeros((3, 3)))
 
+    def test_zero_needs_no_svd(self, monkeypatch):
+        def no_svd(_):
+            raise AssertionError("compute_svd called on the zero matrix")
+
+        monkeypatch.setattr(variety, "compute_svd", no_svd)
+        p = point_from_matrix(np.zeros((6, 5)), 3)
+        assert (p.rank, p.rank_bound, p.shape) == (0, 3, (6, 5))
+
     def test_tiny_value_below_threshold(self):
         p = point_from_matrix(np.diag([1.0, 1e-18, 0.0]), 2)
         assert p.rank == 1
@@ -259,6 +267,37 @@ class TestStationarity:
             _, projected, _ = project_to_tangent_cone(point, -g)
             lhs = report.s_value**2 + frobenius(-g - projected) ** 2
             assert lhs == pytest.approx(report.gradient_norm**2, rel=1e-9)
+
+    def test_full_rank_needs_no_variety_projection(self, monkeypatch):
+        # At rank r the cone is the tangent space: no D-block is formed or truncated
+        rng = np.random.default_rng(11)
+        point = make_point(rng, 7, 6, 3, 3)
+        problem = LowRankApproxProblem(rng.standard_normal((7, 6)))
+
+        def no_projection(*_):
+            raise AssertionError("project_to_variety called with no spare rank budget")
+
+        monkeypatch.setattr(variety, "project_to_variety", no_projection)
+        report = stationarity_measure(problem, point)
+        assert report.tangent.d_truncated.rank == 0
+        assert report.s_value > 0
+
+    def test_report_matches_cone_projection_bitwise(self):
+        rng = np.random.default_rng(12)
+        for rank in range(4):
+            for _ in range(5):
+                point = make_point(rng, 9, 7, 3, rank)
+                problem = LowRankApproxProblem(rng.standard_normal((9, 7)))
+                report = stationarity_measure(problem, point)
+                g = problem.gradient(point.matrix())
+                decomp, _, norm = project_to_tangent_cone(point, -g)
+                assert report.s_value == norm
+                for name in ("a", "b_cols", "c_rows"):
+                    assert np.array_equal(getattr(report.tangent, name), getattr(decomp, name))
+                for name in ("u", "sigma", "v"):
+                    assert np.array_equal(
+                        getattr(report.tangent.d_truncated, name), getattr(decomp.d_truncated, name)
+                    )
 
     def test_sandwich_property(self):
         rng = np.random.default_rng(10)

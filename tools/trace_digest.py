@@ -1,0 +1,65 @@
+"""Print a digest of the seeded benchmark solves, for comparing two checkouts.
+
+Solves each perfbench workload at both sizes (tiny, full) with both
+algorithms (p2gdr, p2gd_plain) directly on the workload's instance, and
+prints one line per solve: workload, size, algorithm, iterations,
+termination and the sha256 of the trace CSV. Two checkouts whose outputs
+are identical produce byte-identical traces on all twelve solves.
+
+    PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] > digest.txt
+
+Point PYTHONPATH at another checkout's ``src`` to digest that library with
+the same workloads, then ``diff`` the two outputs. ``perfbench/workloads.py``
+is loaded read-only from this checkout. BLAS runs on one thread, as in the
+benchmark, so the low bits of every product are reproducible.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import importlib.util  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+from lowrankopt import solver  # noqa: E402
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+SIZES = ("tiny", "full")
+ALGORITHMS = ("p2gdr", "p2gd_plain")
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while they are built.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=101)
+    args = parser.parse_args(argv)
+    workloads = load_workloads()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in workloads.WORKLOADS.items():
+            for size in SIZES:
+                inst = workload.build(args.seed, Path(tmp) / f"{name}-{size}", size)
+                for algorithm in ALGORITHMS:
+                    trace = getattr(solver, algorithm)(inst.problem, inst.x0, inst.params)
+                    digest = hashlib.sha256(trace.to_csv().encode("utf-8")).hexdigest()
+                    print(f"{name} {size} {algorithm} iters={len(trace.records)} "
+                          f"termination={trace.termination} sha256={digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
