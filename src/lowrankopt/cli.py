@@ -11,9 +11,10 @@ failed, 5 a NaN or Inf gradient or cost ended the run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -21,31 +22,40 @@ import numpy as np
 from .checks import run_all_checks
 from .linalg import truncate_to_rank
 from .problems import CostFunction, load_problem, problem_skeleton
-from .serialize import load_matrix
+from .serialize import json_number, load_matrix
 from .solver import LineSearchParams, SolverParams, Trace, p2gd_plain, p2gdr
 
 _TERMINATION_EXIT = {"stationary": 0, "max_iters": 2, "line_search_failure": 3, "nonfinite": 5}
-_CONFIG_KEYS = {
-    "problem", "x0", "rank_bound", "delta", "alpha_lo", "alpha_hi", "beta", "c",
-    "max_backtracks", "stop_tol", "max_iters", "out", "algorithm",
-}
+
+
+def _number_fields(cls) -> dict[str, bool]:
+    """Each numeric field of a parameter class, mapped to whether it is an int."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] is int for f in dataclasses.fields(cls)
+            if hints[f.name] in (int, float, float | None)}
+
+
+CONFIG_KEYS = frozenset([*_number_fields(LineSearchParams), *_number_fields(SolverParams),
+                         "problem", "x0", "out", "algorithm"])
 
 
 class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    base_dir: Path
+    """A loaded run config. ``x0`` is ``"zero"``, ``"random:SEED"`` or a matrix file."""
+
     problem_path: Path
-    x0_source: str
+    x0: str | Path
     params: SolverParams
     out_dir: Path
     algorithm: str
 
     @staticmethod
     def load(path, overrides: dict | None = None) -> "RunConfig":
+        """Read a run config; an ``overrides`` value that is not None replaces its key's."""
         path = Path(path)
         try:
             doc = json.loads(path.read_text(encoding="utf-8"))
@@ -55,78 +65,51 @@ class RunConfig:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} must be a JSON object")
-        unknown = sorted(set(doc) - _CONFIG_KEYS)
+        unknown = sorted(set(doc) - CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        if overrides:
-            doc.update({k: v for k, v in overrides.items() if v is not None})
+        doc.update((key, value) for key, value in (overrides or {}).items()
+                   if key in CONFIG_KEYS and value is not None)
 
         try:
-            ls = LineSearchParams(
-                alpha_lo=float(doc.get("alpha_lo", 1e-8)),
-                alpha_hi=float(doc.get("alpha_hi", 1.0)),
-                beta=float(doc.get("beta", 0.5)),
-                c=float(doc.get("c", 1e-4)),
-                max_backtracks=int(doc.get("max_backtracks", 60)),
-            )
-            params = SolverParams(
-                rank_bound=int(doc["rank_bound"]),
-                delta=float(doc["delta"]),
-                line_search=ls,
-                stop_tol=None if doc.get("stop_tol") is None else float(doc["stop_tol"]),
-                max_iters=int(doc.get("max_iters", 1000)),
-            )
-            algorithm = doc.get("algorithm", "p2gdr")
-            x0_source = str(doc.get("x0", "zero"))
-        except (KeyError, TypeError, ValueError) as exc:
+            params = _params(SolverParams, doc, line_search=_params(LineSearchParams, doc))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config field: {exc}") from exc
+        algorithm = doc.get("algorithm", "p2gdr")
         if algorithm not in ("p2gdr", "p2gd"):
             raise ConfigError(f"unknown algorithm {algorithm!r}")
 
-        base = path.parent
-        if "problem" not in doc:
-            raise ConfigError("config is missing the 'problem' field")
-        if not isinstance(doc["problem"], str):
-            raise ConfigError(f"'problem' must be a path string, got {doc['problem']!r}")
-        problem_path = Path(doc["problem"])
-        if not problem_path.is_absolute():
-            problem_path = base / problem_path
-        if not problem_path.exists():
-            raise ConfigError(f"problem file not found: {problem_path}")
-        out_dir = Path(doc.get("out", "."))
-        if not out_dir.is_absolute():
-            out_dir = base / out_dir
-        return RunConfig(base, problem_path, x0_source, params, out_dir, algorithm)
+        def resolve(key: str, value) -> Path:
+            if not isinstance(value, str):
+                raise ConfigError(f"{key!r} must be a path string, got {value!r}")
+            return path.parent / value
+
+        x0 = doc.get("x0", "zero")
+        if not (x0 == "zero" or str(x0).startswith("random:")):
+            x0 = resolve("x0", x0)
+        return RunConfig(resolve("problem", doc.get("problem")), x0, params,
+                         resolve("out", doc.get("out", ".")), algorithm)
 
 
-def _build_x0(config: RunConfig, shape: tuple[int, int]) -> np.ndarray:
-    m, n = shape
-    src = config.x0_source
-    if src == "zero":
-        return np.zeros((m, n))
-    if src.startswith("random:"):
-        try:
-            seed = int(src.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad random seed in x0 source {src!r}") from exc
-        rng = np.random.default_rng(seed)
-        x, _ = truncate_to_rank(rng.standard_normal((m, n)), config.params.rank_bound)
-        return x
-    x0_path = Path(src)
-    if not x0_path.is_absolute():
-        x0_path = config.base_dir / x0_path
-    if not x0_path.exists():
-        raise ConfigError(f"x0 file not found: {x0_path}")
-    return load_matrix(x0_path)
+def _params(cls, doc: dict, **nested):
+    """``cls`` from the config's values for its numeric fields; null or absent keeps a default."""
+    values = {key: json_number(key, doc.get(key), integer=integer)
+              for key, integer in _number_fields(cls).items()}
+    return cls(**{key: v for key, v in values.items() if v is not None}, **nested)
 
 
 def _load(config: RunConfig) -> tuple[CostFunction, np.ndarray]:
     problem = load_problem(config.problem_path)
-    m, n = problem.shape
-    rank_bound = config.params.rank_bound
-    if not rank_bound < min(m, n):
-        raise ConfigError(f"rank_bound {rank_bound} must be below min{m, n}")
-    return problem, _build_x0(config, problem.shape)
+    if isinstance(config.x0, Path):
+        return problem, load_matrix(config.x0)
+    if config.x0 == "zero":
+        return problem, np.zeros(problem.shape)
+    try:
+        seed = int(config.x0.split(":", 1)[1])
+    except ValueError as exc:
+        raise ConfigError(f"bad random seed in x0 source {config.x0!r}") from exc
+    x0 = np.random.default_rng(seed).standard_normal(problem.shape)
+    return problem, truncate_to_rank(x0, config.params.rank_bound)[0]
 
 
 def _solve(problem, x0, params: SolverParams, algorithm: str) -> Trace:
@@ -143,7 +126,7 @@ def _write_outputs(config: RunConfig, algorithm: str, trace: Trace) -> None:
 
 
 def cmd_run(args) -> int:
-    config = RunConfig.load(args.config, _overrides(args))
+    config = RunConfig.load(args.config, vars(args))
     problem, x0 = _load(config)
     trace = _solve(problem, x0, config.params, config.algorithm)
     _write_outputs(config, config.algorithm, trace)
@@ -151,7 +134,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = RunConfig.load(args.config, _overrides(args))
+    config = RunConfig.load(args.config, vars(args))
     problem, x0 = _load(config)
     codes = {}
     traces = {}
@@ -213,15 +196,6 @@ def cmd_gen_problem(args) -> int:
     else:
         print(text, end="")
     return 0
-
-
-def _overrides(args) -> dict:
-    return {
-        "max_iters": getattr(args, "max_iters", None),
-        "delta": getattr(args, "delta", None),
-        "stop_tol": getattr(args, "stop_tol", None),
-        "out": getattr(args, "out", None),
-    }
 
 
 def _add_run_options(parser) -> None:

@@ -12,7 +12,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .linalg import as_matrix
-from .serialize import matrix_from_json, matrix_to_json
+from .serialize import json_number, matrix_from_json, matrix_to_json
 
 
 class CostFunction(ABC):
@@ -206,24 +206,29 @@ def load_problem(source) -> CostFunction:
         raise ValueError(f"malformed problem document: {exc}") from exc
 
 
+def _integers(key: str, values, count: int) -> tuple[int, ...]:
+    """A JSON array of exactly ``count`` integers, each read with :func:`json_number`."""
+    ints = tuple(json_number(key, v, integer=True) for v in values)
+    if len(ints) != count:
+        raise ValueError(f"{key!r} must hold {count} integers, got {values!r}")
+    return ints
+
+
 def _problem_from_doc(doc: dict) -> CostFunction:
     kind = doc.get("type")
-    shape = tuple(int(s) for s in doc["shape"])
+    shape = _integers("shape", doc["shape"], 2)
     payload = doc.get("payload", {})
-    if kind == "lowrank_approx":
+    if kind in ("lowrank_approx", "completion"):
         target = matrix_from_json(payload["target"])
         if target.shape != shape:
             raise ValueError(f"target shape {target.shape} does not match {shape}")
-        return LowRankApproxProblem(target)
-    if kind == "completion":
-        target = matrix_from_json(payload["target"])
-        mask = matrix_from_json(payload["mask"]) != 0.0
-        if target.shape != shape:
-            raise ValueError(f"target shape {target.shape} does not match {shape}")
-        return MatrixCompletionProblem(target, mask)
+        if kind == "lowrank_approx":
+            return LowRankApproxProblem(target)
+        return MatrixCompletionProblem(target, matrix_from_json(payload["mask"]) != 0.0)
     if kind == "polynomial":
         terms = [
-            ([(f[0], f[1], f[2]) for f in term["monomial"]], term["coeff"])
+            ([_integers("monomial factor", f, 3) for f in term["monomial"]],
+             json_number("coeff", term["coeff"]))
             for term in payload["terms"]
         ]
         return UserPolynomialProblem(shape, terms)

@@ -14,6 +14,22 @@ import numpy as np
 from .linalg import as_matrix
 
 
+def json_number(key: str, value, *, integer: bool = False) -> int | float | None:
+    """The JSON number ``value`` given for ``key``, or None for ``null`` (not given).
+
+    Run configs and problem and matrix documents read every scalar by this
+    rule: a bool, a string or any other value raises ValueError, as does a
+    fraction where ``integer`` asks for an int."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        integer and isinstance(value, float) and not value.is_integer()
+    ):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{key!r} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
@@ -46,12 +62,12 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix document must be a JSON object")
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = (json_number(key, obj[key], integer=True) for key in ("rows", "cols"))
         entries = np.asarray(obj["entries"], dtype=np.float64)
+        if entries.size != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
     except TypeError as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
-    if entries.size != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
     return as_matrix(entries.reshape(rows, cols))
 
 

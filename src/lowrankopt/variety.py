@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, compute_svd, frobenius
+from .linalg import NonFiniteError, as_matrix, compute_svd, frobenius
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -248,11 +248,15 @@ def stationarity_measure(problem, point: VarietyPoint) -> StationarityReport:
     Evaluates the gradient at the materialized point and projects its
     negative onto the cone of feasible directions. The measure is computed
     at the point's declared factored rank, never by re-thresholding the
-    dense matrix.
+    dense matrix. A NaN or Inf gradient entry, or a norm that overflows to
+    Inf, raises :class:`~lowrankopt.linalg.NonFiniteError`.
     """
     g = as_matrix(problem.gradient(point.matrix()))
     decomp, s = _cone_blocks(point, -g)
-    return StationarityReport(s_value=s, gradient_norm=frobenius(g), tangent=decomp)
+    report = StationarityReport(s_value=s, gradient_norm=frobenius(g), tangent=decomp)
+    if not (np.isfinite(report.gradient_norm) and np.isfinite(s)):
+        raise NonFiniteError(f"gradient norm {report.gradient_norm} or measure {s} is not finite")
+    return report
 
 
 def stationarity_sandwich_check(point: VarietyPoint, report: StationarityReport) -> bool:

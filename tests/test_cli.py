@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from lowrankopt import cli
 from lowrankopt.linalg import singular_values
 from lowrankopt.problems import load_problem
 from lowrankopt.serialize import matrix_to_json, save_matrix
+from lowrankopt.solver import LineSearchParams, SolverParams
 
 
 def write_lowrank_setup(tmp_path, a, rank_bound, delta, **config_extra):
@@ -30,6 +32,15 @@ def write_lowrank_setup(tmp_path, a, rank_bound, delta, **config_extra):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
     return config_path
+
+
+def _polynomial(shape=(3, 3), factor=(0, 0, 2), coeff=1.0) -> str:
+    """A polynomial problem document with one single-factor term."""
+    return json.dumps({
+        "type": "polynomial",
+        "shape": shape,
+        "payload": {"terms": [{"monomial": [factor], "coeff": coeff}]},
+    })
 
 
 @pytest.fixture
@@ -90,8 +101,20 @@ class TestRun:
                 None,
             ),
             (None, "[[1, 2]]"),
+            (_polynomial(factor=[0, 0, 1.5]), None),
+            (_polynomial(factor=[0.9, 0, 2]), None),
+            (_polynomial(factor=[0, 0]), None),
+            (_polynomial(factor=[0, 0, 1, 1]), None),
+            (_polynomial(shape="33"), None),
+            (_polynomial(shape=[3.7, 3]), None),
+            (_polynomial(shape=[3, 3, 3]), None),
+            (_polynomial(coeff="2"), None),
+            (_polynomial(coeff=True), None),
+            (None, json.dumps({"rows": 3.5, "cols": 3, "entries": [0.0] * 9})),
         ],
-        ids=["problem-array", "shape-int", "monomial-int", "x0-array"],
+        ids=["problem-array", "shape-int", "monomial-int", "x0-array", "factor-power-1.5",
+             "factor-row-0.9", "factor-2-entries", "factor-4-entries", "shape-string",
+             "shape-3.7", "shape-3-entries", "coeff-string", "coeff-bool", "x0-rows-3.5"],
     )
     def test_malformed_documents_exit_1(self, tmp_path, capsys, problem_text, x0_text):
         config = write_lowrank_setup(tmp_path, np.diag([3.0, 2.0, 1.0]), 2, 0.1, x0="x0.json")
@@ -187,6 +210,22 @@ class TestRun:
         assert summary["termination"] == "nonfinite"
         assert (summary["iters"], summary["final_f"], summary["final_s"]) == (0, None, None)
 
+    def test_overflowing_gradient_norm_exits_5(self, tmp_path):
+        (tmp_path / "problem.json").write_text(json.dumps({
+            "type": "polynomial",
+            "shape": [3, 3],
+            "payload": {"terms": [{"monomial": [[0, 0, 1]], "coeff": 1e300},
+                                  {"monomial": [[0, 0, 2]], "coeff": 1.0}]},
+        }))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"problem": "problem.json", "rank_bound": 1, "delta": 0.1, "out": "results"}
+        ))
+        with np.errstate(over="ignore"):
+            assert cli.main(["run", str(config)]) == 5
+        summary = json.loads((tmp_path / "results" / "summary_p2gdr.json").read_text())
+        assert (summary["termination"], summary["iters"]) == ("nonfinite", 0)
+
     def test_override_flags(self, lowrank_config):
         config, _, out_dir = lowrank_config
         assert cli.main(["run", str(config), "--max-iters", "1", "--stop-tol", "1e-16"]) == 2
@@ -230,6 +269,59 @@ class TestRun:
         )
         assert cli.main(["run", str(config)]) == 0
         assert (tmp_path / "results" / "trace_p2gdr.csv").exists()
+
+
+class TestConfig:
+    KEYS = {
+        "problem", "x0", "rank_bound", "delta", "alpha_lo", "alpha_hi", "beta", "c",
+        "max_backtracks", "stop_tol", "max_iters", "out", "algorithm",
+    }
+    INT_KEYS = ("rank_bound", "max_backtracks", "max_iters")
+    PATH_KEYS = ("problem", "x0", "out")
+    VALID_OPTIONAL = {
+        "x0": ["zero", "random:3"], "alpha_lo": [1e-8, 1e-6], "alpha_hi": [1.0, 2], "beta": [0.5],
+        "c": [1e-4], "max_backtracks": [60, 30.0], "stop_tol": [1e-8, None], "max_iters": [50],
+        "algorithm": ["p2gdr", "p2gd"],
+    }
+
+    def test_keys_are_the_parameter_fields(self):
+        numeric = {f.name for cls in (LineSearchParams, SolverParams) for f in fields(cls)}
+        assert cli.CONFIG_KEYS == (numeric - {"line_search"}) | {"problem", "x0", "out", "algorithm"}
+        assert cli.CONFIG_KEYS == self.KEYS
+
+    def test_minimal_config_takes_the_class_defaults(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"problem": "p.json", "rank_bound": 2, "delta": 0.1}))
+        loaded = cli.RunConfig.load(config)
+        assert loaded.params == SolverParams(2, 0.1)
+        assert (loaded.x0, loaded.out_dir, loaded.algorithm) == ("zero", tmp_path, "p2gdr")
+        assert loaded.problem_path == tmp_path / "p.json"
+
+    def test_wrongly_typed_values_are_config_errors(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        a = np.diag([3.0, 2.0, 1.0])
+        cases = []
+        for key in sorted(self.KEYS):
+            wrong = [True, [1], {}]
+            if key in self.PATH_KEYS:
+                wrong += [5, None]
+            else:
+                wrong.append("1")
+            if key in ("rank_bound", "delta", "algorithm"):
+                wrong.append(None)
+            if key in self.INT_KEYS:
+                wrong += [1.5, 1.9]
+            cases += [(key, value) for value in wrong]
+        for key, value in cases:
+            extra = {k: v[rng.integers(len(v))] for k, v in self.VALID_OPTIONAL.items()
+                     if rng.random() < 0.5}
+            config = write_lowrank_setup(tmp_path, a, 2, 0.1, **extra)
+            doc = json.loads(config.read_text())
+            doc[key] = value
+            config.write_text(json.dumps(doc))
+            assert cli.main(["run", str(config)]) == 1, (key, value)
+            assert "config error" in capsys.readouterr().err, (key, value)
+            assert not (tmp_path / "results").exists(), (key, value)
 
 
 class TestCompare:

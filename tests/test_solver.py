@@ -6,7 +6,12 @@ from oracles import random_point_factors, reference_backtracking_step
 
 from lowrankopt import solver
 from lowrankopt.linalg import NonFiniteError, frobenius, singular_values, truncate_to_rank
-from lowrankopt.problems import CostFunction, LowRankApproxProblem, MatrixCompletionProblem
+from lowrankopt.problems import (
+    CostFunction,
+    LowRankApproxProblem,
+    MatrixCompletionProblem,
+    UserPolynomialProblem,
+)
 from lowrankopt.solver import (
     LineSearchFailure,
     LineSearchParams,
@@ -414,6 +419,15 @@ class TestOuterLoop:
         assert trace.records == []
         assert problem.calls["eval"] == 1
         assert trace.summary()["final_f"] is None
+
+    def test_overflowing_gradient_norm_is_nonfinite(self):
+        # every gradient entry is finite, but 1e300**2 overflows the norms to Inf
+        problem = UserPolynomialProblem((3, 3), [([(0, 0, 1)], 1e300), ([(0, 0, 2)], 1.0)])
+        with np.errstate(over="ignore"):
+            trace = p2gdr(problem, np.zeros((3, 3)), SolverParams(rank_bound=1, delta=0.1))
+        assert trace.termination == "nonfinite"
+        assert trace.records == []
+        assert np.isnan(trace.stop_tol)
 
     def test_nonfinite_trial_cost_backtracks(self):
         rng = np.random.default_rng(25)

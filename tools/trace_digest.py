@@ -3,8 +3,12 @@
 Solves each perfbench workload at both sizes (tiny, full) with both
 algorithms (p2gdr, p2gd_plain) directly on the workload's instance, and
 prints one line per solve: workload, size, algorithm, iterations,
-termination and the sha256 of the trace CSV. Two checkouts whose outputs
-are identical produce byte-identical traces on all twelve solves.
+termination and the sha256 of the trace CSV. A workload that runs through
+``lowrankopt run`` (rankdrop-cli) is also solved at both sizes by its own
+``solve`` and ``finish``, that is through ``cli.main`` from its config
+file; that line's algorithm reads ``cli`` and its digest is of the
+``trace_p2gdr.csv`` the run wrote. Two checkouts whose outputs are
+identical produce byte-identical traces on all fourteen solves.
 
     PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] > digest.txt
 
@@ -57,6 +61,11 @@ def main(argv=None) -> int:
                     trace = getattr(solver, algorithm)(inst.problem, inst.x0, inst.params)
                     digest = hashlib.sha256(trace.to_csv().encode("utf-8")).hexdigest()
                     print(f"{name} {size} {algorithm} iters={len(trace.records)} "
+                          f"termination={trace.termination} sha256={digest}", flush=True)
+                if inst.config_path is not None:
+                    trace, csv = workload.finish(inst, workload.solve(inst))
+                    digest = hashlib.sha256(csv.encode("utf-8")).hexdigest()
+                    print(f"{name} {size} cli iters={len(trace.records)} "
                           f"termination={trace.termination} sha256={digest}", flush=True)
     return 0
 
