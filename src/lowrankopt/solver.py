@@ -87,7 +87,7 @@ class SolverParams:
             raise ValueError("delta must be positive")
         if self.rank_bound < 0:
             raise ValueError("rank_bound must be nonnegative")
-        if self.stop_tol is not None and self.stop_tol < 0:
+        if self.stop_tol is not None and not self.stop_tol >= 0:
             raise ValueError("stop_tol must be nonnegative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")

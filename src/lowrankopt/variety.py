@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import NonFiniteError, as_matrix, compute_svd, frobenius
+from .linalg import (
+    LEADING_MIN_RATIO,
+    LEADING_OVERSAMPLE,
+    NonFiniteError,
+    _leading_svd,
+    as_matrix,
+    compute_svd,
+    frobenius,
+)
 
 ORTHONORMALITY_TOL = 1e-10
 
@@ -166,6 +174,11 @@ def project_to_variety(x, rank_bound: int) -> VarietyPoint:
     """Closest point of rank at most ``rank_bound``, in factored form.
 
     At ``rank_bound`` 0 the zero matrix is the only candidate, so no SVD runs.
+    When ``min(m, n)`` is at least ``LEADING_MIN_RATIO * (rank_bound +
+    LEADING_OVERSAMPLE)``, the leading triplets come from the iterative
+    ``linalg._leading_svd``, which agrees with the dense SVD to its residual
+    tolerance; on smaller matrices, or when that routine gives up, they come
+    from the dense :func:`~lowrankopt.linalg.compute_svd`.
     """
     a = as_matrix(x)
     rank_bound = int(rank_bound)
@@ -173,7 +186,11 @@ def project_to_variety(x, rank_bound: int) -> VarietyPoint:
         raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
     if rank_bound == 0:
         return VarietyPoint.zero(a.shape, 0)
-    fact = compute_svd(a)
+    fact = None
+    if LEADING_MIN_RATIO * (rank_bound + LEADING_OVERSAMPLE) <= min(a.shape):
+        fact = _leading_svd(a, rank_bound)
+    if fact is None:
+        fact = compute_svd(a)
     lead = fact.leading(min(rank_bound, fact.numerical_rank))
     return VarietyPoint(lead.u, lead.sigma, lead.v, rank_bound)
 
@@ -252,8 +269,10 @@ def stationarity_measure(problem, point: VarietyPoint) -> StationarityReport:
     Inf, raises :class:`~lowrankopt.linalg.NonFiniteError`.
     """
     g = as_matrix(problem.gradient(point.matrix()))
-    decomp, s = _cone_blocks(point, -g)
-    report = StationarityReport(s_value=s, gradient_norm=frobenius(g), tangent=decomp)
+    # A norm that overflows is reported by the check below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        decomp, s = _cone_blocks(point, -g)
+        report = StationarityReport(s_value=s, gradient_norm=frobenius(g), tangent=decomp)
     if not (np.isfinite(report.gradient_norm) and np.isfinite(s)):
         raise NonFiniteError(f"gradient norm {report.gradient_norm} or measure {s} is not finite")
     return report

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -221,7 +222,9 @@ class TestRun:
         config.write_text(json.dumps(
             {"problem": "problem.json", "rank_bound": 1, "delta": 0.1, "out": "results"}
         ))
-        with np.errstate(over="ignore"):
+        # The overflow is reported by the termination, not by numpy warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert cli.main(["run", str(config)]) == 5
         summary = json.loads((tmp_path / "results" / "summary_p2gdr.json").read_text())
         assert (summary["termination"], summary["iters"]) == ("nonfinite", 0)
@@ -322,6 +325,15 @@ class TestConfig:
             assert cli.main(["run", str(config)]) == 1, (key, value)
             assert "config error" in capsys.readouterr().err, (key, value)
             assert not (tmp_path / "results").exists(), (key, value)
+
+
+    def test_nan_stop_tol_is_a_config_error(self, tmp_path, capsys):
+        config = write_lowrank_setup(tmp_path, np.diag([3.0, 2.0, 1.0]), 2, 0.1,
+                                     stop_tol=float("nan"))
+        assert "NaN" in config.read_text()
+        assert cli.main(["run", str(config)]) == 1
+        assert "invalid config field: stop_tol" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
 
 
 class TestCompare:

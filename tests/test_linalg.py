@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lowrankopt import variety
 from lowrankopt.linalg import (
+    _leading_svd,
     compute_svd,
     delta_rank,
     distance_to_bounded_rank,
@@ -10,6 +12,14 @@ from lowrankopt.linalg import (
     singular_values,
     truncate_to_rank,
 )
+from lowrankopt.variety import project_to_variety
+
+
+def graded(rng, m, n, sigma):
+    """m-by-n matrix with singular values ``sigma`` and seeded singular vectors."""
+    u = np.linalg.qr(rng.standard_normal((m, len(sigma))))[0]
+    v = np.linalg.qr(rng.standard_normal((n, len(sigma))))[0]
+    return (u * np.asarray(sigma)) @ v.T
 
 
 class TestComputeSvd:
@@ -41,6 +51,87 @@ class TestComputeSvd:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError, match="2-D"):
             compute_svd(np.ones(3))
+
+
+class TestLeadingSvd:
+    # Residuals stop at 1e-12 * sigma_1. A singular value's error is second
+    # order in its residual, so they agree to 1e-13 * sigma_1; the rank-k
+    # matrices, whose error is the residual over the gap after sigma_k
+    # (here >= 0.15 sigma_k), to 1e-9 relative.
+    @pytest.mark.parametrize("shape, k, decay", [
+        ((200, 160), 1, 0.8), ((200, 160), 4, 0.8), ((160, 200), 10, 0.85), ((300, 250), 6, 0.6),
+    ])
+    def test_matches_dense_on_graded_spectra(self, shape, k, decay):
+        rng = np.random.default_rng(k)
+        a = graded(rng, *shape, 3.0 * decay ** np.arange(min(shape)))
+        fact = _leading_svd(a, k)
+        dense = compute_svd(a).leading(k)
+        assert fact is not None
+        assert fact.u.shape == (shape[0], k) and fact.v.shape == (shape[1], k)
+        assert_allclose(fact.sigma, dense.sigma, rtol=0, atol=1e-13 * dense.sigma[0])
+        assert frobenius(fact.reconstruct() - dense.reconstruct()) <= 1e-9 * frobenius(
+            dense.reconstruct()
+        )
+        assert fact.numerical_rank == dense.numerical_rank == k
+        assert np.abs(fact.u.T @ fact.u - np.eye(k)).max() <= 1e-12
+        assert np.abs(fact.v.T @ fact.v - np.eye(k)).max() <= 1e-12
+
+    def test_rank_below_k(self):
+        rng = np.random.default_rng(20)
+        a = graded(rng, 200, 170, [5.0, 2.0, 1.0])
+        fact = _leading_svd(a, 6)
+        assert fact is not None
+        assert np.all(np.isfinite(fact.sigma)) and np.all(np.isfinite(fact.u))
+        assert fact.numerical_rank == compute_svd(a).numerical_rank == 3
+        assert_allclose(fact.sigma[:3], [5.0, 2.0, 1.0], rtol=1e-13)
+        assert frobenius(fact.reconstruct() - a) <= 1e-12 * frobenius(a)
+
+    def test_zero_matrix(self):
+        fact = _leading_svd(np.zeros((200, 170)), 4)
+        assert fact is not None
+        assert fact.numerical_rank == 0
+        assert np.array_equal(fact.sigma, np.zeros(4))
+        assert np.all(np.isfinite(fact.u)) and np.all(np.isfinite(fact.v))
+
+    def test_flat_spectrum_falls_back_to_dense(self, monkeypatch):
+        # nearly orthonormal columns: sigma_14 / sigma_3 is 0.99, so the residuals
+        # decay too slowly (an exactly flat spectrum converges in one sweep,
+        # since every vector of the range is then a singular vector)
+        a = graded(np.random.default_rng(21), 200, 170, np.linspace(1.0, 0.9, 170))
+        results = []
+
+        def recorded(x, k):
+            results.append(_leading_svd(x, k))
+            return results[-1]
+
+        monkeypatch.setattr(variety, "_leading_svd", recorded)
+        point = project_to_variety(a, 3)
+        assert results == [None]
+        dense = compute_svd(a).leading(3)
+        for name in ("u", "sigma", "v"):
+            assert getattr(point, name).tobytes() == getattr(dense, name).tobytes()
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        a = graded(np.random.default_rng(22), 200, 160, 0.7 ** np.arange(160))
+        first, second = _leading_svd(a, 5), _leading_svd(a, 5)
+        for name in ("u", "sigma", "v"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+
+    def test_called_only_from_the_size_cutoff(self, monkeypatch):
+        # 8 * (k + 10) <= min(m, n): k = 1 needs min(m, n) >= 88
+        calls = []
+
+        def recorded(x, k):
+            calls.append(x.shape)
+            return _leading_svd(x, k)
+
+        monkeypatch.setattr(variety, "_leading_svd", recorded)
+        rng = np.random.default_rng(23)
+        for shape in ((80, 70), (87, 120), (12, 10)):
+            project_to_variety(rng.standard_normal(shape), 1)
+        assert calls == []
+        project_to_variety(graded(rng, 88, 95, 0.5 ** np.arange(88)), 1)
+        assert calls == [(88, 95)]
 
 
 class TestDeltaRank:

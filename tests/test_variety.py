@@ -299,6 +299,38 @@ class TestStationarity:
                         getattr(report.tangent.d_truncated, name), getattr(decomp.d_truncated, name)
                     )
 
+    def test_tiny_gap_in_d_matches_dense_measure(self, monkeypatch):
+        # D's 4th and 5th singular values differ by 5e-4 relative; budget 4 is
+        # large enough a shape for the leading-triplet SVD.
+        rng = np.random.default_rng(13)
+        m, n, rank, budget = 140, 130, 2, 4
+        uu = np.linalg.qr(rng.standard_normal((m, 40)))[0]
+        vv = np.linalg.qr(rng.standard_normal((n, 40)))[0]
+        point = VarietyPoint(uu[:, :rank], np.array([3.0, 1.0]), vv[:, :rank], rank + budget)
+        sigma_d = np.concatenate([[10.0, 8.0, 6.0, 5.0, 5.0 / (1 + 5e-4)],
+                                  2.0 * 0.8 ** np.arange(33)])
+        g = (uu[:, rank:] * sigma_d) @ vv[:, rank:].T
+        g += point.u @ rng.standard_normal((rank, n)) + rng.standard_normal((m, rank)) @ point.v.T
+
+        class FixedGradient:
+            def gradient(self, x):
+                return g
+
+        leading = variety._leading_svd
+        used = []
+
+        def recorded(x, k):
+            fact = leading(x, k)
+            used.append(fact is not None)
+            return fact
+
+        monkeypatch.setattr(variety, "_leading_svd", recorded)
+        s_value = stationarity_measure(FixedGradient(), point).s_value
+        monkeypatch.setattr(variety, "_leading_svd", lambda x, k: None)
+        dense = stationarity_measure(FixedGradient(), point).s_value
+        assert used == [True]
+        assert s_value == pytest.approx(dense, rel=1e-9)
+
     def test_sandwich_property(self):
         rng = np.random.default_rng(10)
         for _ in range(500):

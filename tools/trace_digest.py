@@ -10,12 +10,15 @@ file; that line's algorithm reads ``cli`` and its digest is of the
 ``trace_p2gdr.csv`` the run wrote. Two checkouts whose outputs are
 identical produce byte-identical traces on all fourteen solves.
 
-    PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] > digest.txt
+    PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] [--save DIR] > digest.txt
 
 Point PYTHONPATH at another checkout's ``src`` to digest that library with
-the same workloads, then ``diff`` the two outputs. ``perfbench/workloads.py``
-is loaded read-only from this checkout. BLAS runs on one thread, as in the
-benchmark, so the low bits of every product are reproducible.
+the same workloads, then ``diff`` the two outputs. ``--save DIR`` also
+writes each trace CSV to ``DIR/<workload>-<size>-<algorithm>.csv``, for
+``tools/trace_diff.py`` to compare two such directories by tolerance.
+``perfbench/workloads.py`` is loaded read-only from this checkout. BLAS
+runs on one thread, as in the benchmark, so the low bits of every product
+are reproducible.
 """
 
 from __future__ import annotations
@@ -51,22 +54,28 @@ def load_workloads():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--save", type=Path, help="directory that receives each trace CSV")
     args = parser.parse_args(argv)
+    if args.save is not None:
+        args.save.mkdir(parents=True, exist_ok=True)
     workloads = load_workloads()
+
+    def report(name, size, algorithm, trace, csv):
+        digest = hashlib.sha256(csv.encode("utf-8")).hexdigest()
+        print(f"{name} {size} {algorithm} iters={len(trace.records)} "
+              f"termination={trace.termination} sha256={digest}", flush=True)
+        if args.save is not None:
+            (args.save / f"{name}-{size}-{algorithm}.csv").write_text(csv, encoding="utf-8")
+
     with tempfile.TemporaryDirectory() as tmp:
         for name, workload in workloads.WORKLOADS.items():
             for size in SIZES:
                 inst = workload.build(args.seed, Path(tmp) / f"{name}-{size}", size)
                 for algorithm in ALGORITHMS:
                     trace = getattr(solver, algorithm)(inst.problem, inst.x0, inst.params)
-                    digest = hashlib.sha256(trace.to_csv().encode("utf-8")).hexdigest()
-                    print(f"{name} {size} {algorithm} iters={len(trace.records)} "
-                          f"termination={trace.termination} sha256={digest}", flush=True)
+                    report(name, size, algorithm, trace, trace.to_csv())
                 if inst.config_path is not None:
-                    trace, csv = workload.finish(inst, workload.solve(inst))
-                    digest = hashlib.sha256(csv.encode("utf-8")).hexdigest()
-                    print(f"{name} {size} cli iters={len(trace.records)} "
-                          f"termination={trace.termination} sha256={digest}", flush=True)
+                    report(name, size, "cli", *workload.finish(inst, workload.solve(inst)))
     return 0
 
 
