@@ -37,7 +37,6 @@ from .solver import (
     p2gd_step,
     p2gdr,
     p2gdr_search,
-    project_step_factored,
 )
 from .variety import (
     InfeasiblePointError,
@@ -45,6 +44,7 @@ from .variety import (
     TangentDecomposition,
     VarietyPoint,
     point_from_matrix,
+    project_step_factored,
     project_to_tangent_cone,
     project_to_variety,
     stationarity_measure,

@@ -3,9 +3,10 @@
 Subcommands: ``run`` a solver on a problem, ``compare`` the rank-reducing
 and plain variants from the same start, ``check`` the property suite, and
 ``gen-problem`` to emit a problem-document skeleton. Exit codes: 0 the run
-reached stationarity, 1 configuration error, 2 iteration budget exhausted,
-3 line-search failure, 4 a property check or trace-equality assertion
-failed, 5 a NaN or Inf gradient or cost ended the run.
+reached stationarity, 1 configuration error or a factorization that did not
+converge, 2 iteration budget exhausted, 3 line-search failure, 4 a property
+check or trace-equality assertion failed, 5 a NaN or Inf gradient or cost
+ended the run.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ EPS = float(np.finfo(np.float64).eps)
 
 # The leading-triplet SVD iterates on a block of k + LEADING_OVERSAMPLE
 # columns. It pays against LAPACK only on matrices whose smaller side is at
-# least LEADING_MIN_RATIO block widths; below that, callers use the dense SVD.
+# least LEADING_MIN_RATIO block widths; below that, the dense SVD runs.
 LEADING_OVERSAMPLE = 10
 LEADING_MIN_RATIO = 8
 # It stops when every residual is within LEADING_RES_TOL * sigma_1, and
@@ -27,7 +27,7 @@ LEADING_RES_TOL = 1e-12
 LEADING_MAX_SWEEPS = 25
 
 
-class NumericalFailure(RuntimeError):
+class NumericalFailure(np.linalg.LinAlgError):
     """The underlying factorization routine did not converge."""
 
 
@@ -59,22 +59,27 @@ def rank_threshold(sigma_max: float, shape: tuple[int, int]) -> float:
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Thin SVD ``X = U diag(sigma) V^T`` with a detected numerical rank.
+    """Thin SVD ``X = U diag(sigma) V^T`` of an m-by-n matrix X.
 
-    ``u`` is m-by-k and ``v`` is n-by-k with orthonormal columns, ``sigma``
-    is nonincreasing and nonnegative, and ``numerical_rank`` counts the
-    singular values above the rank-detection threshold.
+    ``u`` is m-by-k and ``v`` is n-by-k with orthonormal columns, and
+    ``sigma`` is nonincreasing and nonnegative.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    numerical_rank: int
 
     def __post_init__(self):
         self.u.setflags(write=False)
         self.sigma.setflags(write=False)
         self.v.setflags(write=False)
+
+    @property
+    def numerical_rank(self) -> int:
+        """Number of singular values above :func:`rank_threshold` of the first."""
+        first = float(self.sigma[0]) if self.sigma.size else 0.0
+        tau = rank_threshold(first, (self.u.shape[0], self.v.shape[0]))
+        return int(np.count_nonzero(self.sigma > tau))
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
@@ -82,10 +87,7 @@ class SvdFactorization:
     def leading(self, k: int) -> "SvdFactorization":
         """Factorization restricted to the first ``k`` singular triplets."""
         k = int(k)
-        return SvdFactorization(
-            self.u[:, :k].copy(), self.sigma[:k].copy(), self.v[:, :k].copy(),
-            min(k, self.numerical_rank),
-        )
+        return SvdFactorization(self.u[:, :k].copy(), self.sigma[:k].copy(), self.v[:, :k].copy())
 
 
 def compute_svd(x) -> SvdFactorization:
@@ -114,32 +116,32 @@ def compute_svd(x) -> SvdFactorization:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge for shape {a.shape}") from exc
-    tau = rank_threshold(float(s[0]) if s.size else 0.0, a.shape)
-    rank = int(np.count_nonzero(s > tau))
-    return SvdFactorization(u, s, vh.T, rank)
+    return SvdFactorization(u, s, vh.T)
 
 
-def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization | None:
-    """Leading ``k`` singular triplets of ``a`` by block subspace iteration.
+def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
+    """SVD of ``a`` whose leading ``k`` triplets are exact to a residual tolerance.
 
-    Starts from a Gaussian block of width ``k + LEADING_OVERSAMPLE`` drawn
-    with a fixed seed, so repeated calls return identical bytes. Each sweep
-    takes the SVD of ``Q^T a`` (Rayleigh-Ritz), then ``a V``, which both
-    gives the residuals ``||a v_i - sigma_i u_i||`` and, orthonormalized,
-    the next ``Q``; ``a^T u_i = sigma_i v_i`` holds exactly by construction.
-    The iteration stops when every one of the k residuals is at most
-    ``LEADING_RES_TOL * sigma_1``, never on the singular values alone, so
-    the factors agree with the dense SVD's to about that share.
+    When ``min(m, n)`` is at least ``LEADING_MIN_RATIO * (k +
+    LEADING_OVERSAMPLE)``, the k triplets come from block subspace
+    iteration. It starts from a Gaussian block of width ``k +
+    LEADING_OVERSAMPLE`` drawn with a fixed seed, so repeated calls return
+    identical bytes. Each sweep takes the SVD of ``Q^T a`` (Rayleigh-Ritz),
+    then ``a V``, which both gives the residuals ``||a v_i - sigma_i u_i||``
+    and, orthonormalized, the next ``Q``; ``a^T u_i = sigma_i v_i`` holds
+    exactly by construction. The iteration stops when every one of the k
+    residuals is at most ``LEADING_RES_TOL * sigma_1``, never on the
+    singular values alone, so the factors agree with the dense SVD's to
+    about that share.
 
-    The numerical rank counts the k Ritz values above
-    :func:`rank_threshold` of the first one, which is the dense rule
-    restricted to k triplets.
-
-    Returns None when the decay of the largest residual predicts more than
-    ``LEADING_MAX_SWEEPS`` sweeps (a flat spectrum past the k-th value), or
-    when a factorization fails: the caller then runs :func:`compute_svd`.
+    On smaller matrices, when the decay of the largest residual predicts
+    more than ``LEADING_MAX_SWEEPS`` sweeps (a flat spectrum past the k-th
+    value), or when a factorization fails, the result is the dense
+    :func:`compute_svd` of ``a`` with all min(m, n) triplets.
     """
     m, n = a.shape
+    if LEADING_MIN_RATIO * (k + LEADING_OVERSAMPLE) > min(m, n):
+        return compute_svd(a)
     width = min(k + LEADING_OVERSAMPLE, m, n)
     omega = np.random.default_rng(0).standard_normal((n, width))
     av = a @ omega
@@ -149,23 +151,22 @@ def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization | None:
             q = np.linalg.qr(av)[0]
             ub, s, vh = np.linalg.svd(q.T @ a, full_matrices=False)
         except np.linalg.LinAlgError:
-            return None
+            break
         av = a @ vh.T
         u = q @ ub[:, :k]
         r = av[:, :k] - u * s[:k]
         residual = float(np.sqrt(np.max(np.sum(r * r, axis=0))))
         tol = LEADING_RES_TOL * float(s[0])
         if residual <= tol:
-            rank = int(np.count_nonzero(s[:k] > rank_threshold(float(s[0]), a.shape)))
-            return SvdFactorization(u, s[:k].copy(), vh[:k].T, rank)
+            return SvdFactorization(u, s[:k].copy(), vh[:k].T)
         if previous is not None:
             rate = residual / previous
             if not (0 < rate < 1 and tol > 0):
-                return None
+                break
             if sweep + math.log(tol / residual) / math.log(rate) > LEADING_MAX_SWEEPS:
-                return None
+                break
         previous = residual
-    return None
+    return compute_svd(a)
 
 
 def singular_values(x) -> np.ndarray:

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import NonFiniteError, rank_threshold
+from .linalg import NonFiniteError
 from .variety import (
     StationarityReport,
-    TangentDecomposition,
     VarietyPoint,
     point_from_matrix,
+    project_step_factored,
     stationarity_measure,
 )
 
@@ -179,36 +179,6 @@ def _cost(problem, point: VarietyPoint) -> float:
     return f
 
 
-def project_step_factored(
-    point: VarietyPoint, tangent: TangentDecomposition, alpha: float
-) -> VarietyPoint:
-    """Project ``X + alpha G`` to the feasible set without forming it densely.
-
-    Writes the displaced matrix as a product of concatenated thin factors
-    of combined rank at most ``rank(X) + rank_bound``, orthonormalizes both
-    sides by QR, and runs the SVD on the small core only, so no m-by-n
-    matrix is formed or factored. Agrees with the dense projection
-    :func:`~lowrankopt.variety.project_to_variety` to tight tolerance.
-    """
-    m, n = point.shape
-    d = tangent.d_truncated
-    # At rank 0 the first two blocks on each side have width 0; with D's too, QR and SVD
-    # of the zero-width factors give the zero point.
-    left = [point.u @ (np.diag(point.sigma) + alpha * tangent.a) + alpha * tangent.c_rows,
-            alpha * point.u,
-            alpha * (d.u * d.sigma)]
-    big_l = np.hstack(left)
-    big_r = np.hstack([point.v, tangent.b_cols.T, d.v])
-    ql, rl = np.linalg.qr(big_l)
-    qr_, rr = np.linalg.qr(big_r)
-    uu, ss, vvh = np.linalg.svd(rl @ rr.T)
-    tau = rank_threshold(float(ss[0]) if ss.size else 0.0, (m, n))
-    keep = min(point.rank_bound, int(np.count_nonzero(ss > tau)))
-    return VarietyPoint(
-        (ql @ uu)[:, :keep], ss[:keep].copy(), (qr_ @ vvh.T)[:, :keep], point.rank_bound
-    )
-
-
 def p2gd_step(
     problem,
     point: VarietyPoint,
@@ -303,6 +273,12 @@ def p2gdr_search(
     ``f_value`` at ``point`` are computed when not supplied. A NaN or Inf
     gradient or cost at ``point`` or at a truncated copy raises
     :class:`~lowrankopt.linalg.NonFiniteError`.
+
+    A :class:`LineSearchFailure` at any candidate, a truncated one too,
+    aborts the iteration with the candidate's depth j in
+    ``reduction_depth``, even when a shallower step succeeded: with a
+    correct gradient the search cannot fail, so dropping the candidate
+    would hide a wrong gradient.
     """
     if report is None:
         report = stationarity_measure(problem, point)

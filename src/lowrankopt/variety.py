@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    LEADING_MIN_RATIO,
-    LEADING_OVERSAMPLE,
     NonFiniteError,
+    SvdFactorization,
     _leading_svd,
     as_matrix,
     compute_svd,
@@ -75,6 +74,12 @@ class VarietyPoint:
         """The zero matrix of ``shape``: factors of width 0."""
         m, n = shape
         return cls(np.zeros((m, 0)), np.zeros(0), np.zeros((n, 0)), rank_bound)
+
+    @classmethod
+    def from_svd(cls, fact: SvdFactorization, rank_bound: int) -> "VarietyPoint":
+        """The leading ``min(rank_bound, fact.numerical_rank)`` triplets of ``fact``."""
+        lead = fact.leading(min(rank_bound, fact.numerical_rank))
+        return cls(lead.u, lead.sigma, lead.v, rank_bound)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -166,19 +171,15 @@ def point_from_matrix(x, rank_bound: int) -> VarietyPoint:
         raise InfeasiblePointError(
             f"matrix has numerical rank {fact.numerical_rank} > bound {rank_bound}"
         )
-    lead = fact.leading(fact.numerical_rank)
-    return VarietyPoint(lead.u, lead.sigma, lead.v, rank_bound)
+    return VarietyPoint.from_svd(fact, rank_bound)
 
 
 def project_to_variety(x, rank_bound: int) -> VarietyPoint:
     """Closest point of rank at most ``rank_bound``, in factored form.
 
-    At ``rank_bound`` 0 the zero matrix is the only candidate, so no SVD runs.
-    When ``min(m, n)`` is at least ``LEADING_MIN_RATIO * (rank_bound +
-    LEADING_OVERSAMPLE)``, the leading triplets come from the iterative
-    ``linalg._leading_svd``, which agrees with the dense SVD to its residual
-    tolerance; on smaller matrices, or when that routine gives up, they come
-    from the dense :func:`~lowrankopt.linalg.compute_svd`.
+    At ``rank_bound`` 0 the zero matrix is the only candidate, so no SVD
+    runs. Otherwise the triplets come from ``linalg._leading_svd``, which
+    agrees with the dense SVD to its residual tolerance.
     """
     a = as_matrix(x)
     rank_bound = int(rank_bound)
@@ -186,13 +187,32 @@ def project_to_variety(x, rank_bound: int) -> VarietyPoint:
         raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
     if rank_bound == 0:
         return VarietyPoint.zero(a.shape, 0)
-    fact = None
-    if LEADING_MIN_RATIO * (rank_bound + LEADING_OVERSAMPLE) <= min(a.shape):
-        fact = _leading_svd(a, rank_bound)
-    if fact is None:
-        fact = compute_svd(a)
-    lead = fact.leading(min(rank_bound, fact.numerical_rank))
-    return VarietyPoint(lead.u, lead.sigma, lead.v, rank_bound)
+    return VarietyPoint.from_svd(_leading_svd(a, rank_bound), rank_bound)
+
+
+def project_step_factored(
+    point: VarietyPoint, tangent: TangentDecomposition, alpha: float
+) -> VarietyPoint:
+    """Project ``X + alpha G`` to the feasible set without forming it densely.
+
+    Writes the displaced matrix as a product of concatenated thin factors
+    of combined rank at most ``rank(X) + rank_bound``, orthonormalizes both
+    sides by QR, and runs the SVD on the small core only, so no m-by-n
+    matrix is formed or factored. Agrees with the dense projection
+    :func:`project_to_variety` to tight tolerance.
+    """
+    d = tangent.d_truncated
+    # At rank 0 the first two blocks on each side have width 0; with D's too, QR and SVD
+    # of the zero-width factors give the zero point.
+    left = [point.u @ (np.diag(point.sigma) + alpha * tangent.a) + alpha * tangent.c_rows,
+            alpha * point.u,
+            alpha * (d.u * d.sigma)]
+    big_l = np.hstack(left)
+    big_r = np.hstack([point.v, tangent.b_cols.T, d.v])
+    ql, rl = np.linalg.qr(big_l)
+    qr_, rr = np.linalg.qr(big_r)
+    uu, ss, vvh = np.linalg.svd(rl @ rr.T)
+    return VarietyPoint.from_svd(SvdFactorization(ql @ uu, ss, qr_ @ vvh.T), point.rank_bound)
 
 
 def _cone_blocks(point: VarietyPoint, g: np.ndarray) -> tuple[TangentDecomposition, float]:

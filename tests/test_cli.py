@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 from dataclasses import fields
 
@@ -42,6 +43,19 @@ def _polynomial(shape=(3, 3), factor=(0, 0, 2), coeff=1.0) -> str:
         "shape": shape,
         "payload": {"terms": [{"monomial": [factor], "coeff": coeff}]},
     })
+
+
+def failing_svd(caller=None):
+    """``np.linalg.svd`` that does not converge when called from the function
+    named ``caller``, or from anywhere when ``caller`` is None."""
+    svd = np.linalg.svd
+
+    def svd_or_fail(*args, **kwargs):
+        if caller in (None, sys._getframe(1).f_code.co_name):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(*args, **kwargs)
+
+    return svd_or_fail
 
 
 @pytest.fixture
@@ -228,6 +242,25 @@ class TestRun:
             assert cli.main(["run", str(config)]) == 5
         summary = json.loads((tmp_path / "results" / "summary_p2gdr.json").read_text())
         assert (summary["termination"], summary["iters"]) == ("nonfinite", 0)
+
+    @pytest.mark.parametrize("x0", ["random:3", "x0.csv"])
+    def test_failed_start_svd_exits_1(self, tmp_path, monkeypatch, capsys, x0):
+        # The run's first SVD truncates the random start, or factors the file's.
+        a = np.random.default_rng(4).standard_normal((6, 5))
+        config = write_lowrank_setup(tmp_path, a, 2, 0.1, x0=x0)
+        save_matrix(a[:, :2] @ a[:2, :], tmp_path / "x0.csv")
+        monkeypatch.setattr(np.linalg, "svd", failing_svd())
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == "error: SVD did not converge for shape (6, 5)\n"
+        assert not (tmp_path / "results").exists()
+
+    def test_failed_step_svd_exits_1(self, tmp_path, monkeypatch, capsys):
+        a = np.random.default_rng(4).standard_normal((6, 5))
+        config = write_lowrank_setup(tmp_path, a, 2, 0.1)
+        monkeypatch.setattr(np.linalg, "svd", failing_svd("project_step_factored"))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == "error: SVD did not converge\n"
+        assert not (tmp_path / "results").exists()
 
     def test_override_flags(self, lowrank_config):
         config, _, out_dir = lowrank_config

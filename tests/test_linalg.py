@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lowrankopt import variety
 from lowrankopt.linalg import (
     _leading_svd,
     compute_svd,
@@ -93,20 +92,13 @@ class TestLeadingSvd:
         assert np.array_equal(fact.sigma, np.zeros(4))
         assert np.all(np.isfinite(fact.u)) and np.all(np.isfinite(fact.v))
 
-    def test_flat_spectrum_falls_back_to_dense(self, monkeypatch):
+    def test_flat_spectrum_falls_back_to_dense(self, dense_svd_calls):
         # nearly orthonormal columns: sigma_14 / sigma_3 is 0.99, so the residuals
         # decay too slowly (an exactly flat spectrum converges in one sweep,
         # since every vector of the range is then a singular vector)
         a = graded(np.random.default_rng(21), 200, 170, np.linspace(1.0, 0.9, 170))
-        results = []
-
-        def recorded(x, k):
-            results.append(_leading_svd(x, k))
-            return results[-1]
-
-        monkeypatch.setattr(variety, "_leading_svd", recorded)
         point = project_to_variety(a, 3)
-        assert results == [None]
+        assert dense_svd_calls == [(200, 170)]
         dense = compute_svd(a).leading(3)
         for name in ("u", "sigma", "v"):
             assert getattr(point, name).tobytes() == getattr(dense, name).tobytes()
@@ -117,21 +109,17 @@ class TestLeadingSvd:
         for name in ("u", "sigma", "v"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
-    def test_called_only_from_the_size_cutoff(self, monkeypatch):
+    def test_called_only_from_the_size_cutoff(self, dense_svd_calls):
         # 8 * (k + 10) <= min(m, n): k = 1 needs min(m, n) >= 88
-        calls = []
-
-        def recorded(x, k):
-            calls.append(x.shape)
-            return _leading_svd(x, k)
-
-        monkeypatch.setattr(variety, "_leading_svd", recorded)
         rng = np.random.default_rng(23)
-        for shape in ((80, 70), (87, 120), (12, 10)):
+        small = ((80, 70), (87, 120), (12, 10))
+        for shape in small:
             project_to_variety(rng.standard_normal(shape), 1)
-        assert calls == []
-        project_to_variety(graded(rng, 88, 95, 0.5 ** np.arange(88)), 1)
-        assert calls == [(88, 95)]
+        assert dense_svd_calls == list(small)
+        a = graded(rng, 88, 95, 0.5 ** np.arange(88))
+        point = project_to_variety(a, 1)
+        assert dense_svd_calls == list(small)
+        assert point.sigma[0] == pytest.approx(1.0, rel=1e-13)
 
 
 class TestDeltaRank:

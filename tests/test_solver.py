@@ -21,12 +21,13 @@ from lowrankopt.solver import (
     p2gd_step,
     p2gdr,
     p2gdr_search,
-    project_step_factored,
 )
 from lowrankopt.variety import (
     VarietyPoint,
     point_from_matrix,
+    project_step_factored,
     project_to_tangent_cone,
+    project_to_variety,
     stationarity_measure,
 )
 
@@ -92,6 +93,21 @@ class BadGradient(CostFunction):
 
     def gradient(self, x):
         return self.target - np.asarray(x)  # wrong sign
+
+
+class WrongGradientBelowRankTwo(LowRankApproxProblem):
+    """The right gradient at rank-2 points, an ascent direction at lower ranks."""
+
+    def gradient(self, x):
+        g = super().gradient(x)
+        return g if np.linalg.matrix_rank(x) == 2 else -g
+
+
+def wrong_below_rank_two_params() -> SolverParams:
+    # Each step halves the distance to diag(3, 0.05, 0, 0), so sigma_2 of the
+    # iterates from diag(3, 1, 0, 0) first falls below delta at iteration 5.
+    return SolverParams(rank_bound=2, delta=0.1, stop_tol=1e-12,
+                        line_search=LineSearchParams(alpha_hi=0.5, max_backtracks=5))
 
 
 class TestParams:
@@ -172,8 +188,6 @@ class TestStep:
                 point, rng.standard_normal((m, n))
             )
             alpha = float(rng.uniform(0.01, 1.5))
-            from lowrankopt.variety import project_to_variety
-
             dense = project_to_variety(point.matrix() + alpha * direction, r)
             fact = project_step_factored(point, tangent, alpha)
             assert frobenius(dense.matrix() - fact.matrix()) <= 1e-10 * (
@@ -188,8 +202,6 @@ class TestStep:
                 point, rng.standard_normal((40, 30))
             )
             alpha = float(rng.uniform(0.01, 1.5))
-            from lowrankopt.variety import project_to_variety
-
             dense = project_to_variety(point.matrix() + alpha * direction, 8)
             fact = project_step_factored(point, tangent, alpha)
             assert frobenius(dense.matrix() - fact.matrix()) <= 1e-10 * (
@@ -340,6 +352,14 @@ class TestSearch:
         assert exc_info.value.reduction_depth == 0
 
 
+    def test_failure_at_truncated_candidate_tagged_with_depth(self):
+        problem = WrongGradientBelowRankTwo(np.diag([3.0, 0.05, 0.0, 0.0]))
+        point = point_from_matrix(np.diag([3.0, 0.08, 0.0, 0.0]), 2)
+        with pytest.raises(LineSearchFailure) as exc_info:
+            p2gdr_search(problem, point, wrong_below_rank_two_params())
+        assert exc_info.value.reduction_depth == 1
+
+
 class TestOuterLoop:
     def test_stationary_start(self):
         a = np.diag([1.0, 0.0, 0.0])
@@ -396,6 +416,15 @@ class TestOuterLoop:
         )
         trace = p2gdr(problem, np.zeros((4, 4)), params)
         assert trace.termination == "line_search_failure"
+
+    def test_failure_at_truncated_candidate_keeps_partial_trace(self):
+        problem = WrongGradientBelowRankTwo(np.diag([3.0, 0.05, 0.0, 0.0]))
+        trace = p2gdr(problem, np.diag([3.0, 1.0, 0.0, 0.0]), wrong_below_rank_two_params())
+        assert trace.termination == "line_search_failure"
+        assert [rec.index for rec in trace.records] == [0, 1, 2, 3, 4]
+        assert all(rec.candidates_evaluated == 1 for rec in trace.records)
+        assert trace.final_point.sigma[1] == pytest.approx(0.05 + 0.95 / 32, rel=1e-12)
+        assert trace.final_f == pytest.approx(problem.eval(trace.final_point.matrix()), rel=1e-12)
 
     def test_nonfinite_gradient_keeps_partial_trace(self):
         rng = np.random.default_rng(23)

@@ -299,7 +299,7 @@ class TestStationarity:
                         getattr(report.tangent.d_truncated, name), getattr(decomp.d_truncated, name)
                     )
 
-    def test_tiny_gap_in_d_matches_dense_measure(self, monkeypatch):
+    def test_tiny_gap_in_d_matches_dense_measure(self, dense_svd_calls):
         # D's 4th and 5th singular values differ by 5e-4 relative; budget 4 is
         # large enough a shape for the leading-triplet SVD.
         rng = np.random.default_rng(13)
@@ -316,19 +316,11 @@ class TestStationarity:
             def gradient(self, x):
                 return g
 
-        leading = variety._leading_svd
-        used = []
-
-        def recorded(x, k):
-            fact = leading(x, k)
-            used.append(fact is not None)
-            return fact
-
-        monkeypatch.setattr(variety, "_leading_svd", recorded)
         s_value = stationarity_measure(FixedGradient(), point).s_value
-        monkeypatch.setattr(variety, "_leading_svd", lambda x, k: None)
-        dense = stationarity_measure(FixedGradient(), point).s_value
-        assert used == [True]
+        assert dense_svd_calls == []
+        _, dense, _ = reference_tangent_projection(
+            point.u, point.sigma, point.v, point.rank_bound, -g
+        )
         assert s_value == pytest.approx(dense, rel=1e-9)
 
     def test_sandwich_property(self):
