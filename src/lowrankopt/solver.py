@@ -56,8 +56,8 @@ class LineSearchParams:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if not 0 < self.alpha_lo < self.alpha_hi:
-            raise ValueError("need 0 < alpha_lo < alpha_hi")
+        if not 0 < self.alpha_lo < self.alpha_hi < np.inf:
+            raise ValueError("need 0 < alpha_lo < alpha_hi < inf")
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
         if not 0 < self.c < 1:
@@ -171,12 +171,14 @@ def _finite_or_none(x: float) -> float | None:
     return x if np.isfinite(x) else None
 
 
-def _cost(problem, point: VarietyPoint) -> float:
-    """Cost at a point the solver may stand on; NaN or Inf raises NonFiniteError."""
-    f = float(problem.eval(point.matrix()))
+def _evaluate(problem, point: VarietyPoint, f_value=None) -> tuple[StationarityReport, float]:
+    """Report and cost (evaluated unless ``f_value`` holds it) at a point the
+    solver stands on; a NaN or Inf gradient, measure or cost raises NonFiniteError."""
+    report = stationarity_measure(problem, point)
+    f = float(problem.eval(point.matrix())) if f_value is None else f_value
     if not np.isfinite(f):
         raise NonFiniteError(f"cost is {f} at a rank-{point.rank} point")
-    return f
+    return report, f
 
 
 def p2gd_step(
@@ -196,7 +198,7 @@ def p2gd_step(
     blocks of G; only the small core SVD is recomputed per trial alpha.
 
     ``report`` (the stationarity report at ``point``) and ``f_value``
-    (the cost there) are computed when not supplied; a caller that already
+    (the cost there) are computed unless both are supplied; a caller that
     holds them passes them in to save a gradient and a cost evaluation.
 
     A NaN or Inf cost at a trial point fails the decrease test, so the
@@ -207,23 +209,22 @@ def p2gd_step(
     LineSearchFailure
         If ``max_backtracks`` reductions never reach sufficient decrease.
     NonFiniteError
-        If the gradient or cost at ``point`` (when computed here) is not finite.
+        If the gradient or cost at ``point`` (when checked here) is not finite.
     ValueError
         If the point is already stationary (zero direction norm).
     """
-    if report is None:
-        report = stationarity_measure(problem, point)
+    if report is None or f_value is None:
+        report, f_value = _evaluate(problem, point, f_value)
     s = report.s_value
     if s == 0.0:
         raise ValueError("point is stationary: the projected direction vanishes")
-    f0 = _cost(problem, point) if f_value is None else f_value
 
     alpha = params.alpha_hi
     for backtracks in range(params.max_backtracks + 1):
         y = project_step_factored(point, report.tangent, alpha)
         fy = float(problem.eval(y.matrix()))
-        if fy <= f0 - params.c * alpha * s * s:
-            return StepOutcome(y, alpha, backtracks, f0, fy, s)
+        if fy <= f_value - params.c * alpha * s * s:
+            return StepOutcome(y, alpha, backtracks, f_value, fy, s)
         alpha *= params.beta
     raise LineSearchFailure(
         f"no sufficient decrease after {params.max_backtracks} backtracks "
@@ -270,7 +271,7 @@ def p2gdr_search(
     its record and that cost; ties go to the smallest truncation depth. A
     truncated copy that is already stationary within ``params.stop_tol``
     stands as its own candidate without stepping. ``report`` and
-    ``f_value`` at ``point`` are computed when not supplied. A NaN or Inf
+    ``f_value`` at ``point`` are computed unless both are supplied. A NaN or Inf
     gradient or cost at ``point`` or at a truncated copy raises
     :class:`~lowrankopt.linalg.NonFiniteError`.
 
@@ -280,10 +281,8 @@ def p2gdr_search(
     correct gradient the search cannot fail, so dropping the candidate
     would hide a wrong gradient.
     """
-    if report is None:
-        report = stationarity_measure(problem, point)
-    if f_value is None:
-        f_value = _cost(problem, point)
+    if report is None or f_value is None:
+        report, f_value = _evaluate(problem, point, f_value)
     stop_tol = params.stop_tol if params.stop_tol is not None else 0.0
     if not report.s_value > stop_tol:
         raise ValueError("search requires a non-stationary point")
@@ -298,8 +297,7 @@ def p2gdr_search(
     best_alpha = 0.0
     for j in range(depth + 1):
         hat = point if j == 0 else point.truncated(rank - j)
-        rep = report if j == 0 else stationarity_measure(problem, hat)
-        f_hat = f_value if j == 0 else _cost(problem, hat)
+        rep, f_hat = (report, f_value) if j == 0 else _evaluate(problem, hat)
         if rep.s_value <= stop_tol:
             cand_point, cand_f, cand_alpha = hat, f_hat, 0.0
         else:
@@ -331,8 +329,7 @@ def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
     records: list[IterationRecord] = []
     f_value = np.nan
     try:
-        report = stationarity_measure(problem, point)
-        f_value = _cost(problem, point)
+        report, f_value = _evaluate(problem, point)
         if params.stop_tol is None:
             params = replace(params, stop_tol=1e-8 * (1.0 + report.gradient_norm))
         while True:
@@ -351,9 +348,7 @@ def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
                 termination = "line_search_failure"
                 break
             records.append(record)
-            if not np.isfinite(f_value):
-                raise NonFiniteError(f"cost is {f_value} at the accepted step")
-            report = stationarity_measure(problem, point)
+            report, f_value = _evaluate(problem, point, f_value)
         final_s = report.s_value
     except NonFiniteError:
         termination = "nonfinite"

@@ -20,7 +20,7 @@ from .linalg import (
     SvdFactorization,
     _leading_svd,
     as_matrix,
-    compute_svd,
+    compute_svd,  # noqa: F401  not called here; perfbench's tracer test reads variety.compute_svd
     frobenius,
 )
 
@@ -153,24 +153,29 @@ class StationarityReport:
     tangent: TangentDecomposition
 
 
-def point_from_matrix(x, rank_bound: int) -> VarietyPoint:
-    """Factor a feasible matrix into a :class:`VarietyPoint`.
-
-    Raises :class:`InfeasiblePointError` if the numerical rank of ``x``
-    exceeds ``rank_bound``. A matrix with no nonzero entry is the zero point
-    and needs no SVD.
-    """
+def _matrix_and_bound(x, rank_bound) -> tuple[np.ndarray, int]:
+    """``x`` as a checked matrix and ``rank_bound`` as an int in ``[0, min(m, n))``."""
     a = as_matrix(x)
     rank_bound = int(rank_bound)
     if not 0 <= rank_bound < min(a.shape):
         raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
+    return a, rank_bound
+
+
+def point_from_matrix(x, rank_bound: int) -> VarietyPoint:
+    """Factor a feasible matrix into a :class:`VarietyPoint`.
+
+    Feasibility needs only the leading ``rank_bound + 1`` triplets, taken
+    from ``linalg._leading_svd``: :class:`InfeasiblePointError` is raised
+    when the last of them is above the numerical-rank threshold. A matrix
+    with no nonzero entry is the zero point and needs no SVD.
+    """
+    a, rank_bound = _matrix_and_bound(x, rank_bound)
     if not a.any():
         return VarietyPoint.zero(a.shape, rank_bound)
-    fact = compute_svd(a)
+    fact = _leading_svd(a, rank_bound + 1)
     if fact.numerical_rank > rank_bound:
-        raise InfeasiblePointError(
-            f"matrix has numerical rank {fact.numerical_rank} > bound {rank_bound}"
-        )
+        raise InfeasiblePointError(f"matrix has numerical rank above bound {rank_bound}")
     return VarietyPoint.from_svd(fact, rank_bound)
 
 
@@ -181,10 +186,7 @@ def project_to_variety(x, rank_bound: int) -> VarietyPoint:
     runs. Otherwise the triplets come from ``linalg._leading_svd``, which
     agrees with the dense SVD to its residual tolerance.
     """
-    a = as_matrix(x)
-    rank_bound = int(rank_bound)
-    if not 0 <= rank_bound < min(a.shape):
-        raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
+    a, rank_bound = _matrix_and_bound(x, rank_bound)
     if rank_bound == 0:
         return VarietyPoint.zero(a.shape, 0)
     return VarietyPoint.from_svd(_leading_svd(a, rank_bound), rank_bound)
@@ -211,7 +213,7 @@ def project_step_factored(
     big_r = np.hstack([point.v, tangent.b_cols.T, d.v])
     ql, rl = np.linalg.qr(big_l)
     qr_, rr = np.linalg.qr(big_r)
-    uu, ss, vvh = np.linalg.svd(rl @ rr.T)
+    uu, ss, vvh = np.linalg.svd(rl @ rr.T, full_matrices=False)
     return VarietyPoint.from_svd(SvdFactorization(ql @ uu, ss, qr_ @ vvh.T), point.rank_bound)
 
 

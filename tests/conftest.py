@@ -10,7 +10,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def dense_svd_calls(monkeypatch) -> list:
-    """Shapes of the dense SVDs that ``linalg.compute_svd`` runs during the test."""
+    """Shapes of the dense SVDs that ``linalg.compute_svd`` runs during the test.
+
+    The recorder replaces the function in every ``lowrankopt`` module that
+    holds it, so a call through a name imported from ``linalg`` counts too.
+    """
     from lowrankopt import linalg
 
     calls = []
@@ -20,5 +24,7 @@ def dense_svd_calls(monkeypatch) -> list:
         calls.append(np.shape(x))
         return dense(x)
 
-    monkeypatch.setattr(linalg, "compute_svd", recorded)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lowrankopt" and vars(module).get("compute_svd") is dense:
+            monkeypatch.setattr(module, "compute_svd", recorded)
     return calls

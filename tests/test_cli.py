@@ -368,6 +368,17 @@ class TestConfig:
         assert "invalid config field: stop_tol" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    def test_infinite_alpha_hi_is_a_config_error(self, tmp_path, capsys):
+        a = np.arange(30.0).reshape(6, 5) % 7
+        config = write_lowrank_setup(tmp_path, a, 2, 0.1, alpha_hi=float("inf"))
+        assert "Infinity" in config.read_text()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", str(config)]) == 1
+        assert caught == []
+        assert "config error: invalid config field: " in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
 
 class TestCompare:
     def test_loads_problem_once(self, lowrank_config, monkeypatch):

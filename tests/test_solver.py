@@ -72,12 +72,20 @@ class NaNCost(CountingCompletion):
 class NaNCostFar(MatrixCompletionProblem):
     """Completion problem whose cost is NaN outside a ball around the origin."""
 
+    far = float("nan")
+
     def __init__(self, target, mask, radius):
         super().__init__(target, mask)
         self.radius = radius
 
     def eval(self, x):
-        return super().eval(x) if frobenius(x) <= self.radius else float("nan")
+        return super().eval(x) if frobenius(x) <= self.radius else self.far
+
+
+class MinusInfCostFar(NaNCostFar):
+    """Completion problem whose cost is -Inf outside a ball around the origin."""
+
+    far = -np.inf
 
 
 class BadGradient(CostFunction):
@@ -119,6 +127,14 @@ class TestParams:
             LineSearchParams(beta=1.0)
         with pytest.raises(ValueError):
             LineSearchParams(c=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("alpha_hi", np.inf), ("alpha_hi", np.nan), ("alpha_lo", np.nan), ("alpha_lo", -np.inf),
+        ("beta", np.nan), ("c", np.inf),
+    ])
+    def test_line_search_rejects_nan_and_inf(self, field, value):
+        with pytest.raises(ValueError):
+            LineSearchParams(**{field: value})
 
     def test_solver_validation(self):
         SolverParams(rank_bound=2, delta=0.1)
@@ -469,6 +485,20 @@ class TestOuterLoop:
         assert trace.termination == "max_iters"
         assert 0.0 < trace.records[0].accepted_alpha < 1.0
         assert np.isfinite(trace.final_f)
+
+    def test_accepted_minus_inf_cost_is_nonfinite(self):
+        # -Inf passes the decrease test, so the first trial step is accepted
+        rng = np.random.default_rng(26)
+        a = rng.standard_normal((6, 5))
+        problem = MinusInfCostFar(a, np.ones((6, 5), dtype=bool), 0.1 * frobenius(a))
+        trace = p2gdr(problem, np.zeros((6, 5)), SolverParams(rank_bound=2, delta=0.1))
+        assert trace.termination == "nonfinite"
+        assert [rec.index for rec in trace.records] == [0]
+        assert trace.records[0].accepted_alpha == 1.0
+        assert np.isfinite(trace.records[0].f_value)
+        assert trace.final_point.rank == 2
+        assert trace.final_f == -np.inf and trace.summary()["final_f"] is None
+        assert np.isnan(trace.final_s)
 
     def test_infeasible_start(self):
         from lowrankopt.variety import InfeasiblePointError

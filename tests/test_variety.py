@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from oracles import complement, random_point_factors, reference_tangent_projection
 
 from lowrankopt import variety
-from lowrankopt.linalg import compute_svd, distance_to_bounded_rank, frobenius
+from lowrankopt.linalg import compute_svd, distance_to_bounded_rank, frobenius, truncate_to_rank
 from lowrankopt.problems import LowRankApproxProblem
 from lowrankopt.variety import (
     InfeasiblePointError,
@@ -28,6 +28,22 @@ def make_point(rng, m, n, rank_bound, rank):
     return VarietyPoint(u, sigma, v, rank_bound)
 
 
+def no_leading_svd(monkeypatch, what: str) -> None:
+    """Make every SVD that ``variety`` starts through ``linalg`` fail the test."""
+
+    def no_svd(*_):
+        raise AssertionError(f"SVD run for {what}")
+
+    monkeypatch.setattr(variety, "_leading_svd", no_svd)
+
+
+def graded(rng, m, n, sigma):
+    """Matrix with singular values ``sigma`` and random singular vectors."""
+    u = np.linalg.qr(rng.standard_normal((m, len(sigma))))[0]
+    v = np.linalg.qr(rng.standard_normal((n, len(sigma))))[0]
+    return (u * np.asarray(sigma)) @ v.T
+
+
 class TestPointFromMatrix:
     def test_diagonal(self):
         p = point_from_matrix(np.diag([2.0, 1.0, 0.0]), 2)
@@ -41,13 +57,39 @@ class TestPointFromMatrix:
         assert p.sigma.size == 0
         assert_allclose(p.matrix(), np.zeros((3, 3)))
 
-    def test_zero_needs_no_svd(self, monkeypatch):
-        def no_svd(_):
-            raise AssertionError("compute_svd called on the zero matrix")
-
-        monkeypatch.setattr(variety, "compute_svd", no_svd)
+    def test_zero_needs_no_svd(self, monkeypatch, dense_svd_calls):
+        no_leading_svd(monkeypatch, "the zero matrix")
         p = point_from_matrix(np.zeros((6, 5)), 3)
         assert (p.rank, p.rank_bound, p.shape) == (0, 3, (6, 5))
+        assert dense_svd_calls == []
+
+    @pytest.mark.parametrize("sigma", [
+        np.logspace(0, -6, 8), np.linspace(3.0, 1.0, 8), [5.0, 4.0, 1e-3, 1e-3, 1e-9],
+    ])
+    def test_matches_dense_svd_above_the_cutoff(self, sigma, dense_svd_calls):
+        rng = np.random.default_rng(len(sigma))
+        x = graded(rng, 300, 250, sigma)
+        p = point_from_matrix(x, 8)
+        assert dense_svd_calls == []  # the leading-triplet iteration ran
+        dense = compute_svd(x)
+        assert p.rank == dense.numerical_rank == len(sigma)
+        assert np.max(np.abs(p.sigma - dense.sigma[: p.rank])) <= 1e-13 * dense.sigma[0]
+        assert frobenius(p.matrix() - x) <= 1e-12 * frobenius(x)
+
+    @pytest.mark.parametrize("shape", [(300, 250), (30, 25)])
+    def test_rank_just_above_the_bound_is_infeasible(self, shape):
+        rng = np.random.default_rng(8)
+        with pytest.raises(InfeasiblePointError):
+            point_from_matrix(graded(rng, *shape, [1.0, 0.5, 0.2, 1e-8]), 3)
+        assert point_from_matrix(graded(rng, *shape, [1.0, 0.5, 0.2]), 3).rank == 3
+
+    def test_random_start_runs_one_dense_svd(self, dense_svd_calls):
+        # as the CLI builds an x0 of "random:SEED"
+        x0 = truncate_to_rank(np.random.default_rng(7).standard_normal((300, 250)), 6)[0]
+        p = point_from_matrix(x0, 6)
+        assert dense_svd_calls == [(300, 250)]
+        assert p.rank == 6
+        assert frobenius(p.matrix() - x0) <= 1e-12 * frobenius(x0)
 
     def test_tiny_value_below_threshold(self):
         p = point_from_matrix(np.diag([1.0, 1e-18, 0.0]), 2)
@@ -84,12 +126,10 @@ class TestProjectToVariety:
             distance_to_bounded_rank(x, 2), rel=1e-10
         )
 
-    def test_rank_zero_needs_no_svd(self, monkeypatch):
-        def no_svd(_):
-            raise AssertionError("compute_svd called for rank bound 0")
-
-        monkeypatch.setattr(variety, "compute_svd", no_svd)
+    def test_rank_zero_needs_no_svd(self, monkeypatch, dense_svd_calls):
+        no_leading_svd(monkeypatch, "rank bound 0")
         p = project_to_variety(np.arange(12.0).reshape(4, 3), 0)
+        assert dense_svd_calls == []
         assert p.rank == 0
         assert p.shape == (4, 3)
         assert_allclose(p.matrix(), np.zeros((4, 3)))

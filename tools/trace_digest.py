@@ -7,8 +7,11 @@ termination and the sha256 of the trace CSV. A workload that runs through
 ``lowrankopt run`` (rankdrop-cli) is also solved at both sizes by its own
 ``solve`` and ``finish``, that is through ``cli.main`` from its config
 file; that line's algorithm reads ``cli`` and its digest is of the
-``trace_p2gdr.csv`` the run wrote. Two checkouts whose outputs are
-identical produce byte-identical traces on all fourteen solves.
+``trace_p2gdr.csv`` the run wrote. The same run is repeated from a copy of
+that config with ``"x0": "random:7"`` (algorithm ``cli-random7``), since
+every workload itself starts from zero and so never factors a nonzero
+start. Two checkouts whose outputs are identical produce byte-identical
+traces on all sixteen solves.
 
     PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] [--save DIR] > digest.txt
 
@@ -29,8 +32,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -40,6 +45,7 @@ from lowrankopt import solver  # noqa: E402
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SIZES = ("tiny", "full")
 ALGORITHMS = ("p2gdr", "p2gd_plain")
+RANDOM_START = "random:7"
 
 
 def load_workloads():
@@ -49,6 +55,15 @@ def load_workloads():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def random_start(inst):
+    """The CLI instance with its config copied to start from ``RANDOM_START``."""
+    config = json.loads(inst.config_path.read_text(encoding="utf-8"))
+    config.update(x0=RANDOM_START, out="out-random")
+    path = inst.config_path.with_name("config-random.json")
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return dataclasses.replace(inst, config_path=path, out_dir=path.parent / "out-random")
 
 
 def main(argv=None) -> int:
@@ -76,6 +91,9 @@ def main(argv=None) -> int:
                     report(name, size, algorithm, trace, trace.to_csv())
                 if inst.config_path is not None:
                     report(name, size, "cli", *workload.finish(inst, workload.solve(inst)))
+                    random = random_start(inst)
+                    report(name, size, "cli-" + RANDOM_START.replace(":", ""),
+                           *workload.finish(random, workload.solve(random)))
     return 0
 
 
