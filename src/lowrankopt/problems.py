@@ -7,7 +7,9 @@ exists to validate them, never to replace them.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
+from itertools import chain
 
 import numpy as np
 
@@ -95,57 +97,128 @@ class UserPolynomialProblem(CostFunction):
 
     Terms are (monomial, coefficient) pairs where a monomial is a sequence
     of (row, col, power) factors. Repeated entries within one monomial are
-    merged at construction. The gradient is evaluated term by term from the
-    analytic derivative of each monomial.
+    merged at construction. The gradient is the analytic derivative of each
+    monomial.
+
+    Construction compiles the terms to index arrays. A call tabulates
+    ``x_e ** p`` once for each (entry, power) pair that some term uses, and
+    every monomial is a row of MAX_DEGREE slots into that table, padded with
+    a slot holding ``x_e ** 0 = 1.0``. The gradient has one such row per
+    (term, factor): the factor's derivative slot, then the term's other
+    slots. The arithmetic is that of the term-by-term evaluation: products
+    in factor order, the cost summed in term order, each gradient entry
+    accumulated in term order, so results agree with it bit for bit. Rows
+    are taken CHUNK at a time, so a call's temporaries do not grow with the
+    number of terms.
     """
 
     MAX_DEGREE = 4
+    CHUNK = 128
 
     def __init__(self, shape, terms):
         m, n = int(shape[0]), int(shape[1])
         if m < 1 or n < 1:
             raise ValueError(f"shape must be positive, got {(m, n)}")
         self.shape = (m, n)
-        self.terms: list[tuple[tuple[tuple[int, int, int], ...], float]] = []
+        coeffs, monomials = [], []
         for monomial, coeff in terms:
             coeff = float(coeff)
             if not np.isfinite(coeff):
                 raise ValueError("coefficients must be finite")
-            merged: dict[tuple[int, int], int] = {}
+            merged: dict[int, int] = {}
             for row, col, power in monomial:
                 row, col, power = int(row), int(col), int(power)
                 if not (0 <= row < m and 0 <= col < n):
                     raise ValueError(f"entry index ({row}, {col}) outside shape {(m, n)}")
                 if power < 1:
                     raise ValueError("powers must be positive integers")
-                merged[(row, col)] = merged.get((row, col), 0) + power
+                entry = row * n + col
+                merged[entry] = merged.get(entry, 0) + power
             degree = sum(merged.values())
             if degree > self.MAX_DEGREE:
                 raise ValueError(f"monomial degree {degree} exceeds {self.MAX_DEGREE}")
-            factors = tuple((rc[0], rc[1], p) for rc, p in sorted(merged.items()))
-            self.terms.append((factors, coeff))
+            coeffs.append(coeff)
+            monomials.append(sorted(merged.items()))
+        self._compile(coeffs, monomials)
+
+    def _compile(self, coeffs: list[float], monomials: list[list[tuple[int, int]]]) -> None:
+        """Index arrays for the terms, each a coefficient and its monomial's
+        (flat entry, power) factors in entry order."""
+        width = self.MAX_DEGREE
+        lengths = np.fromiter(map(len, monomials), np.intp, len(monomials))
+        entry, power = np.fromiter(
+            chain.from_iterable(chain.from_iterable(monomials)), np.intp, 2 * int(lengths.sum())
+        ).reshape(-1, 2).T.copy()
+        # One row per (term, factor), term-major with factors in order.
+        term = np.repeat(np.arange(len(lengths)), lengths)
+        factor = np.arange(len(term)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        # The pair (e, p) as the integer e * (width + 1) + p. Padding is the
+        # pair (0, 0), as is every derivative factor x_e ** 0: both are 1.
+        keys = np.zeros((len(lengths), width), np.intp)
+        keys[term, factor] = entry * (width + 1) + power
+        derivative = np.where(power > 1, keys[term, factor] - 1, 0)
+        pair_keys, inverse = np.unique(np.concatenate((keys.ravel(), derivative)), return_inverse=True)
+        slots = inverse[: keys.size].reshape(keys.shape)
+        others = np.array([[j for j in range(width) if j != i] for i in range(width)])
+        self._pair_entry = (pair_keys // (width + 1)).tolist()
+        self._pair_power = (pair_keys % (width + 1)).astype(float).tolist()
+        self._coeffs = np.array(coeffs, dtype=float)
+        self._slots = slots.T.copy()
+        self._grad_coeffs = self._coeffs[term] * power
+        self._grad_entry = entry
+        self._grad_slots = np.vstack((inverse[keys.size :], slots[term[:, None], others[factor]].T))
+
+    def _power_table(self, a: np.ndarray) -> np.ndarray:
+        """``x_e ** p`` for every pair the terms use.
+
+        ``math.pow`` is the libm ``pow`` that a numpy scalar's ``**`` calls;
+        numpy's array ``**`` can differ from it in the last bit. Where the
+        power overflows, ``math.pow`` raises and the table holds the signed
+        infinity that ``**`` gives.
+        """
+        flat = memoryview(a.ravel())
+        count = len(self._pair_power)
+        bases = map(flat.__getitem__, self._pair_entry)
+        try:
+            return np.fromiter(map(math.pow, bases, self._pair_power), float, count)
+        except OverflowError:
+            bases = map(flat.__getitem__, self._pair_entry)
+            return np.fromiter(map(_pow_or_inf, bases, self._pair_power), float, count)
 
     def eval(self, x) -> float:
-        a = self._check_shape(x)
+        table = self._power_table(self._check_shape(x))
         total = 0.0
-        for factors, coeff in self.terms:
-            prod = coeff
-            for row, col, power in factors:
-                prod *= a[row, col] ** power
-            total += prod
+        for start in range(0, len(self._coeffs), self.CHUNK):
+            prod = _products(table, self._coeffs, self._slots, start, start + self.CHUNK)
+            total = np.add.accumulate(np.concatenate(([total], prod)))[-1]
         return float(total)
 
     def gradient(self, x) -> np.ndarray:
-        a = self._check_shape(x)
+        table = self._power_table(self._check_shape(x))
         g = np.zeros(self.shape)
-        for factors, coeff in self.terms:
-            for i, (row, col, power) in enumerate(factors):
-                partial = coeff * power * a[row, col] ** (power - 1)
-                for j, (r2, c2, p2) in enumerate(factors):
-                    if j != i:
-                        partial *= a[r2, c2] ** p2
-                g[row, col] += partial
+        flat = g.reshape(-1)
+        for start in range(0, len(self._grad_coeffs), self.CHUNK):
+            stop = start + self.CHUNK
+            prod = _products(table, self._grad_coeffs, self._grad_slots, start, stop)
+            np.add.at(flat, self._grad_entry[start:stop], prod)
         return g
+
+
+def _products(table, coeffs, slots, start: int, stop: int) -> np.ndarray:
+    """Coefficient times the tabulated factors of rows ``start:stop``,
+    multiplied in slot order."""
+    prod = coeffs[start:stop] * table[slots[0, start:stop]]
+    for column in slots[1:, start:stop]:
+        prod *= table[column]
+    return prod
+
+
+def _pow_or_inf(x: float, p: float) -> float:
+    """``math.pow``, with the signed infinity in place of an overflow error."""
+    try:
+        return math.pow(x, p)
+    except OverflowError:
+        return math.pow(math.copysign(math.inf, x), p)
 
 
 def finite_difference_check(problem: CostFunction, x, h: float) -> float:

@@ -87,8 +87,8 @@ class SolverParams:
             raise ValueError("delta must be positive")
         if self.rank_bound < 0:
             raise ValueError("rank_bound must be nonnegative")
-        if self.stop_tol is not None and not self.stop_tol >= 0:
-            raise ValueError("stop_tol must be nonnegative")
+        if self.stop_tol is not None and not 0 <= self.stop_tol < np.inf:
+            raise ValueError("stop_tol must be nonnegative and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 

@@ -368,6 +368,15 @@ class TestConfig:
         assert "invalid config field: stop_tol" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    def test_infinite_stop_tol_is_a_config_error(self, tmp_path, capsys):
+        # +Inf would pass any measure at the start: a false `stationary` label.
+        a = np.arange(30.0).reshape(6, 5) % 7
+        config = write_lowrank_setup(tmp_path, a, 2, 0.1, stop_tol=float("inf"))
+        assert "Infinity" in config.read_text()
+        assert cli.main(["run", str(config)]) == 1
+        assert "invalid config field: stop_tol" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_infinite_alpha_hi_is_a_config_error(self, tmp_path, capsys):
         a = np.arange(30.0).reshape(6, 5) % 7
         config = write_lowrank_setup(tmp_path, a, 2, 0.1, alpha_hi=float("inf"))

@@ -1,4 +1,6 @@
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,66 @@ from lowrankopt.problems import (
     problem_skeleton,
 )
 from lowrankopt.variety import point_from_matrix, stationarity_measure
+
+
+def loop_polynomial(shape, terms, x):
+    """Cost and gradient of a polynomial by the term-by-term loop.
+
+    Numpy scalar powers and products, the cost summed in term order and
+    each gradient entry accumulated in term order: the arithmetic that the
+    compiled ``UserPolynomialProblem`` reproduces bit for bit.
+    """
+    a = np.asarray(x, dtype=float)
+    total = 0.0
+    g = np.zeros(shape)
+    for monomial, coeff in terms:
+        merged = {}
+        for row, col, power in monomial:
+            merged[(row, col)] = merged.get((row, col), 0) + power
+        factors = sorted(merged.items())
+        prod = float(coeff)
+        for (row, col), power in factors:
+            prod *= a[row, col] ** power
+        total += prod
+        for i, ((row, col), power) in enumerate(factors):
+            partial = float(coeff) * power * a[row, col] ** (power - 1)
+            for j, ((r2, c2), p2) in enumerate(factors):
+                if j != i:
+                    partial *= a[r2, c2] ** p2
+            g[row, col] += partial
+    return float(total), g
+
+
+def random_polynomial(rng, m, n, count):
+    """``count`` terms of degree 0 to 4 whose factors often repeat an entry."""
+    terms = []
+    for _ in range(count):
+        degree = int(rng.integers(0, 5))
+        monomial = []
+        while degree:
+            power = int(rng.integers(1, degree + 1))
+            if monomial and rng.random() < 0.3:
+                row, col = monomial[-1][:2]
+            else:
+                row, col = int(rng.integers(m)), int(rng.integers(n))
+            monomial.append((row, col, power))
+            degree -= power
+        terms.append((monomial, float(rng.standard_normal() * 10.0 ** rng.uniform(-2, 2))))
+    return terms
+
+
+def random_point(rng, m, n):
+    """Entries at a scale from 1e-3 to 30, about a quarter of them exact zeros."""
+    x = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, np.log10(30.0))
+    x[rng.random((m, n)) < 0.25] = 0.0
+    return x
+
+
+def assert_matches_loop(problem, terms, x):
+    f_ref, g_ref = loop_polynomial(problem.shape, terms, x)
+    f, g = problem.eval(x), problem.gradient(x)
+    assert f == f_ref and np.signbit(f) == np.signbit(f_ref), (f, f_ref)
+    assert np.array_equal(g, g_ref) and np.array_equal(np.signbit(g), np.signbit(g_ref))
 
 
 @pytest.fixture
@@ -130,6 +192,68 @@ class TestPolynomial:
         assert problem.eval(x) == 0.0
         assert_allclose(problem.gradient(x), np.zeros((3, 3)))
         assert finite_difference_check(problem, x, 1e-5) == 0.0
+
+    def test_matches_loop_bitwise(self):
+        rng = np.random.default_rng(10)
+        for _ in range(300):
+            m, n = (int(k) for k in rng.integers(1, 7, size=2))
+            terms = random_polynomial(rng, m, n, int(rng.integers(0, 41)))
+            problem = UserPolynomialProblem((m, n), terms)
+            for _ in range(3):
+                assert_matches_loop(problem, terms, random_point(rng, m, n))
+
+    def test_matches_loop_across_chunks(self):
+        # Enough terms and gradient rows to carry the sums over several chunks.
+        rng = np.random.default_rng(11)
+        for count in (127, 643):
+            terms = random_polynomial(rng, 4, 5, count)
+            problem = UserPolynomialProblem((4, 5), terms)
+            for _ in range(5):
+                assert_matches_loop(problem, terms, random_point(rng, 4, 5))
+
+    def test_zero_products_sum_to_positive_zero(self):
+        # Each product is -0.0; the loop's sum starts at +0.0 and stays there.
+        terms = [([(0, 0, 1)], -1.0), ([(0, 0, 3), (0, 1, 1)], 2.0)]
+        problem = UserPolynomialProblem((1, 2), terms)
+        x = np.array([[0.0, -1.0]])
+        assert_matches_loop(problem, terms, x)
+        assert not np.signbit(problem.eval(x))
+
+    def test_unused_entry_does_not_overflow(self):
+        # Only the powers some term uses are taken: x11 ** 2 would overflow.
+        problem = UserPolynomialProblem((2, 2), [([(0, 0, 2)], 1.0)])
+        x = np.array([[3.0, 0.0], [0.0, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert problem.eval(x) == 9.0
+            assert problem.gradient(x).tolist() == [[6.0, 0.0], [0.0, 0.0]]
+
+    def test_overflowing_power_is_infinite(self):
+        quartic = UserPolynomialProblem((1, 1), [([(0, 0, 4)], 1.0)])
+        assert quartic.eval([[1e100]]) == np.inf
+        assert quartic.gradient([[1e100]])[0, 0] == 4e300
+        cubic = UserPolynomialProblem((1, 1), [([(0, 0, 3)], 1.0)])
+        assert cubic.eval([[-1e200]]) == -np.inf
+        assert cubic.gradient([[-1e200]])[0, 0] == np.inf
+
+    def test_temporaries_do_not_grow_with_terms(self):
+        # Rows are taken CHUNK at a time, so a call holds a few CHUNK-long
+        # arrays, the table of at most 1 + 4mn powers and numpy's fixed
+        # ufunc.at workspace (about 5 KB). One array over all 20 000 terms
+        # would alone take 160 KB.
+        bound = 16_000
+        rng = np.random.default_rng(12)
+        problem = UserPolynomialProblem((6, 5), random_polynomial(rng, 6, 5, 20_000))
+        x = random_point(rng, 6, 5)
+        problem.eval(x), problem.gradient(x)  # numpy's first-call caches
+        for call in (problem.eval, problem.gradient):
+            tracemalloc.start()
+            try:
+                result = call(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - np.asarray(result).nbytes <= bound, (call.__name__, peak)
 
 
 class TestFiniteDifferences:

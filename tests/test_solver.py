@@ -144,6 +144,8 @@ class TestParams:
             SolverParams(rank_bound=2, delta=0.1, stop_tol=-1.0)
         with pytest.raises(ValueError, match="stop_tol"):
             SolverParams(rank_bound=2, delta=0.1, stop_tol=float("nan"))
+        with pytest.raises(ValueError, match="stop_tol"):
+            SolverParams(rank_bound=2, delta=0.1, stop_tol=float("inf"))
         with pytest.raises(ValueError):
             SolverParams(rank_bound=2, delta=0.1, max_iters=0)
 
