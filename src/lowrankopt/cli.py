@@ -23,7 +23,7 @@ import numpy as np
 from .checks import run_all_checks
 from .linalg import truncate_to_rank
 from .problems import CostFunction, load_problem, problem_skeleton
-from .serialize import json_number, load_matrix
+from .serialize import json_number, load_matrix, read_json
 from .solver import LineSearchParams, SolverParams, Trace, p2gd_plain, p2gdr
 
 _TERMINATION_EXIT = {"stationary": 0, "max_iters": 2, "line_search_failure": 3, "nonfinite": 5}
@@ -46,10 +46,10 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass
 class RunConfig:
-    """A loaded run config. ``x0`` is ``"zero"``, ``"random:SEED"`` or a matrix file."""
+    """A loaded run config. ``x0`` is ``"zero"``, the seed of ``"random:SEED"`` or a matrix file."""
 
     problem_path: Path
-    x0: str | Path
+    x0: str | int | Path
     params: SolverParams
     out_dir: Path
     algorithm: str
@@ -59,11 +59,11 @@ class RunConfig:
         """Read a run config; an ``overrides`` value that is not None replaces its key's."""
         path = Path(path)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = read_json(path)
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} must be a JSON object")
         unknown = sorted(set(doc) - CONFIG_KEYS)
@@ -86,7 +86,13 @@ class RunConfig:
             return path.parent / value
 
         x0 = doc.get("x0", "zero")
-        if not (x0 == "zero" or str(x0).startswith("random:")):
+        if isinstance(x0, str) and x0.startswith("random:"):
+            seed = x0.removeprefix("random:")
+            if not (seed.isascii() and seed.isdigit()):
+                raise ConfigError(f"bad random seed in x0 source {x0!r}: "
+                                  "expected a nonnegative integer")
+            x0 = int(seed)
+        elif x0 != "zero":
             x0 = resolve("x0", x0)
         return RunConfig(resolve("problem", doc.get("problem")), x0, params,
                          resolve("out", doc.get("out", ".")), algorithm)
@@ -105,11 +111,7 @@ def _load(config: RunConfig) -> tuple[CostFunction, np.ndarray]:
         return problem, load_matrix(config.x0)
     if config.x0 == "zero":
         return problem, np.zeros(problem.shape)
-    try:
-        seed = int(config.x0.split(":", 1)[1])
-    except ValueError as exc:
-        raise ConfigError(f"bad random seed in x0 source {config.x0!r}") from exc
-    x0 = np.random.default_rng(seed).standard_normal(problem.shape)
+    x0 = np.random.default_rng(config.x0).standard_normal(problem.shape)
     return problem, truncate_to_rank(x0, config.params.rank_bound)[0]
 
 

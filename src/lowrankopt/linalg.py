@@ -75,10 +75,14 @@ class SvdFactorization:
         self.v.setflags(write=False)
 
     @property
+    def shape(self) -> tuple[int, int]:
+        return (self.u.shape[0], self.v.shape[0])
+
+    @property
     def numerical_rank(self) -> int:
         """Number of singular values above :func:`rank_threshold` of the first."""
         first = float(self.sigma[0]) if self.sigma.size else 0.0
-        tau = rank_threshold(first, (self.u.shape[0], self.v.shape[0]))
+        tau = rank_threshold(first, self.shape)
         return int(np.count_nonzero(self.sigma > tau))
 
     def reconstruct(self) -> np.ndarray:

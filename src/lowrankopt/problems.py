@@ -6,7 +6,6 @@ exists to validate them, never to replace them.
 
 from __future__ import annotations
 
-import json
 import math
 from abc import ABC, abstractmethod
 from itertools import chain
@@ -14,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .linalg import as_matrix
-from .serialize import json_number, matrix_from_json, matrix_to_json
+from .serialize import json_number, matrix_from_json, matrix_to_json, read_json
 
 
 class CostFunction(ABC):
@@ -263,18 +262,16 @@ def load_problem(source) -> CostFunction:
 
     The document is ``{"type": ..., "shape": [m, n], "payload": {...}}``
     with type one of ``lowrank_approx``, ``completion``, ``polynomial``.
-    A document that is not an object or has wrongly typed fields raises
-    ``ValueError``.
+    A file that is not JSON, or a document that is not an object, lacks a
+    key or has wrongly typed fields, raises ``ValueError``.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source, encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = source if isinstance(source, dict) else read_json(source)
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")
     try:
         return _problem_from_doc(doc)
+    except KeyError as exc:
+        raise ValueError(f"malformed problem document: missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
 

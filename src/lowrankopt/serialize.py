@@ -66,6 +66,8 @@ def matrix_from_json(obj) -> np.ndarray:
         entries = np.asarray(obj["entries"], dtype=np.float64)
         if entries.size != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
+    except KeyError as exc:
+        raise ValueError(f"malformed matrix document: missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
     return as_matrix(entries.reshape(rows, cols))
@@ -80,9 +82,17 @@ def save_matrix(x, path) -> None:
         path.write_text(json.dumps(matrix_to_json(x)), encoding="utf-8")
 
 
+def read_json(path):
+    """The JSON document in the file ``path``; a parse error names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed JSON in {path}: {exc}") from exc
+
+
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     if path.suffix.lower() == ".csv":
-        return matrix_from_csv(text)
-    return matrix_from_json(json.loads(text))
+        return matrix_from_csv(path.read_text(encoding="utf-8"))
+    return matrix_from_json(read_json(path))

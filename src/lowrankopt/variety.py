@@ -32,8 +32,8 @@ class InfeasiblePointError(ValueError):
 
 
 @dataclass(frozen=True)
-class VarietyPoint:
-    """A matrix of rank at most ``rank_bound`` in factored form.
+class VarietyPoint(SvdFactorization):
+    """A matrix of rank at most ``rank_bound``: a thin SVD plus the bound.
 
     ``u`` (m-by-k) and ``v`` (n-by-k) have orthonormal columns, ``sigma``
     holds k strictly positive nonincreasing values, and k is the exact
@@ -41,9 +41,6 @@ class VarietyPoint:
     matrix is represented with k = 0.
     """
 
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
     rank_bound: int
 
     def __post_init__(self):
@@ -65,9 +62,7 @@ class VarietyPoint:
                 err = np.abs(q.T @ q - np.eye(k)).max()
                 if err > ORTHONORMALITY_TOL:
                     raise ValueError(f"columns of {name} are not orthonormal (error {err:.2e})")
-        self.u.setflags(write=False)
-        self.sigma.setflags(write=False)
-        self.v.setflags(write=False)
+        super().__post_init__()
 
     @classmethod
     def zero(cls, shape: tuple[int, int], rank_bound: int) -> "VarietyPoint":
@@ -82,10 +77,6 @@ class VarietyPoint:
         return cls(lead.u, lead.sigma, lead.v, rank_bound)
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.u.shape[0], self.v.shape[0])
-
-    @property
     def rank(self) -> int:
         return int(self.sigma.shape[0])
 
@@ -96,8 +87,7 @@ class VarietyPoint:
             raise ValueError("the zero matrix has no smallest nonzero singular value")
         return float(self.sigma[-1])
 
-    def matrix(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
+    matrix = SvdFactorization.reconstruct
 
     def delta_rank(self, delta: float) -> int:
         """Number of singular values strictly greater than ``delta``."""
@@ -112,12 +102,8 @@ class VarietyPoint:
             raise ValueError(f"cannot truncate rank {self.rank} to {new_rank}")
         if new_rank == self.rank:
             return self
-        return VarietyPoint(
-            self.u[:, :new_rank].copy(),
-            self.sigma[:new_rank].copy(),
-            self.v[:, :new_rank].copy(),
-            self.rank_bound,
-        )
+        lead = self.leading(new_rank)
+        return VarietyPoint(lead.u, lead.sigma, lead.v, self.rank_bound)
 
 
 @dataclass(frozen=True)

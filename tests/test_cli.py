@@ -142,6 +142,37 @@ class TestRun:
         assert cli.main(["run", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("problem_doc, x0_doc, message", [
+        ({"type": "lowrank_approx", "payload": {}}, None, "problem document: missing key 'shape'"),
+        ({"type": "lowrank_approx", "shape": [3, 3], "payload": {}}, None,
+         "problem document: missing key 'target'"),
+        ({"type": "polynomial", "shape": [3, 3], "payload": {"terms": [{"monomial": []}]}}, None,
+         "problem document: missing key 'coeff'"),
+        (None, {"rows": 3, "cols": 3}, "matrix document: missing key 'entries'"),
+    ], ids=["shape", "target", "coeff", "x0-entries"])
+    def test_missing_key_is_named(self, tmp_path, capsys, problem_doc, x0_doc, message):
+        config = write_lowrank_setup(tmp_path, np.diag([3.0, 2.0, 1.0]), 2, 0.1, x0="x0.json")
+        if problem_doc is not None:
+            (tmp_path / "problem.json").write_text(json.dumps(problem_doc))
+        (tmp_path / "x0.json").write_text(json.dumps(x0_doc or matrix_to_json(np.zeros((3, 3)))))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: malformed {message}\n"
+
+    def test_unparsable_document_names_its_file(self, tmp_path, capsys):
+        config = write_lowrank_setup(tmp_path, np.diag([3.0, 2.0, 1.0]), 2, 0.1, x0="x0.json")
+        problem_text = (tmp_path / "problem.json").read_text()
+        for name in ("problem.json", "x0.json"):
+            (tmp_path / name).write_text('{"rows": ')
+
+        def error():
+            assert cli.main(["run", str(config)]) == 1
+            return capsys.readouterr().err
+
+        assert error().startswith(f"error: malformed JSON in {tmp_path / 'problem.json'}: ")
+        (tmp_path / "problem.json").write_text(problem_text)
+        assert error().startswith(f"error: malformed JSON in {tmp_path / 'x0.json'}: ")
+        assert not (tmp_path / "results").exists()
+
     def test_missing_problem_file_exits_1(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"problem": "nope.json", "rank_bound": 2, "delta": 0.1}))
@@ -375,6 +406,22 @@ class TestConfig:
         assert "Infinity" in config.read_text()
         assert cli.main(["run", str(config)]) == 1
         assert "invalid config field: stop_tol" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
+    def test_random_seed_is_read_with_the_config(self, tmp_path):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1, x0="random:007")
+        assert cli.RunConfig.load(config).x0 == 7
+
+    @pytest.mark.parametrize("seed", ["-5", "1.5", "+3", "x", ""])
+    def test_bad_random_seed_is_a_config_error(self, tmp_path, capsys, seed):
+        # reported before any document is read: the problem file is missing too
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1, x0=f"random:{seed}")
+        (tmp_path / "problem.json").unlink()
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: bad random seed in x0 source 'random:{seed}': "
+            "expected a nonnegative integer\n"
+        )
         assert not (tmp_path / "results").exists()
 
     def test_infinite_alpha_hi_is_a_config_error(self, tmp_path, capsys):

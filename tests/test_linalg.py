@@ -103,6 +103,23 @@ class TestLeadingSvd:
         for name in ("u", "sigma", "v"):
             assert getattr(point, name).tobytes() == getattr(dense, name).tobytes()
 
+    def test_failed_sweep_falls_back_to_dense(self, monkeypatch, dense_svd_calls):
+        a = graded(np.random.default_rng(24), 200, 170, 0.5 ** np.arange(170))
+        qr = np.linalg.qr
+        failures = [np.linalg.LinAlgError("QR did not converge")]
+
+        def qr_failing_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", qr_failing_once)
+        fact = _leading_svd(a, 5)
+        assert failures == [] and dense_svd_calls == [(200, 170)]
+        dense = compute_svd(a)
+        for name in ("u", "sigma", "v"):
+            assert getattr(fact, name).tobytes() == getattr(dense, name).tobytes()
+
     def test_repeated_calls_are_bitwise_equal(self):
         a = graded(np.random.default_rng(22), 200, 160, 0.7 ** np.arange(160))
         first, second = _leading_svd(a, 5), _leading_svd(a, 5)

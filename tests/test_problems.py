@@ -345,6 +345,25 @@ class TestLoading:
         with pytest.raises(ValueError, match="expected 4 entries, got 3"):
             load_problem(short)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"type": "lowrank_approx", "payload": {}}, "problem document: missing key 'shape'"),
+        ({"type": "lowrank_approx", "shape": [2, 2], "payload": {}},
+         "problem document: missing key 'target'"),
+        ({"type": "polynomial", "shape": [2, 2], "payload": {"terms": [{"monomial": []}]}},
+         "problem document: missing key 'coeff'"),
+        ({"type": "lowrank_approx", "shape": [2, 2], "payload": {"target": {"rows": 2, "cols": 2}}},
+         "matrix document: missing key 'entries'"),
+    ], ids=["shape", "target", "coeff", "entries"])
+    def test_missing_key_is_named(self, doc, message):
+        with pytest.raises(ValueError, match=f"^malformed {message}$"):
+            load_problem(doc)
+
+    def test_unparsable_file_is_named(self, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text('{"type": "lowrank_approx", "shape": [2, 2], "payl')
+        with pytest.raises(ValueError, match=f"^malformed JSON in {path}: "):
+            load_problem(path)
+
     @pytest.mark.parametrize("kind", ["lowrank_approx", "completion", "polynomial"])
     def test_skeletons_load(self, kind):
         problem = load_problem(problem_skeleton(kind))

@@ -57,6 +57,18 @@ def test_json_rejects_wrong_count():
         matrix_from_json({"rows": 2, "cols": 2, "entries": [1.0, 2.0, 3.0]})
 
 
+def test_json_missing_key_is_named():
+    with pytest.raises(ValueError, match="^malformed matrix document: missing key 'entries'$"):
+        matrix_from_json({"rows": 2, "cols": 2})
+
+
+def test_unparsable_json_file_is_named(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 2, "cols": 2, "entr')
+    with pytest.raises(ValueError, match=f"^malformed JSON in {path}: "):
+        load_matrix(path)
+
+
 def test_save_load_dispatch(tmp_path):
     x = awkward_matrix()
     csv_path = tmp_path / "m.csv"

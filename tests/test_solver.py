@@ -321,6 +321,20 @@ class TestSearch:
         assert record.delta_rank == 1
         assert record.candidates_evaluated == 2
 
+    def test_stationary_truncation_is_its_own_candidate(self):
+        # diag(1, 0, 0) is the minimizer, so its truncation of diag(1, 0.05, 0)
+        # has s = 0 and stands without a line search; plain P2GD only creeps there
+        problem = LowRankApproxProblem(np.diag([1.0, 0.0, 0.0]))
+        x0 = np.diag([1.0, 0.05, 0.0])
+        params = SolverParams(rank_bound=2, delta=0.1, stop_tol=1e-12,
+                              line_search=LineSearchParams(alpha_hi=0.5))
+        trace = p2gdr(problem, x0, params)
+        assert [(r.chosen_j, r.accepted_alpha, r.candidates_evaluated)
+                for r in trace.records] == [(1, 0.0, 2)]
+        assert (trace.termination, trace.final_f, trace.final_rank) == ("stationary", 0.0, 1)
+        plain = p2gd_plain(problem, x0, params)
+        assert (plain.termination, len(plain.records), plain.final_rank) == ("stationary", 36, 2)
+
     def test_nonfinite_cost_at_truncated_candidate(self):
         class NaNAtRankOne(LowRankApproxProblem):
             def eval(self, x):

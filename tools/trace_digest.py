@@ -11,7 +11,10 @@ file; that line's algorithm reads ``cli`` and its digest is of the
 that config with ``"x0": "random:7"`` (algorithm ``cli-random7``), since
 every workload itself starts from zero and so never factors a nonzero
 start. Two checkouts whose outputs are identical produce byte-identical
-traces on all sixteen solves.
+traces on all sixteen solves. A last line, ``check sha256=<digest>``,
+fingerprints the table that ``lowrankopt check`` prints, since the
+property suite builds every point it checks through the library's own
+constructors.
 
     PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] [--save DIR] > digest.txt
 
@@ -32,15 +35,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from lowrankopt import solver  # noqa: E402
+from lowrankopt import cli, solver  # noqa: E402
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SIZES = ("tiny", "full")
@@ -94,6 +99,10 @@ def main(argv=None) -> int:
                     random = random_start(inst)
                     report(name, size, "cli-" + RANDOM_START.replace(":", ""),
                            *workload.finish(random, workload.solve(random)))
+    table = io.StringIO()
+    with contextlib.redirect_stdout(table):
+        cli.main(["check"])
+    print(f"check sha256={hashlib.sha256(table.getvalue().encode('utf-8')).hexdigest()}")
     return 0
 
 
