@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
@@ -19,6 +20,11 @@ from .serialize import json_number, matrix_from_json, matrix_to_json, read_json
 class CostFunction(ABC):
     """A differentiable function of an m-by-n matrix.
 
+    Solvers evaluate a factored point through :meth:`evaluate`, once per
+    point. A subclass that redefines ``eval`` or ``gradient`` but not
+    ``evaluate`` gets the generic :meth:`evaluate` back, so a parent's
+    specialised ``evaluate`` never bypasses the redefined methods.
+
     Attributes
     ----------
     shape : (int, int)
@@ -26,6 +32,12 @@ class CostFunction(ABC):
     """
 
     shape: tuple[int, int]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        if "evaluate" not in own and ("eval" in own or "gradient" in own):
+            cls.evaluate = CostFunction.evaluate
 
     @abstractmethod
     def eval(self, x) -> float:
@@ -35,11 +47,33 @@ class CostFunction(ABC):
     def gradient(self, x) -> np.ndarray:
         ...
 
+    def evaluate(self, point) -> tuple[float, Callable[[], np.ndarray]]:
+        """Cost at a factored point and its gradient, deferred.
+
+        Forms ``point.matrix()`` once; the returned zero-argument callable
+        gives :meth:`gradient` at that matrix when called.
+        """
+        x = point.matrix()
+        return float(self.eval(x)), lambda: self.gradient(x)
+
     def _check_shape(self, x) -> np.ndarray:
         a = as_matrix(x)
         if a.shape != self.shape:
             raise ValueError(f"expected shape {self.shape}, got {a.shape}")
         return a
+
+
+def _evaluate_residual(self, point) -> tuple[float, Callable[[], np.ndarray]]:
+    """:meth:`CostFunction.evaluate` of a cost that is half the squared norm
+    of its gradient, the residual: one dense matrix and one residual.
+
+    The squares go into the matrix's buffer, which nothing else holds, and
+    are summed as ``eval`` sums them, so the cost is ``eval``'s bit for bit.
+    """
+    x = point.matrix()
+    d = self.gradient(x)
+    np.square(d, out=x)
+    return 0.5 * float(np.sum(x)), lambda: d
 
 
 class LowRankApproxProblem(CostFunction):
@@ -55,6 +89,8 @@ class LowRankApproxProblem(CostFunction):
 
     def gradient(self, x) -> np.ndarray:
         return self._check_shape(x) - self.target
+
+    evaluate = _evaluate_residual
 
 
 class MatrixCompletionProblem(CostFunction):
@@ -89,6 +125,8 @@ class MatrixCompletionProblem(CostFunction):
 
     def gradient(self, x) -> np.ndarray:
         return self._residual(x)
+
+    evaluate = _evaluate_residual
 
 
 class UserPolynomialProblem(CostFunction):

@@ -13,6 +13,7 @@ projected-descent baseline.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,7 +96,11 @@ class SolverParams:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    """Result of one accepted line-search step."""
+    """Result of one accepted line-search step.
+
+    ``gradient`` gives the gradient at ``next_point``: the zero-argument
+    callable that the trial's ``problem.evaluate`` returned.
+    """
 
     next_point: VarietyPoint
     accepted_alpha: float
@@ -103,6 +108,23 @@ class StepOutcome:
     f_before: float
     f_after: float
     s_before: float
+    gradient: Callable[[], np.ndarray]
+
+
+class SearchResult(tuple):
+    """The ``(point, record, f)`` triple of :func:`p2gdr_search`.
+
+    It unpacks and indexes as a 3-tuple. ``gradient`` is the winning
+    step's :attr:`StepOutcome.gradient`, or None when the winner is a
+    truncated copy that took no step.
+    """
+
+    gradient: Callable[[], np.ndarray] | None
+
+    def __new__(cls, point, record, f_value, gradient):
+        result = super().__new__(cls, (point, record, f_value))
+        result.gradient = gradient
+        return result
 
 
 @dataclass(frozen=True)
@@ -171,14 +193,22 @@ def _finite_or_none(x: float) -> float | None:
     return x if np.isfinite(x) else None
 
 
-def _evaluate(problem, point: VarietyPoint, f_value=None) -> tuple[StationarityReport, float]:
-    """Report and cost (evaluated unless ``f_value`` holds it) at a point the
-    solver stands on; a NaN or Inf gradient, measure or cost raises NonFiniteError."""
-    report = stationarity_measure(problem, point)
-    f = float(problem.eval(point.matrix())) if f_value is None else f_value
-    if not np.isfinite(f):
-        raise NonFiniteError(f"cost is {f} at a rank-{point.rank} point")
-    return report, f
+def _evaluate(
+    problem, point: VarietyPoint, f_value=None, gradient=None
+) -> tuple[StationarityReport, float]:
+    """Report and cost at a point the solver stands on; a NaN or Inf
+    gradient, measure or cost raises NonFiniteError.
+
+    Without ``f_value`` both come from one ``problem.evaluate(point)``.
+    Otherwise the gradient comes from ``gradient``, the callable that the
+    same evaluation returned, or is computed afresh when it is None.
+    """
+    if f_value is None:
+        f_value, gradient = problem.evaluate(point)
+    report = stationarity_measure(problem, point, None if gradient is None else gradient())
+    if not np.isfinite(f_value):
+        raise NonFiniteError(f"cost is {f_value} at a rank-{point.rank} point")
+    return report, f_value
 
 
 def p2gd_step(
@@ -196,6 +226,8 @@ def p2gd_step(
     ``X + alpha G`` back to the feasible set and s the direction norm. Each
     trial projects through :func:`project_step_factored`, which reuses the
     blocks of G; only the small core SVD is recomputed per trial alpha.
+    Each trial is evaluated by ``problem.evaluate``, and the accepted
+    one's gradient rides along in the outcome.
 
     ``report`` (the stationarity report at ``point``) and ``f_value``
     (the cost there) are computed unless both are supplied; a caller that
@@ -222,9 +254,10 @@ def p2gd_step(
     alpha = params.alpha_hi
     for backtracks in range(params.max_backtracks + 1):
         y = project_step_factored(point, report.tangent, alpha)
-        fy = float(problem.eval(y.matrix()))
+        fy, gradient = problem.evaluate(y)
         if fy <= f_value - params.c * alpha * s * s:
-            return StepOutcome(y, alpha, backtracks, f_value, fy, s)
+            return StepOutcome(y, alpha, backtracks, f_value, fy, s, gradient)
+        del gradient  # a rejected trial's gradient is not held through the next trial
         alpha *= params.beta
     raise LineSearchFailure(
         f"no sufficient decrease after {params.max_backtracks} backtracks "
@@ -262,13 +295,14 @@ def p2gdr_search(
     report: StationarityReport | None = None,
     f_value: float | None = None,
     index: int = 0,
-) -> tuple[VarietyPoint, IterationRecord, float]:
+) -> SearchResult:
     """One outer iteration: candidate steps from rank-truncated copies.
 
     Runs the descent step from the iterate itself (depth 0) and, when the
     delta-rank sits below the rank, from each truncation of the iterate
     down to the delta-rank. Returns the candidate with the smallest cost,
-    its record and that cost; ties go to the smallest truncation depth. A
+    its record and that cost, with the candidate's gradient attached (see
+    :class:`SearchResult`); ties go to the smallest truncation depth. A
     truncated copy that is already stationary within ``params.stop_tol``
     stands as its own candidate without stepping. ``report`` and
     ``f_value`` at ``point`` are computed unless both are supplied. A NaN or Inf
@@ -295,11 +329,12 @@ def p2gdr_search(
     best_f = np.inf
     best_j = 0
     best_alpha = 0.0
+    best_gradient = None
     for j in range(depth + 1):
         hat = point if j == 0 else point.truncated(rank - j)
         rep, f_hat = (report, f_value) if j == 0 else _evaluate(problem, hat)
         if rep.s_value <= stop_tol:
-            cand_point, cand_f, cand_alpha = hat, f_hat, 0.0
+            cand_point, cand_f, cand_alpha, cand_gradient = hat, f_hat, 0.0, None
         else:
             try:
                 out = p2gd_step(problem, hat, params.line_search, rep, f_hat)
@@ -307,8 +342,10 @@ def p2gdr_search(
                 exc.reduction_depth = j
                 raise
             cand_point, cand_f, cand_alpha = out.next_point, out.f_after, out.accepted_alpha
+            cand_gradient = out.gradient
         if cand_f < best_f:
             best_point, best_f, best_j, best_alpha = cand_point, cand_f, j, cand_alpha
+            best_gradient = cand_gradient
 
     record = IterationRecord(
         index=index,
@@ -320,7 +357,7 @@ def p2gdr_search(
         accepted_alpha=best_alpha,
         candidates_evaluated=depth + 1,
     )
-    return best_point, record, best_f
+    return SearchResult(best_point, record, best_f, best_gradient)
 
 
 def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
@@ -340,15 +377,18 @@ def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
                 termination = "max_iters"
                 break
             try:
-                point, record, f_value = p2gdr_search(
+                found = p2gdr_search(
                     problem, point, params, reduce=reduce, report=report, f_value=f_value,
                     index=len(records),
                 )
             except LineSearchFailure:
                 termination = "line_search_failure"
                 break
+            point, record, f_value = found
             records.append(record)
-            report, f_value = _evaluate(problem, point, f_value)
+            report, f_value = _evaluate(problem, point, f_value, found.gradient)
+            # The gradient is spent: do not hold it through the next iteration.
+            del found
         final_s = report.s_value
     except NonFiniteError:
         termination = "nonfinite"

@@ -203,27 +203,38 @@ def project_step_factored(
     return VarietyPoint.from_svd(SvdFactorization(ql @ uu, ss, qr_ @ vvh.T), point.rank_bound)
 
 
-def _cone_blocks(point: VarietyPoint, g: np.ndarray) -> tuple[TangentDecomposition, float]:
-    """Blocks of the projection of ``g`` onto the tangent cone, and its norm.
+def _cone_blocks(
+    point: VarietyPoint, g: np.ndarray, negate: bool = False
+) -> tuple[TangentDecomposition, float]:
+    """Blocks of the projection of H = ``g`` (``-g`` if ``negate``) onto the
+    tangent cone, and its norm.
 
-    D = G - U U^T G - c_rows V^T is formed (in one m-by-n buffer, an exact
-    copy of G at rank 0) and truncated only when the point has spare rank
-    budget; at full rank the cone is the tangent space and D's share is the
-    zero point.
+    D = H - S, with S = U U^T H + c_rows V^T, is formed (in one m-by-n
+    buffer, an exact copy of H at rank 0) and truncated only when the point
+    has spare rank budget; at full rank the cone is the tangent space and
+    D's share is the zero point. Negating forms no -G: it scales the small
+    products of ``g`` by -1, and D as (-S) - G, which is (-G) - S to the
+    bit, signed zeros included, since IEEE subtraction adds the negation
+    and addition commutes.
     """
     m, n = point.shape
     if g.shape != (m, n):
         raise ValueError(f"direction shape {g.shape} does not match point shape {(m, n)}")
     u, v = point.u, point.v
-    utg = u.T @ g
+    sign = -1.0 if negate else 1.0
+    utg = sign * (u.T @ g)
     core = utg @ v
     b_cols = utg - core @ v.T
-    c_rows = g @ v - u @ core
+    c_rows = sign * (g @ v) - u @ core
     budget = point.rank_bound - point.rank
     if budget > 0:
         d_full = u @ utg
         d_full += c_rows @ v.T
-        np.subtract(g, d_full, out=d_full)
+        if negate:
+            np.negative(d_full, out=d_full)
+            np.subtract(d_full, g, out=d_full)
+        else:
+            np.subtract(g, d_full, out=d_full)
         d_tr = project_to_variety(d_full, budget)
     else:
         d_tr = VarietyPoint.zero((m, n), 0)
@@ -267,19 +278,20 @@ def project_to_tangent_cone(
     return decomp, projected, norm
 
 
-def stationarity_measure(problem, point: VarietyPoint) -> StationarityReport:
+def stationarity_measure(problem, point: VarietyPoint, gradient=None) -> StationarityReport:
     """First-order stationarity of ``problem`` at ``point``.
 
-    Evaluates the gradient at the materialized point and projects its
-    negative onto the cone of feasible directions. The measure is computed
-    at the point's declared factored rank, never by re-thresholding the
-    dense matrix. A NaN or Inf gradient entry, or a norm that overflows to
-    Inf, raises :class:`~lowrankopt.linalg.NonFiniteError`.
+    Projects the negative of ``gradient``, the gradient at the point
+    (evaluated at the materialized point when None), onto the cone of
+    feasible directions. The measure is computed at the point's declared
+    factored rank, never by re-thresholding the dense matrix. A NaN or Inf
+    gradient entry, or a norm that overflows to Inf, raises
+    :class:`~lowrankopt.linalg.NonFiniteError`.
     """
-    g = as_matrix(problem.gradient(point.matrix()))
+    g = as_matrix(problem.gradient(point.matrix()) if gradient is None else gradient)
     # A norm that overflows is reported by the check below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        decomp, s = _cone_blocks(point, -g)
+        decomp, s = _cone_blocks(point, g, negate=True)
         report = StationarityReport(s_value=s, gradient_norm=frobenius(g), tangent=decomp)
     if not (np.isfinite(report.gradient_norm) and np.isfinite(s)):
         raise NonFiniteError(f"gradient norm {report.gradient_norm} or measure {s} is not finite")

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import random_point_factors
+
 from lowrankopt.linalg import frobenius, singular_values, truncate_to_rank
 from lowrankopt.problems import (
+    CostFunction,
     LowRankApproxProblem,
     MatrixCompletionProblem,
     UserPolynomialProblem,
@@ -15,7 +18,7 @@ from lowrankopt.problems import (
     load_problem,
     problem_skeleton,
 )
-from lowrankopt.variety import point_from_matrix, stationarity_measure
+from lowrankopt.variety import VarietyPoint, point_from_matrix, stationarity_measure
 
 
 def loop_polynomial(shape, terms, x):
@@ -155,6 +158,91 @@ class TestMatrixCompletion:
     def test_mask_shape_mismatch(self):
         with pytest.raises(ValueError):
             MatrixCompletionProblem(np.eye(3), np.ones((2, 3), dtype=bool))
+
+
+def assert_bitwise_equal(a, b):
+    """Equal values and equal signs, also of zeros."""
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestEvaluate:
+    """``evaluate(point)`` is ``eval`` and ``gradient`` at ``point.matrix()``, bit for bit."""
+
+    def point(self, rng, m, n, rank):
+        u, sigma, v = random_point_factors(rng, m, n, rank)
+        return VarietyPoint(u, sigma, v, rank)
+
+    def assert_matches(self, problem, point):
+        f, gradient = problem.evaluate(point)
+        x = point.matrix()
+        assert type(f) is float
+        assert_bitwise_equal(f, problem.eval(x))
+        assert_bitwise_equal(gradient(), problem.gradient(x))
+
+    def test_completion_with_negative_unobserved_residuals(self):
+        rng = np.random.default_rng(30)
+        for rank in (0, 1, 3):
+            point = self.point(rng, 9, 8, rank)
+            # target above the point everywhere: every residual x - target is
+            # negative, so the unobserved ones are -0.0 before the += 0.0 rule
+            target = point.matrix() + np.abs(rng.standard_normal((9, 8))) + 0.1
+            mask = rng.random((9, 8)) < 0.4
+            problem = MatrixCompletionProblem(target, mask)
+            self.assert_matches(problem, point)
+            _, gradient = problem.evaluate(point)
+            assert not np.any(np.signbit(gradient()[~mask]))
+
+    def test_lowrank_approx(self):
+        rng = np.random.default_rng(32)
+        for rank in (0, 2, 4):
+            self.assert_matches(LowRankApproxProblem(rng.standard_normal((7, 6))),
+                                self.point(rng, 7, 6, rank))
+
+    def test_polynomial_takes_the_generic_evaluate(self, poly_deg4):
+        assert type(poly_deg4).evaluate is CostFunction.evaluate
+        point = point_from_matrix(np.diag([0.5, -1.5, 0.0]), 2)
+        self.assert_matches(poly_deg4, point)
+
+    def test_generic_gradient_is_deferred(self):
+        calls = []
+
+        class Counting(LowRankApproxProblem):
+            def gradient(self, x):
+                calls.append(x)
+                return super().gradient(x)
+
+        problem = Counting(np.eye(3))
+        point = point_from_matrix(np.diag([2.0, 0.0, 0.0]), 1)
+        f, gradient = problem.evaluate(point)
+        assert f == 1.5 and calls == []
+        assert_bitwise_equal(gradient(), np.diag([1.0, -1.0, -1.0]))
+        assert len(calls) == 1
+
+    def test_subclass_that_redefines_a_method_gets_the_generic_evaluate(self):
+        class GradientOnly(MatrixCompletionProblem):
+            def gradient(self, x):
+                return super().gradient(x)
+
+        class EvalOnly(LowRankApproxProblem):
+            def eval(self, x):
+                return super().eval(x)
+
+        class OwnEvaluate(MatrixCompletionProblem):
+            def gradient(self, x):
+                return super().gradient(x)
+
+            def evaluate(self, point):
+                return super().evaluate(point)
+
+        class Unchanged(MatrixCompletionProblem):
+            pass
+
+        assert GradientOnly.evaluate is CostFunction.evaluate
+        assert EvalOnly.evaluate is CostFunction.evaluate
+        assert OwnEvaluate.evaluate is not CostFunction.evaluate
+        assert Unchanged.evaluate is MatrixCompletionProblem.evaluate
+        assert MatrixCompletionProblem.evaluate is not CostFunction.evaluate
+        assert LowRankApproxProblem.evaluate is not CostFunction.evaluate
 
 
 class TestPolynomial:

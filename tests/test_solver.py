@@ -516,6 +516,24 @@ class TestOuterLoop:
         assert trace.final_f == -np.inf and trace.summary()["final_f"] is None
         assert np.isnan(trace.final_s)
 
+    def test_nonfinite_trial_point_is_nonfinite(self, monkeypatch):
+        # A trial point whose singular values overflowed: the completion
+        # problem's own evaluate meets a matrix of Inf and NaN entries.
+        rng = np.random.default_rng(27)
+        problem = MatrixCompletionProblem(rng.standard_normal((6, 5)), rng.random((6, 5)) < 0.7)
+        step = solver.project_step_factored
+
+        def overflowing_step(point, tangent, alpha):
+            y = step(point, tangent, alpha)
+            return VarietyPoint(y.u, np.full(y.rank, np.inf), y.v, y.rank_bound)
+
+        monkeypatch.setattr(solver, "project_step_factored", overflowing_step)
+        with np.errstate(invalid="ignore"):
+            trace = p2gdr(problem, np.zeros((6, 5)), SolverParams(rank_bound=2, delta=0.1))
+        assert trace.termination == "nonfinite"
+        assert trace.records == []
+        assert np.isfinite(trace.final_f) and np.isnan(trace.final_s)
+
     def test_infeasible_start(self):
         from lowrankopt.variety import InfeasiblePointError
 
@@ -624,6 +642,79 @@ class TestOuterLoop:
             assert 0 <= rec.chosen_j <= rec.rank - rec.delta_rank
             assert rec.candidates_evaluated == rec.rank - rec.delta_rank + 1
             assert rec.accepted_alpha >= 0.0
+
+
+class TestEvaluationContract:
+    """Each point is evaluated once, through ``problem.evaluate``."""
+
+    PARAMS = SolverParams(rank_bound=4, delta=1e-12, max_iters=300)
+
+    @staticmethod
+    def completion(cls=MatrixCompletionProblem):
+        rng = np.random.default_rng(21)
+        a, _ = truncate_to_rank(rng.standard_normal((40, 30)), 4)
+        return cls(a, rng.uniform(size=(40, 30)) < 0.5)
+
+    def test_subclass_redefining_one_method_is_called(self):
+        calls = []
+
+        class GradientOnly(MatrixCompletionProblem):
+            def gradient(self, x):
+                calls.append("gradient")
+                return super().gradient(x)
+
+        class EvalOnly(MatrixCompletionProblem):
+            def eval(self, x):
+                calls.append("eval")
+                return super().eval(x)
+
+        reference = p2gdr(self.completion(), np.zeros((40, 30)), self.PARAMS)
+        for cls in (GradientOnly, EvalOnly):
+            calls.clear()
+            trace = p2gdr(self.completion(cls), np.zeros((40, 30)), self.PARAMS)
+            assert trace.to_csv() == reference.to_csv()
+            assert (trace.final_f, trace.final_s) == (reference.final_f, reference.final_s)
+            assert len(calls) >= len(trace.records) + 1
+
+    def test_matrix_formed_once_per_trial_and_at_start(self, monkeypatch):
+        formed = []
+        backtracks = []
+        matrix, step = VarietyPoint.matrix, solver.p2gd_step
+
+        def counted_matrix(point):
+            formed.append(point.rank)
+            return matrix(point)
+
+        def counted_step(*args, **kwargs):
+            out = step(*args, **kwargs)
+            backtracks.append(out.backtrack_count)
+            return out
+
+        monkeypatch.setattr(VarietyPoint, "matrix", counted_matrix)
+        monkeypatch.setattr(solver, "p2gd_step", counted_step)
+        trace = p2gdr(self.completion(), np.zeros((40, 30)), self.PARAMS)
+        assert trace.termination == "stationary"
+        assert all(rec.candidates_evaluated == 1 for rec in trace.records)
+        assert len(formed) == 1 + len(trace.records) + sum(backtracks)
+
+    def test_search_hands_over_the_winners_gradient(self):
+        rng = np.random.default_rng(22)
+        problem = MatrixCompletionProblem(rng.standard_normal((8, 6)), rng.random((8, 6)) < 0.6)
+        point = make_point(rng, 8, 6, 3, 3)
+        found = p2gdr_search(problem, point, SolverParams(rank_bound=3, delta=0.1, stop_tol=0.0))
+        best, record, f = found
+        assert len(found) == 3 and found[0] is best and found[2] == f
+        assert f == problem.eval(best.matrix())
+        assert np.array_equal(found.gradient(), problem.gradient(best.matrix()))
+
+    def test_stationary_truncation_hands_over_no_gradient(self):
+        problem = LowRankApproxProblem(np.diag([1.0, 0.0, 0.0]))
+        point = point_from_matrix(np.diag([1.0, 0.05, 0.0]), 2)
+        params = SolverParams(rank_bound=2, delta=0.1, stop_tol=1e-12,
+                              line_search=LineSearchParams(alpha_hi=0.5))
+        found = p2gdr_search(problem, point, params)
+        assert (found[1].chosen_j, found[1].accepted_alpha) == (1, 0.0)
+        assert found.gradient is None
 
 
 def test_search_agrees_with_bruteforce_candidates():

@@ -8,7 +8,7 @@ from oracles import complement, random_point_factors, reference_tangent_projecti
 
 from lowrankopt import variety
 from lowrankopt.linalg import compute_svd, distance_to_bounded_rank, frobenius, truncate_to_rank
-from lowrankopt.problems import LowRankApproxProblem
+from lowrankopt.problems import LowRankApproxProblem, MatrixCompletionProblem
 from lowrankopt.variety import (
     InfeasiblePointError,
     VarietyPoint,
@@ -407,6 +407,55 @@ class TestStationarity:
             s1 = stationarity_measure(problem, point).s_value
             s2 = stationarity_measure(problem, flipped).s_value
             assert s2 == pytest.approx(s1, rel=1e-9)
+
+
+def assert_bitwise_equal(a, b):
+    """Equal values and equal signs, also of zeros."""
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestSuppliedGradient:
+    """A gradient handed to ``stationarity_measure`` changes nothing in its report."""
+
+    @pytest.mark.parametrize("rank", [0, 2, 4], ids=["zero", "spare-rank", "full-rank"])
+    def test_report_is_bitwise_the_same(self, rank):
+        rng = np.random.default_rng(50)
+        m, n, bound = 40, 30, 4
+        point = make_point(rng, m, n, bound, rank)
+        # Every residual is negative, so the unobserved entries of -G are -0.0.
+        target = point.matrix() + np.abs(rng.standard_normal((m, n))) + 0.1
+        problem = MatrixCompletionProblem(target, rng.random((m, n)) < 0.3)
+        _, gradient = problem.evaluate(point)
+        supplied = stationarity_measure(problem, point, gradient())
+        computed = stationarity_measure(problem, point)
+        # The dense route: project -G, formed as a whole, onto the cone.
+        decomp, _, norm = project_to_tangent_cone(point, -problem.gradient(point.matrix()))
+        assert supplied.s_value == computed.s_value == norm
+        assert supplied.gradient_norm == computed.gradient_norm
+        for name in ("a", "b_cols", "c_rows"):
+            assert_bitwise_equal(getattr(supplied.tangent, name), getattr(computed.tangent, name))
+            assert_bitwise_equal(getattr(supplied.tangent, name), getattr(decomp, name))
+        for name in ("u", "sigma", "v"):
+            d = getattr(supplied.tangent.d_truncated, name)
+            assert_bitwise_equal(d, getattr(computed.tangent.d_truncated, name))
+            assert_bitwise_equal(d, getattr(decomp.d_truncated, name))
+        assert supplied.tangent.d_truncated.rank == bound - rank
+
+    def test_full_rank_allocates_less_than_one_copy(self):
+        # At full rank no D-block is formed, so neither is -G.
+        rng = np.random.default_rng(51)
+        m, n, bound = 400, 300, 5
+        point = make_point(rng, m, n, bound, bound)
+        problem = MatrixCompletionProblem(rng.standard_normal((m, n)), rng.random((m, n)) < 0.3)
+        _, gradient = problem.evaluate(point)
+        g = gradient()
+        tracemalloc.start()
+        try:
+            stationarity_measure(problem, point, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.nbytes
 
 
 class TestTangentCurve:

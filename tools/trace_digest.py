@@ -3,10 +3,12 @@
 Solves each perfbench workload at both sizes (tiny, full) with both
 algorithms (p2gdr, p2gd_plain) directly on the workload's instance, and
 prints one line per solve: workload, size, algorithm, iterations,
-termination and the sha256 of the trace CSV. A workload that runs through
-``lowrankopt run`` (rankdrop-cli) is also solved at both sizes by its own
-``solve`` and ``finish``, that is through ``cli.main`` from its config
-file; that line's algorithm reads ``cli`` and its digest is of the
+termination, the sha256 of the trace CSV, and the final report
+(``final_f`` and ``final_s`` to 17 significant digits, ``final_rank``),
+which the CSV does not hold. A workload that runs through ``lowrankopt
+run`` (rankdrop-cli) is also solved at both sizes by its own ``solve``
+and ``finish``, that is through ``cli.main`` from its config file; that
+line's algorithm reads ``cli`` and its digest is of the
 ``trace_p2gdr.csv`` the run wrote. The same run is repeated from a copy of
 that config with ``"x0": "random:7"`` (algorithm ``cli-random7``), since
 every workload itself starts from zero and so never factors a nonzero
@@ -83,7 +85,8 @@ def main(argv=None) -> int:
     def report(name, size, algorithm, trace, csv):
         digest = hashlib.sha256(csv.encode("utf-8")).hexdigest()
         print(f"{name} {size} {algorithm} iters={len(trace.records)} "
-              f"termination={trace.termination} sha256={digest}", flush=True)
+              f"termination={trace.termination} sha256={digest} final_f={trace.final_f:.17g} "
+              f"final_s={trace.final_s:.17g} final_rank={trace.final_rank}", flush=True)
         if args.save is not None:
             (args.save / f"{name}-{size}-{algorithm}.csv").write_text(csv, encoding="utf-8")
 
