@@ -130,13 +130,14 @@ def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
     LEADING_OVERSAMPLE)``, the k triplets come from block subspace
     iteration. It starts from a Gaussian block of width ``k +
     LEADING_OVERSAMPLE`` drawn with a fixed seed, so repeated calls return
-    identical bytes. Each sweep takes the SVD of ``Q^T a`` (Rayleigh-Ritz),
-    then ``a V``, which both gives the residuals ``||a v_i - sigma_i u_i||``
-    and, orthonormalized, the next ``Q``; ``a^T u_i = sigma_i v_i`` holds
-    exactly by construction. The iteration stops when every one of the k
-    residuals is at most ``LEADING_RES_TOL * sigma_1``, never on the
-    singular values alone, so the factors agree with the dense SVD's to
-    about that share.
+    identical bytes. Each sweep forms ``B = Q^T a`` and takes the SVD of
+    its transpose ``B^T`` (Rayleigh-Ritz): the n-by-w side is the tall one,
+    on which LAPACK's SVD is cheaper than on the wide B. Then ``a V`` both
+    gives the residuals ``||a v_i - sigma_i u_i||`` and, orthonormalized,
+    the next ``Q``; ``a^T u_i = sigma_i v_i`` holds exactly by
+    construction. The iteration stops when every one of the k residuals is
+    at most ``LEADING_RES_TOL * sigma_1``, never on the singular values
+    alone, so the factors agree with the dense SVD's to about that share.
 
     On smaller matrices, when the decay of the largest residual predicts
     more than ``LEADING_MAX_SWEEPS`` sweeps (a flat spectrum past the k-th
@@ -153,16 +154,16 @@ def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
     for sweep in range(1, LEADING_MAX_SWEEPS + 1):
         try:
             q = np.linalg.qr(av)[0]
-            ub, s, vh = np.linalg.svd(q.T @ a, full_matrices=False)
+            vb, s, ubh = np.linalg.svd((q.T @ a).T, full_matrices=False)
         except np.linalg.LinAlgError:
             break
-        av = a @ vh.T
-        u = q @ ub[:, :k]
+        av = a @ vb
+        u = q @ ubh[:k].T
         r = av[:, :k] - u * s[:k]
         residual = float(np.sqrt(np.max(np.sum(r * r, axis=0))))
         tol = LEADING_RES_TOL * float(s[0])
         if residual <= tol:
-            return SvdFactorization(u, s[:k].copy(), vh[:k].T)
+            return SvdFactorization(u, s[:k].copy(), vb[:, :k])
         if previous is not None:
             rate = residual / previous
             if not (0 < rate < 1 and tol > 0):

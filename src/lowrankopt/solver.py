@@ -241,7 +241,11 @@ def p2gd_step(
     LineSearchFailure
         If ``max_backtracks`` reductions never reach sufficient decrease.
     NonFiniteError
-        If the gradient or cost at ``point`` (when checked here) is not finite.
+        If the gradient or cost at ``point`` (when checked here) is not
+        finite, or if a trial step's factors overflow (see
+        :func:`~lowrankopt.variety.project_step_factored`).
+    NumericalFailure
+        If the QR or SVD that projects a trial step does not converge.
     ValueError
         If the point is already stationary (zero direction norm).
     """

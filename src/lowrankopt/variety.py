@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     NonFiniteError,
+    NumericalFailure,
     SvdFactorization,
     _leading_svd,
     as_matrix,
@@ -188,18 +189,37 @@ def project_step_factored(
     sides by QR, and runs the SVD on the small core only, so no m-by-n
     matrix is formed or factored. Agrees with the dense projection
     :func:`project_to_variety` to tight tolerance.
+
+    Raises
+    ------
+    NonFiniteError
+        If a stacked factor or their small core overflows (a large
+        ``alpha`` times a large direction).
+    NumericalFailure
+        If a QR or the SVD of the finite factors does not converge.
     """
     d = tangent.d_truncated
-    # At rank 0 the first two blocks on each side have width 0; with D's too, QR and SVD
-    # of the zero-width factors give the zero point.
-    left = [point.u @ (np.diag(point.sigma) + alpha * tangent.a) + alpha * tangent.c_rows,
-            alpha * point.u,
-            alpha * (d.u * d.sigma)]
-    big_l = np.hstack(left)
-    big_r = np.hstack([point.v, tangent.b_cols.T, d.v])
-    ql, rl = np.linalg.qr(big_l)
-    qr_, rr = np.linalg.qr(big_r)
-    uu, ss, vvh = np.linalg.svd(rl @ rr.T, full_matrices=False)
+    # An overflow is reported by the checks below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # At rank 0 the first two blocks on each side have width 0; with D's too, QR and
+        # SVD of the zero-width factors give the zero point.
+        left = [point.u @ (np.diag(point.sigma) + alpha * tangent.a) + alpha * tangent.c_rows,
+                alpha * point.u,
+                alpha * (d.u * d.sigma)]
+        big_l = np.hstack(left)
+        big_r = np.hstack([point.v, tangent.b_cols.T, d.v])
+    if not (np.all(np.isfinite(big_l)) and np.all(np.isfinite(big_r))):
+        raise NonFiniteError(f"the step's factors at alpha {alpha:.3e} are not finite")
+    try:
+        ql, rl = np.linalg.qr(big_l)
+        qr_, rr = np.linalg.qr(big_r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            core = rl @ rr.T
+        if not np.all(np.isfinite(core)):
+            raise NonFiniteError(f"the step's core at alpha {alpha:.3e} is not finite")
+        uu, ss, vvh = np.linalg.svd(core, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(str(exc)) from exc
     return VarietyPoint.from_svd(SvdFactorization(ql @ uu, ss, qr_ @ vvh.T), point.rank_bound)
 
 

@@ -274,6 +274,26 @@ class TestRun:
         summary = json.loads((tmp_path / "results" / "summary_p2gdr.json").read_text())
         assert (summary["termination"], summary["iters"]) == ("nonfinite", 0)
 
+    def test_overflowing_trial_step_exits_5(self, tmp_path):
+        rng = np.random.default_rng(0)
+        target = rng.standard_normal((6, 5)) * 1e150
+        mask = (rng.random((6, 5)) < 0.7).astype(np.float64)
+        (tmp_path / "problem.json").write_text(json.dumps({
+            "type": "completion",
+            "shape": [6, 5],
+            "payload": {"target": matrix_to_json(target), "mask": matrix_to_json(mask)},
+        }))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"problem": "problem.json", "rank_bound": 2, "delta": 1e-3, "stop_tol": 0.0,
+             "alpha_hi": 1e160, "out": "results"}
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", str(config)]) == 5
+        summary = json.loads((tmp_path / "results" / "summary_p2gdr.json").read_text())
+        assert (summary["termination"], summary["iters"]) == ("nonfinite", 0)
+
     @pytest.mark.parametrize("x0", ["random:3", "x0.csv"])
     def test_failed_start_svd_exits_1(self, tmp_path, monkeypatch, capsys, x0):
         # The run's first SVD truncates the random start, or factors the file's.

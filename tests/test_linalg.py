@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lowrankopt.linalg import (
+    LEADING_RES_TOL,
     _leading_svd,
     compute_svd,
     delta_rank,
@@ -74,6 +75,36 @@ class TestLeadingSvd:
         assert fact.numerical_rank == dense.numerical_rank == k
         assert np.abs(fact.u.T @ fact.u - np.eye(k)).max() <= 1e-12
         assert np.abs(fact.v.T @ fact.v - np.eye(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(200, 160), (160, 200)])
+    def test_sweeps_factor_the_tall_side(self, monkeypatch, dense_svd_calls, shape):
+        a = graded(np.random.default_rng(25), *shape, 0.8 ** np.arange(160))
+        svd_shapes = []
+        svd = np.linalg.svd
+
+        def recorded(x, *args, **kwargs):
+            svd_shapes.append(np.shape(x))
+            return svd(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        _leading_svd(a, 4)
+        assert dense_svd_calls == [] and len(svd_shapes) > 1
+        assert all(rows >= cols for rows, cols in svd_shapes), svd_shapes
+
+    @pytest.mark.parametrize("shape", [(200, 160), (160, 200)])
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_triplets_satisfy_both_residuals(self, dense_svd_calls, shape, k):
+        a = graded(np.random.default_rng(26 + k), *shape, 2.0 * 0.8 ** np.arange(160))
+        fact = _leading_svd(a, k)
+        assert dense_svd_calls == []
+        u, s, v = fact.u, fact.sigma, fact.v
+        assert u.shape == (shape[0], k) and v.shape == (shape[1], k)
+        left = np.linalg.norm(a @ v - u * s, axis=0)
+        right = np.linalg.norm(a.T @ u - v * s, axis=0)
+        assert np.all(left <= LEADING_RES_TOL * s[0]), left / s[0]
+        assert np.all(right <= 1e-13 * s[0]), right / s[0]
+        assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
 
     def test_rank_below_k(self):
         rng = np.random.default_rng(20)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,13 @@ from numpy.testing import assert_allclose
 from oracles import random_point_factors, reference_backtracking_step
 
 from lowrankopt import solver
-from lowrankopt.linalg import NonFiniteError, frobenius, singular_values, truncate_to_rank
+from lowrankopt.linalg import (
+    NonFiniteError,
+    NumericalFailure,
+    frobenius,
+    singular_values,
+    truncate_to_rank,
+)
 from lowrankopt.problems import (
     CostFunction,
     LowRankApproxProblem,
@@ -234,6 +242,32 @@ class TestStep:
         assert out.shape == (6, 5)
         assert out.rank_bound == 2
         assert_allclose(out.matrix(), np.zeros((6, 5)))
+
+    def test_factored_projection_overflow_is_nonfinite(self):
+        # An alpha-scaled stack that overflows; then a finite stack whose
+        # first column's norm, alpha * sigma_1 = 2.3e308, overflows in QR.
+        rng = np.random.default_rng(28)
+        zero = point_from_matrix(np.zeros((6, 5)), 2)
+        tangent, _, _ = project_to_tangent_cone(zero, 1e150 * rng.standard_normal((6, 5)))
+        sigma_1 = tangent.d_truncated.sigma[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="factors"):
+                project_step_factored(zero, tangent, 1e200)
+            with pytest.raises(NonFiniteError, match="core"):
+                project_step_factored(zero, tangent, 2.3 * (1e308 / sigma_1))
+
+    def test_factored_projection_failure_is_numerical_failure(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        point = make_point(rng, 6, 5, 2, 1)
+        tangent, _, _ = project_to_tangent_cone(point, rng.standard_normal((6, 5)))
+
+        def no_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with pytest.raises(NumericalFailure, match="^SVD did not converge$"):
+            project_step_factored(point, tangent, 0.5)
 
     def test_factored_projection_path_in_step(self):
         # the step projects through the factored path and still reproduces
@@ -530,6 +564,26 @@ class TestOuterLoop:
         monkeypatch.setattr(solver, "project_step_factored", overflowing_step)
         with np.errstate(invalid="ignore"):
             trace = p2gdr(problem, np.zeros((6, 5)), SolverParams(rank_bound=2, delta=0.1))
+        assert trace.termination == "nonfinite"
+        assert trace.records == []
+        assert np.isfinite(trace.final_f) and np.isnan(trace.final_s)
+
+    @pytest.mark.parametrize("scale, alpha_hi", [
+        (1e150, 1e160), (1e100, 1e250), (1e153, 1e155), (1e10, 1e300),
+    ])
+    def test_overflowing_trial_step_is_nonfinite(self, scale, alpha_hi):
+        # The first trial's alpha-scaled factors overflow before any cost is
+        # evaluated; the solve ends nonfinite, with no numpy warning.
+        rng = np.random.default_rng(0)
+        target = rng.standard_normal((6, 5)) * scale
+        problem = MatrixCompletionProblem(target, rng.random((6, 5)) < 0.7)
+        params = SolverParams(
+            rank_bound=2, delta=1e-3, stop_tol=0.0,
+            line_search=LineSearchParams(alpha_hi=alpha_hi),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = p2gdr(problem, np.zeros((6, 5)), params)
         assert trace.termination == "nonfinite"
         assert trace.records == []
         assert np.isfinite(trace.final_f) and np.isnan(trace.final_s)
