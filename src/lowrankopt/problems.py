@@ -65,15 +65,21 @@ class CostFunction(ABC):
 
 def _evaluate_residual(self, point) -> tuple[float, Callable[[], np.ndarray]]:
     """:meth:`CostFunction.evaluate` of a cost that is half the squared norm
-    of its gradient, the residual: one dense matrix and one residual.
+    of its gradient, the residual: one dense matrix, which the residual
+    overwrites.
 
-    The squares go into the matrix's buffer, which nothing else holds, and
-    are summed as ``eval`` sums them, so the cost is ``eval``'s bit for bit.
+    ``point.matrix()`` is a fresh array that nothing else holds, so the
+    gradient is written over it, and the cost is ``eval``'s bit for bit.
     """
     x = point.matrix()
-    d = self.gradient(x)
-    np.square(d, out=x)
-    return 0.5 * float(np.sum(x)), lambda: d
+    d = self.gradient(x, out=x)
+    return _half_squared_norm(d), lambda: d
+
+
+def _half_squared_norm(d: np.ndarray) -> float:
+    """Half the squared Frobenius norm, as one dot of the flattened entries."""
+    flat = d.ravel()
+    return 0.5 * float(flat @ flat)
 
 
 class LowRankApproxProblem(CostFunction):
@@ -84,11 +90,11 @@ class LowRankApproxProblem(CostFunction):
         self.shape = self.target.shape
 
     def eval(self, x) -> float:
-        d = self._check_shape(x) - self.target
-        return 0.5 * float(np.sum(d * d))
+        return _half_squared_norm(self._check_shape(x) - self.target)
 
-    def gradient(self, x) -> np.ndarray:
-        return self._check_shape(x) - self.target
+    def gradient(self, x, out=None) -> np.ndarray:
+        """``x - target``, written into ``out`` when it is given."""
+        return np.subtract(self._check_shape(x), self.target, out=out)
 
     evaluate = _evaluate_residual
 
@@ -106,25 +112,25 @@ class MatrixCompletionProblem(CostFunction):
         self.shape = self.target.shape
         self._weights = self.mask.astype(np.float64)
 
-    def _residual(self, x) -> np.ndarray:
-        """``x - target`` on the observed entries and +0.0 elsewhere, in one buffer.
+    def _residual(self, x, out=None) -> np.ndarray:
+        """``x - target`` on the observed entries and +0.0 elsewhere, in one
+        buffer: ``out`` when it is given.
 
         Multiplying by the 0/1 weights leaves -0.0 where a negative residual
         is unobserved; adding 0.0 turns that into +0.0 and changes no other
         entry's value.
         """
-        d = self._check_shape(x) - self.target
+        d = np.subtract(self._check_shape(x), self.target, out=out)
         d *= self._weights
         d += 0.0
         return d
 
     def eval(self, x) -> float:
-        d = self._residual(x)
-        np.square(d, out=d)
-        return 0.5 * float(np.sum(d))
+        return _half_squared_norm(self._residual(x))
 
-    def gradient(self, x) -> np.ndarray:
-        return self._residual(x)
+    def gradient(self, x, out=None) -> np.ndarray:
+        """The residual, written into ``out`` when it is given."""
+        return self._residual(x, out)
 
     evaluate = _evaluate_residual
 

@@ -230,12 +230,14 @@ def _cone_blocks(
     tangent cone, and its norm.
 
     D = H - S, with S = U U^T H + c_rows V^T, is formed (in one m-by-n
-    buffer, an exact copy of H at rank 0) and truncated only when the point
-    has spare rank budget; at full rank the cone is the tangent space and
-    D's share is the zero point. Negating forms no -G: it scales the small
-    products of ``g`` by -1, and D as (-S) - G, which is (-G) - S to the
-    bit, signed zeros included, since IEEE subtraction adds the negation
-    and addition commutes.
+    buffer) and truncated only when the point has spare rank budget; at
+    full rank the cone is the tangent space and D's share is the zero
+    point. At rank 0, S is +0.0 everywhere and D is H itself, taken as one
+    negation or copy of ``g``: (-0.0) - g and g - (+0.0) are -g and g to the
+    bit. Otherwise negating forms no -G: it scales the small products of
+    ``g`` by -1, and D as (-S) - G, which is (-G) - S to the bit, signed
+    zeros included, since IEEE subtraction adds the negation and addition
+    commutes.
     """
     m, n = point.shape
     if g.shape != (m, n):
@@ -248,13 +250,16 @@ def _cone_blocks(
     c_rows = sign * (g @ v) - u @ core
     budget = point.rank_bound - point.rank
     if budget > 0:
-        d_full = u @ utg
-        d_full += c_rows @ v.T
-        if negate:
-            np.negative(d_full, out=d_full)
-            np.subtract(d_full, g, out=d_full)
+        if point.rank == 0:
+            d_full = np.negative(g) if negate else g.copy()
         else:
-            np.subtract(g, d_full, out=d_full)
+            d_full = u @ utg
+            d_full += c_rows @ v.T
+            if negate:
+                np.negative(d_full, out=d_full)
+                np.subtract(d_full, g, out=d_full)
+            else:
+                np.subtract(g, d_full, out=d_full)
         d_tr = project_to_variety(d_full, budget)
     else:
         d_tr = VarietyPoint.zero((m, n), 0)
@@ -308,14 +313,18 @@ def stationarity_measure(problem, point: VarietyPoint, gradient=None) -> Station
     gradient entry, or a norm that overflows to Inf, raises
     :class:`~lowrankopt.linalg.NonFiniteError`.
     """
-    g = as_matrix(problem.gradient(point.matrix()) if gradient is None else gradient)
-    # A norm that overflows is reported by the check below, not as a warning.
+    g = np.asarray(problem.gradient(point.matrix()) if gradient is None else gradient,
+                   dtype=np.float64)
+    # A NaN or Inf entry, or a sum of squares that overflows, makes the norm
+    # non-finite; that raises here, with no warning and no pass of its own.
     with np.errstate(over="ignore", invalid="ignore"):
+        gradient_norm = frobenius(g)
+        if not np.isfinite(gradient_norm):
+            raise NonFiniteError(f"gradient norm {gradient_norm} is not finite")
         decomp, s = _cone_blocks(point, g, negate=True)
-        report = StationarityReport(s_value=s, gradient_norm=frobenius(g), tangent=decomp)
-    if not (np.isfinite(report.gradient_norm) and np.isfinite(s)):
-        raise NonFiniteError(f"gradient norm {report.gradient_norm} or measure {s} is not finite")
-    return report
+    if not np.isfinite(s):
+        raise NonFiniteError(f"measure {s} is not finite")
+    return StationarityReport(s_value=s, gradient_norm=gradient_norm, tangent=decomp)
 
 
 def stationarity_sandwich_check(point: VarietyPoint, report: StationarityReport) -> bool:

@@ -18,6 +18,7 @@ from lowrankopt.problems import (
     load_problem,
     problem_skeleton,
 )
+from lowrankopt.solver import LineSearchParams, p2gd_step
 from lowrankopt.variety import VarietyPoint, point_from_matrix, stationarity_measure
 
 
@@ -153,7 +154,7 @@ class TestMatrixCompletion:
             g = problem.gradient(x)
             assert g.tobytes() == ref.tobytes()
             assert not np.any(np.signbit(g[~mask]))
-            assert problem.eval(x) == 0.5 * float(np.sum(ref * ref))
+            assert problem.eval(x) == 0.5 * float(ref.ravel() @ ref.ravel())
 
     def test_mask_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -243,6 +244,66 @@ class TestEvaluate:
         assert Unchanged.evaluate is MatrixCompletionProblem.evaluate
         assert MatrixCompletionProblem.evaluate is not CostFunction.evaluate
         assert LowRankApproxProblem.evaluate is not CostFunction.evaluate
+
+
+def residual_problems(rng, m, n):
+    """A completion and a low-rank-approximation problem of shape (m, n)."""
+    return [
+        MatrixCompletionProblem(rng.standard_normal((m, n)), rng.random((m, n)) < 0.3),
+        LowRankApproxProblem(rng.standard_normal((m, n))),
+    ]
+
+
+class TestResidualBuffer:
+    """The residual costs evaluate a point in the one matrix ``point.matrix()`` returns."""
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["completion", "lowrank"])
+    def test_evaluate_allocates_one_matrix(self, kind):
+        rng = np.random.default_rng(60)
+        m, n = 300, 200
+        problem = residual_problems(rng, m, n)[kind]
+        point = VarietyPoint(*random_point_factors(rng, m, n, 5), 5)
+        problem.evaluate(point)  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            _, gradient = problem.evaluate(point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # X, overwritten by the residual, and isfinite's m-by-n booleans.
+        assert peak < 1.5 * m * n * 8
+        assert gradient().shape == (m, n)
+
+    def test_gradient_out_is_the_buffer(self):
+        rng = np.random.default_rng(61)
+        for problem in residual_problems(rng, 9, 8):
+            # below the target everywhere: unobserved residuals would be -0.0
+            x = problem.target - np.abs(rng.standard_normal((9, 8)))
+            g = problem.gradient(x)
+            buffer = x.copy()
+            assert problem.gradient(buffer, out=buffer) is buffer
+            assert buffer.tobytes() == g.tobytes()
+
+    def test_overflowing_residual_cost_is_infinite(self):
+        rng = np.random.default_rng(62)
+        for problem in residual_problems(rng, 6, 5):
+            u, _, v = random_point_factors(rng, 6, 5, 2)
+            point = VarietyPoint(u, np.array([1e200, 1e199]), v, 2)
+            with np.errstate(over="ignore"):
+                f, gradient = problem.evaluate(point)
+                assert f == np.inf == problem.eval(point.matrix())
+            assert np.all(np.isfinite(gradient()))
+
+    def test_overflowing_trial_cost_backtracks(self):
+        # The first trial's entries are ~1e155: finite, but their squares
+        # overflow, so its cost is Inf and the search backtracks to alpha 1.
+        rng = np.random.default_rng(63)
+        for problem in residual_problems(rng, 6, 5):
+            params = LineSearchParams(alpha_hi=1e155, beta=1e-155)
+            with np.errstate(over="ignore"):
+                outcome = p2gd_step(problem, point_from_matrix(np.zeros((6, 5)), 2), params)
+            assert outcome.backtrack_count == 1 and outcome.accepted_alpha == 1.0
+            assert outcome.f_after < outcome.f_before
 
 
 class TestPolynomial:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from numpy.testing import assert_allclose
 from oracles import complement, random_point_factors, reference_tangent_projection
 
 from lowrankopt import variety
-from lowrankopt.linalg import compute_svd, distance_to_bounded_rank, frobenius, truncate_to_rank
+from lowrankopt.linalg import (
+    NonFiniteError,
+    compute_svd,
+    distance_to_bounded_rank,
+    frobenius,
+    truncate_to_rank,
+)
 from lowrankopt.problems import LowRankApproxProblem, MatrixCompletionProblem
 from lowrankopt.variety import (
     InfeasiblePointError,
@@ -456,6 +463,36 @@ class TestSuppliedGradient:
         finally:
             tracemalloc.stop()
         assert peak < g.nbytes
+
+    def test_rank_zero_allocates_less_than_one_and_a_half_copies(self):
+        # At rank 0 with spare budget, D is -G, formed as one negation of G.
+        # G's spectrum decays, so its leading triplets take subspace sweeps
+        # of m-by-(k + 10) blocks, not the dense SVD.
+        rng = np.random.default_rng(52)
+        m, n, bound = 400, 300, 5
+        point = VarietyPoint.zero((m, n), bound)
+        g = graded(rng, m, n, 0.7 ** np.arange(n))
+        problem = LowRankApproxProblem(np.zeros((m, n)))
+        stationarity_measure(problem, point, g)  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            stationarity_measure(problem, point, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * g.nbytes
+
+    @pytest.mark.parametrize("rank", [0, 2, 4], ids=["zero", "spare-rank", "full-rank"])
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflow"])
+    def test_nonfinite_gradient_raises_without_warning(self, rank, entry):
+        rng = np.random.default_rng(53)
+        point = make_point(rng, 8, 6, 4, rank)
+        g = rng.standard_normal((8, 6))
+        g[3, 2] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                stationarity_measure(LowRankApproxProblem(np.zeros((8, 6))), point, g)
 
 
 class TestTangentCurve:
