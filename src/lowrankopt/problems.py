@@ -13,8 +13,9 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, row_blocks
 from .serialize import json_number, matrix_from_json, matrix_to_json, read_json
+from .variety import FramedGradient
 
 
 class CostFunction(ABC):
@@ -51,7 +52,12 @@ class CostFunction(ABC):
         """Cost at a factored point and its gradient, deferred.
 
         Forms ``point.matrix()`` once; the returned zero-argument callable
-        gives :meth:`gradient` at that matrix when called.
+        gives :meth:`gradient` at that matrix when called. A cost may return
+        a :class:`~lowrankopt.variety.FramedGradient` as that callable: it
+        gives the same G, and carries ``||G||`` (bit for bit
+        ``frobenius(G)``) with ``U^T G`` and ``G V`` at the point's own
+        factors, which :func:`~lowrankopt.variety.stationarity_measure`
+        reads instead of passing over G for them.
         """
         x = point.matrix()
         return float(self.eval(x)), lambda: self.gradient(x)
@@ -63,43 +69,80 @@ class CostFunction(ABC):
         return a
 
 
-def _evaluate_residual(self, point) -> tuple[float, Callable[[], np.ndarray]]:
-    """:meth:`CostFunction.evaluate` of a cost that is half the squared norm
-    of its gradient, the residual: one dense matrix, which the residual
-    overwrites.
-
-    ``point.matrix()`` is a fresh array that nothing else holds, so the
-    gradient is written over it, and the cost is ``eval``'s bit for bit.
-    """
-    x = point.matrix()
-    d = self.gradient(x, out=x)
-    return _half_squared_norm(d), lambda: d
-
-
 def _half_squared_norm(d: np.ndarray) -> float:
     """Half the squared Frobenius norm, as one dot of the flattened entries."""
     flat = d.ravel()
     return 0.5 * float(flat @ flat)
 
 
-class LowRankApproxProblem(CostFunction):
+class ResidualCost(CostFunction):
+    """Half the squared Frobenius norm of a residual of ``x``, whose
+    gradient is that residual. A subclass forms it in ``_residual``.
+    """
+
+    @abstractmethod
+    def _residual(self, x: np.ndarray, rows: slice = slice(None), out=None) -> np.ndarray:
+        """Rows ``rows`` of the residual, for ``x`` holding those rows of
+        the matrix, written into ``out`` when it is given. ``x`` is not
+        checked."""
+
+    def eval(self, x) -> float:
+        return _half_squared_norm(self._residual(self._check_shape(x)))
+
+    def gradient(self, x) -> np.ndarray:
+        return self._residual(self._check_shape(x))
+
+    def evaluate(self, point) -> tuple[float, FramedGradient]:
+        """:meth:`CostFunction.evaluate` in one pass over row blocks of G.
+
+        Each block of :func:`~lowrankopt.linalg.row_blocks` is formed as
+        the point's rows (:meth:`~lowrankopt.linalg.SvdFactorization.reconstruct_rows`),
+        turned into the residual in place, and multiplied into the rows of
+        ``G V`` and the sum ``U^T G``, while it is in cache. The cost is
+        ``eval``'s single dot of the whole residual, and ``||G||`` its
+        root, so the cost and G are ``eval`` and ``gradient`` at
+        ``point.matrix()`` bit for bit.
+
+        X is not checked for NaN or Inf entries: one leaves the cost NaN
+        or Inf (Inf - t, and Inf * 0 at an unobserved entry), and only
+        then is ``point.matrix()`` checked, to raise
+        :class:`~lowrankopt.linalg.NonFiniteError` as ``eval`` would.
+        """
+        if point.shape != self.shape:
+            raise ValueError(f"expected shape {self.shape}, got {point.shape}")
+        u, v = point.u, point.v
+        g = np.empty(self.shape)
+        gv = np.empty((self.shape[0], v.shape[1]))
+        utg = None
+        for rows in row_blocks(*self.shape):
+            block = point.reconstruct_rows(rows, g[rows])
+            self._residual(block, rows, out=block)
+            np.matmul(block, v, out=gv[rows])
+            part = u[rows].T @ block
+            if utg is None:
+                utg = part
+            else:
+                utg += part
+        flat = g.ravel()
+        squares = float(flat @ flat)
+        if not math.isfinite(squares):
+            self._check_shape(point.matrix())
+        return 0.5 * squares, FramedGradient(g, math.sqrt(squares), u, v, utg, gv)
+
+
+class LowRankApproxProblem(ResidualCost):
     """Half squared Frobenius distance to a fixed target matrix."""
 
     def __init__(self, target):
         self.target = as_matrix(target)
         self.shape = self.target.shape
 
-    def eval(self, x) -> float:
-        return _half_squared_norm(self._check_shape(x) - self.target)
-
-    def gradient(self, x, out=None) -> np.ndarray:
-        """``x - target``, written into ``out`` when it is given."""
-        return np.subtract(self._check_shape(x), self.target, out=out)
-
-    evaluate = _evaluate_residual
+    def _residual(self, x, rows=slice(None), out=None) -> np.ndarray:
+        """``x - target``."""
+        return np.subtract(x, self.target[rows], out=out)
 
 
-class MatrixCompletionProblem(CostFunction):
+class MatrixCompletionProblem(ResidualCost):
     """Half squared misfit on the observed entries of a target matrix."""
 
     def __init__(self, target, mask):
@@ -110,29 +153,18 @@ class MatrixCompletionProblem(CostFunction):
                 f"mask shape {self.mask.shape} does not match target {self.target.shape}"
             )
         self.shape = self.target.shape
-        self._weights = self.mask.astype(np.float64)
 
-    def _residual(self, x, out=None) -> np.ndarray:
-        """``x - target`` on the observed entries and +0.0 elsewhere, in one
-        buffer: ``out`` when it is given.
+    def _residual(self, x, rows=slice(None), out=None) -> np.ndarray:
+        """``x - target`` on the observed entries and +0.0 elsewhere.
 
-        Multiplying by the 0/1 weights leaves -0.0 where a negative residual
-        is unobserved; adding 0.0 turns that into +0.0 and changes no other
-        entry's value.
+        Multiplying by the mask, read as 0/1 weights, leaves -0.0 where a
+        negative residual is unobserved; adding 0.0 turns that into +0.0
+        and changes no other entry's value.
         """
-        d = np.subtract(self._check_shape(x), self.target, out=out)
-        d *= self._weights
+        d = np.subtract(x, self.target[rows], out=out)
+        d *= self.mask[rows]
         d += 0.0
         return d
-
-    def eval(self, x) -> float:
-        return _half_squared_norm(self._residual(x))
-
-    def gradient(self, x, out=None) -> np.ndarray:
-        """The residual, written into ``out`` when it is given."""
-        return self._residual(x, out)
-
-    evaluate = _evaluate_residual
 
 
 class UserPolynomialProblem(CostFunction):

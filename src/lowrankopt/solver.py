@@ -201,11 +201,13 @@ def _evaluate(
 
     Without ``f_value`` both come from one ``problem.evaluate(point)``.
     Otherwise the gradient comes from ``gradient``, the callable that the
-    same evaluation returned, or is computed afresh when it is None.
+    same evaluation returned, or is computed afresh when it is None. The
+    callable goes to ``stationarity_measure`` as it is, so what it carries
+    besides G (see :class:`~lowrankopt.variety.FramedGradient`) is used.
     """
     if f_value is None:
         f_value, gradient = problem.evaluate(point)
-    report = stationarity_measure(problem, point, None if gradient is None else gradient())
+    report = stationarity_measure(problem, point, gradient)
     if not np.isfinite(f_value):
         raise NonFiniteError(f"cost is {f_value} at a rank-{point.rank} point")
     return report, f_value

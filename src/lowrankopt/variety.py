@@ -126,6 +126,33 @@ class TangentDecomposition:
 
 
 @dataclass(frozen=True)
+class FramedGradient:
+    """A gradient G with what the tangent cone at a point reads of it.
+
+    Calling it returns G, so it serves as the deferred gradient of a cost's
+    ``evaluate``. ``norm`` is ``||G||``, bit for bit ``frobenius(G)``;
+    ``utg`` and ``gv`` are ``U^T G`` and ``G V`` at the factors ``u`` and
+    ``v`` of the point G was taken at, equal to those products formed
+    whole up to rounding. At a point with no spare rank budget the cone
+    reads G through these alone.
+    """
+
+    g: np.ndarray
+    norm: float
+    u: np.ndarray
+    v: np.ndarray
+    utg: np.ndarray
+    gv: np.ndarray
+
+    def __call__(self) -> np.ndarray:
+        return self.g
+
+    def taken_at(self, point: SvdFactorization) -> bool:
+        """Whether the products were taken at ``point``'s own factor arrays."""
+        return self.u is point.u and self.v is point.v
+
+
+@dataclass(frozen=True)
 class StationarityReport:
     """Norms attached to one first-order stationarity evaluation.
 
@@ -224,10 +251,14 @@ def project_step_factored(
 
 
 def _cone_blocks(
-    point: VarietyPoint, g: np.ndarray, negate: bool = False
+    point: VarietyPoint, g: np.ndarray, negate: bool = False,
+    framed: FramedGradient | None = None,
 ) -> tuple[TangentDecomposition, float]:
     """Blocks of the projection of H = ``g`` (``-g`` if ``negate``) onto the
     tangent cone, and its norm.
+
+    ``U^T g`` and ``g V`` are taken from ``framed`` when it is given (the
+    caller has checked that it was taken at ``point``), else formed here.
 
     D = H - S, with S = U U^T H + c_rows V^T, is formed (in one m-by-n
     buffer) and truncated only when the point has spare rank budget; at
@@ -244,10 +275,11 @@ def _cone_blocks(
         raise ValueError(f"direction shape {g.shape} does not match point shape {(m, n)}")
     u, v = point.u, point.v
     sign = -1.0 if negate else 1.0
-    utg = sign * (u.T @ g)
+    utg, gv = (u.T @ g, g @ v) if framed is None else (framed.utg, framed.gv)
+    utg = sign * utg
     core = utg @ v
     b_cols = utg - core @ v.T
-    c_rows = sign * (g @ v) - u @ core
+    c_rows = sign * gv - u @ core
     budget = point.rank_bound - point.rank
     if budget > 0:
         if point.rank == 0:
@@ -306,22 +338,28 @@ def project_to_tangent_cone(
 def stationarity_measure(problem, point: VarietyPoint, gradient=None) -> StationarityReport:
     """First-order stationarity of ``problem`` at ``point``.
 
-    Projects the negative of ``gradient``, the gradient at the point
-    (evaluated at the materialized point when None), onto the cone of
-    feasible directions. The measure is computed at the point's declared
-    factored rank, never by re-thresholding the dense matrix. A NaN or Inf
-    gradient entry, or a norm that overflows to Inf, raises
-    :class:`~lowrankopt.linalg.NonFiniteError`.
+    Projects the negative of ``gradient``, the gradient at the point,
+    onto the cone of feasible directions. ``gradient`` is an array, or a
+    zero-argument callable that returns it (the deferred gradient of
+    ``problem.evaluate(point)``); when None it is evaluated at the
+    materialized point. A :class:`FramedGradient` taken at this point's
+    own factors lends its norm, ``U^T G`` and ``G V``; one taken anywhere
+    else is read as its array alone. The measure is computed at the
+    point's declared factored rank, never by re-thresholding the dense
+    matrix. A NaN or Inf gradient entry, or a norm that overflows to Inf,
+    raises :class:`~lowrankopt.linalg.NonFiniteError`.
     """
-    g = np.asarray(problem.gradient(point.matrix()) if gradient is None else gradient,
-                   dtype=np.float64)
+    if gradient is None:
+        gradient = problem.gradient(point.matrix())
+    g = np.asarray(gradient() if callable(gradient) else gradient, dtype=np.float64)
+    framed = gradient if isinstance(gradient, FramedGradient) and gradient.taken_at(point) else None
     # A NaN or Inf entry, or a sum of squares that overflows, makes the norm
     # non-finite; that raises here, with no warning and no pass of its own.
     with np.errstate(over="ignore", invalid="ignore"):
-        gradient_norm = frobenius(g)
+        gradient_norm = frobenius(g) if framed is None else framed.norm
         if not np.isfinite(gradient_norm):
             raise NonFiniteError(f"gradient norm {gradient_norm} is not finite")
-        decomp, s = _cone_blocks(point, g, negate=True)
+        decomp, s = _cone_blocks(point, g, negate=True, framed=framed)
     if not np.isfinite(s):
         raise NonFiniteError(f"measure {s} is not finite")
     return StationarityReport(s_value=s, gradient_norm=gradient_norm, tangent=decomp)

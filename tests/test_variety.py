@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -17,6 +18,7 @@ from lowrankopt.linalg import (
 )
 from lowrankopt.problems import LowRankApproxProblem, MatrixCompletionProblem
 from lowrankopt.variety import (
+    FramedGradient,
     InfeasiblePointError,
     VarietyPoint,
     point_from_matrix,
@@ -435,18 +437,45 @@ class TestSuppliedGradient:
         _, gradient = problem.evaluate(point)
         supplied = stationarity_measure(problem, point, gradient())
         computed = stationarity_measure(problem, point)
+        # One row block: the products the gradient carries are U^T G and
+        # G V to the bit.
+        framed = stationarity_measure(problem, point, gradient)
         # The dense route: project -G, formed as a whole, onto the cone.
         decomp, _, norm = project_to_tangent_cone(point, -problem.gradient(point.matrix()))
-        assert supplied.s_value == computed.s_value == norm
-        assert supplied.gradient_norm == computed.gradient_norm
+        assert supplied.s_value == computed.s_value == framed.s_value == norm
+        assert supplied.gradient_norm == computed.gradient_norm == framed.gradient_norm
         for name in ("a", "b_cols", "c_rows"):
             assert_bitwise_equal(getattr(supplied.tangent, name), getattr(computed.tangent, name))
+            assert_bitwise_equal(getattr(supplied.tangent, name), getattr(framed.tangent, name))
             assert_bitwise_equal(getattr(supplied.tangent, name), getattr(decomp, name))
         for name in ("u", "sigma", "v"):
             d = getattr(supplied.tangent.d_truncated, name)
             assert_bitwise_equal(d, getattr(computed.tangent.d_truncated, name))
+            assert_bitwise_equal(d, getattr(framed.tangent.d_truncated, name))
             assert_bitwise_equal(d, getattr(decomp.d_truncated, name))
         assert supplied.tangent.d_truncated.rank == bound - rank
+
+    def test_framed_products_are_read_only_at_their_own_point(self):
+        rng = np.random.default_rng(54)
+        m, n, bound = 40, 30, 4
+        point = make_point(rng, m, n, bound, 3)
+        problem = MatrixCompletionProblem(rng.standard_normal((m, n)), rng.random((m, n)) < 0.3)
+        _, gradient = problem.evaluate(point)
+        assert isinstance(gradient, FramedGradient) and gradient.taken_at(point)
+        # Products and a norm that disagree with G show where they are read.
+        wrong = dataclasses.replace(gradient, norm=1.0, utg=np.zeros_like(gradient.utg),
+                                    gv=np.zeros_like(gradient.gv))
+        own = stationarity_measure(problem, point, wrong)
+        assert own.gradient_norm == 1.0
+        assert not np.any(own.tangent.a) and not np.any(own.tangent.c_rows)
+        # Elsewhere, at a truncation or a copy with equal values, only G is read.
+        copy = VarietyPoint(point.u.copy(), point.sigma, point.v.copy(), bound)
+        for other in (point.truncated(2), copy):
+            assert not wrong.taken_at(other)
+            report = stationarity_measure(problem, other, wrong)
+            reference = stationarity_measure(problem, other, gradient())
+            assert report.gradient_norm == reference.gradient_norm == frobenius(gradient())
+            assert report.s_value == reference.s_value
 
     def test_full_rank_allocates_less_than_one_copy(self):
         # At full rank no D-block is formed, so neither is -G.
