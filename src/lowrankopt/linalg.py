@@ -25,10 +25,6 @@ LEADING_MIN_RATIO = 8
 # sweeps: at that point the dense SVD is cheaper.
 LEADING_RES_TOL = 1e-12
 LEADING_MAX_SWEEPS = 25
-# A pass over a dense m-by-n matrix that does several things to each row
-# takes about ROW_BLOCK_BYTES of rows at a time, so that a block stays in
-# the L2 cache while it is worked on.
-ROW_BLOCK_BYTES = 384 * 1024
 
 
 class NumericalFailure(np.linalg.LinAlgError):
@@ -90,32 +86,12 @@ class SvdFactorization:
         return int(np.count_nonzero(self.sigma > tau))
 
     def reconstruct(self) -> np.ndarray:
-        """The m-by-n matrix, formed block by block over :func:`row_blocks`.
-
-        A pass that forms the blocks with :meth:`reconstruct_rows` among
-        other work gets the same bits; one product of the whole factors may
-        differ from them in the last bits.
-        """
-        x = np.empty(self.shape)
-        for rows in row_blocks(*self.shape):
-            self.reconstruct_rows(rows, x[rows])
-        return x
-
-    def reconstruct_rows(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """Rows ``rows`` of the matrix, ``(U[rows] * sigma) V^T``, written into ``out``."""
-        return np.matmul(self.u[rows] * self.sigma, self.v.T, out=out)
+        return (self.u * self.sigma) @ self.v.T
 
     def leading(self, k: int) -> "SvdFactorization":
         """Factorization restricted to the first ``k`` singular triplets."""
         k = int(k)
         return SvdFactorization(self.u[:, :k].copy(), self.sigma[:k].copy(), self.v[:, :k].copy())
-
-
-def row_blocks(m: int, n: int) -> list[slice]:
-    """Consecutive slices covering rows ``0..m`` of an m-by-n float64 matrix,
-    each of about ``ROW_BLOCK_BYTES`` (one row at least)."""
-    step = max(1, ROW_BLOCK_BYTES // (8 * n))
-    return [slice(i, min(i + step, m)) for i in range(0, m, step)]
 
 
 def compute_svd(x) -> SvdFactorization:

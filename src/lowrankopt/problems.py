@@ -13,9 +13,9 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import as_matrix, row_blocks
+from .linalg import as_matrix
 from .serialize import json_number, matrix_from_json, matrix_to_json, read_json
-from .variety import FramedGradient
+from .variety import NormedGradient
 
 
 class CostFunction(ABC):
@@ -53,11 +53,11 @@ class CostFunction(ABC):
 
         Forms ``point.matrix()`` once; the returned zero-argument callable
         gives :meth:`gradient` at that matrix when called. A cost may return
-        a :class:`~lowrankopt.variety.FramedGradient` as that callable: it
-        gives the same G, and carries ``||G||`` (bit for bit
-        ``frobenius(G)``) with ``U^T G`` and ``G V`` at the point's own
-        factors, which :func:`~lowrankopt.variety.stationarity_measure`
-        reads instead of passing over G for them.
+        a :class:`~lowrankopt.variety.NormedGradient` as that callable: it
+        gives the same G and carries ``||G||`` (bit for bit
+        ``frobenius(G)``), which
+        :func:`~lowrankopt.variety.stationarity_measure` reads instead of
+        passing over G for it.
         """
         x = point.matrix()
         return float(self.eval(x)), lambda: self.gradient(x)
@@ -81,88 +81,75 @@ class ResidualCost(CostFunction):
     """
 
     @abstractmethod
-    def _residual(self, x: np.ndarray, rows: slice = slice(None), out=None) -> np.ndarray:
-        """Rows ``rows`` of the residual, for ``x`` holding those rows of
-        the matrix, written into ``out`` when it is given. ``x`` is not
-        checked."""
+    def _residual(self, x: np.ndarray, out=None) -> np.ndarray:
+        """The residual at ``x``, written into ``out`` when it is given.
+        ``x`` is not checked."""
 
     def eval(self, x) -> float:
         return _half_squared_norm(self._residual(self._check_shape(x)))
 
-    def gradient(self, x) -> np.ndarray:
-        return self._residual(self._check_shape(x))
+    def gradient(self, x, out=None) -> np.ndarray:
+        """The residual, written into ``out`` when it is given."""
+        return self._residual(self._check_shape(x), out)
 
-    def evaluate(self, point) -> tuple[float, FramedGradient]:
-        """:meth:`CostFunction.evaluate` in one pass over row blocks of G.
+    def evaluate(self, point) -> tuple[float, NormedGradient]:
+        """:meth:`CostFunction.evaluate` in one dense matrix, which the
+        residual overwrites.
 
-        Each block of :func:`~lowrankopt.linalg.row_blocks` is formed as
-        the point's rows (:meth:`~lowrankopt.linalg.SvdFactorization.reconstruct_rows`),
-        turned into the residual in place, and multiplied into the rows of
-        ``G V`` and the sum ``U^T G``, while it is in cache. The cost is
-        ``eval``'s single dot of the whole residual, and ``||G||`` its
-        root, so the cost and G are ``eval`` and ``gradient`` at
-        ``point.matrix()`` bit for bit.
-
-        X is not checked for NaN or Inf entries: one leaves the cost NaN
-        or Inf (Inf - t, and Inf * 0 at an unobserved entry), and only
-        then is ``point.matrix()`` checked, to raise
-        :class:`~lowrankopt.linalg.NonFiniteError` as ``eval`` would.
+        ``point.matrix()`` is a fresh array that nothing else holds, so the
+        gradient is written over it. The cost is ``eval``'s single dot of
+        the residual bit for bit, and ``||G||`` the root of that dot.
         """
-        if point.shape != self.shape:
-            raise ValueError(f"expected shape {self.shape}, got {point.shape}")
-        u, v = point.u, point.v
-        g = np.empty(self.shape)
-        gv = np.empty((self.shape[0], v.shape[1]))
-        utg = None
-        for rows in row_blocks(*self.shape):
-            block = point.reconstruct_rows(rows, g[rows])
-            self._residual(block, rows, out=block)
-            np.matmul(block, v, out=gv[rows])
-            part = u[rows].T @ block
-            if utg is None:
-                utg = part
-            else:
-                utg += part
+        x = point.matrix()
+        g = self.gradient(x, out=x)
         flat = g.ravel()
         squares = float(flat @ flat)
-        if not math.isfinite(squares):
-            self._check_shape(point.matrix())
-        return 0.5 * squares, FramedGradient(g, math.sqrt(squares), u, v, utg, gv)
+        return 0.5 * squares, NormedGradient(g, math.sqrt(squares))
 
 
 class LowRankApproxProblem(ResidualCost):
-    """Half squared Frobenius distance to a fixed target matrix."""
+    """Half squared Frobenius distance to a fixed target matrix.
+
+    The target is held as given (a float64 array is not copied), so a
+    later change to the caller's array changes the cost.
+    """
 
     def __init__(self, target):
         self.target = as_matrix(target)
         self.shape = self.target.shape
 
-    def _residual(self, x, rows=slice(None), out=None) -> np.ndarray:
+    def _residual(self, x, out=None) -> np.ndarray:
         """``x - target``."""
-        return np.subtract(x, self.target[rows], out=out)
+        return np.subtract(x, self.target, out=out)
 
 
 class MatrixCompletionProblem(ResidualCost):
-    """Half squared misfit on the observed entries of a target matrix."""
+    """Half squared misfit on the observed entries of a target matrix.
+
+    The mask is copied, one byte an entry, so a later change to the
+    caller's array leaves the cost as it was built. The target is held as
+    given (a float64 array is not copied), as in
+    :class:`LowRankApproxProblem`.
+    """
 
     def __init__(self, target, mask):
         self.target = as_matrix(target)
-        self.mask = np.asarray(mask, dtype=bool)
+        self.mask = np.array(mask, dtype=bool)
         if self.mask.shape != self.target.shape:
             raise ValueError(
                 f"mask shape {self.mask.shape} does not match target {self.target.shape}"
             )
         self.shape = self.target.shape
 
-    def _residual(self, x, rows=slice(None), out=None) -> np.ndarray:
+    def _residual(self, x, out=None) -> np.ndarray:
         """``x - target`` on the observed entries and +0.0 elsewhere.
 
         Multiplying by the mask, read as 0/1 weights, leaves -0.0 where a
         negative residual is unobserved; adding 0.0 turns that into +0.0
         and changes no other entry's value.
         """
-        d = np.subtract(x, self.target[rows], out=out)
-        d *= self.mask[rows]
+        d = np.subtract(x, self.target, out=out)
+        d *= self.mask
         d += 0.0
         return d
 

@@ -202,8 +202,8 @@ def _evaluate(
     Without ``f_value`` both come from one ``problem.evaluate(point)``.
     Otherwise the gradient comes from ``gradient``, the callable that the
     same evaluation returned, or is computed afresh when it is None. The
-    callable goes to ``stationarity_measure`` as it is, so what it carries
-    besides G (see :class:`~lowrankopt.variety.FramedGradient`) is used.
+    callable goes to ``stationarity_measure`` as it is, so a norm it
+    carries (see :class:`~lowrankopt.variety.NormedGradient`) is used.
     """
     if f_value is None:
         f_value, gradient = problem.evaluate(point)

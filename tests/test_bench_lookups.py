@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from lowrankopt import solver
-from lowrankopt.problems import LowRankApproxProblem, UserPolynomialProblem
+from lowrankopt.problems import LowRankApproxProblem
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,14 +30,9 @@ def test_tracer_installs_and_restores():
     with tracing.Tracer() as tracer:
         for name, (home, attr) in tracing.FUNCTIONS.items():
             assert getattr(home, attr) is not originals[name], name
-        # The residual costs evaluate a point in one pass of their own and
-        # call no gradient; a polynomial takes the generic evaluate, which does.
-        polynomial = UserPolynomialProblem(
-            (4, 4), [([(0, 0, 2)], 1.0), ([(1, 2, 2)], 1.0), ([(1, 2, 1)], -2.0)])
-        for problem in (LowRankApproxProblem(a), polynomial):
-            with tracer.solve(0):
-                solver.p2gdr(problem, np.zeros((4, 4)),
-                             solver.SolverParams(rank_bound=2, delta=0.1))
+        with tracer.solve(0):
+            solver.p2gdr(LowRankApproxProblem(a), np.zeros((4, 4)),
+                         solver.SolverParams(rank_bound=2, delta=0.1))
     names = {span[0] for span in tracer.spans}
     assert {"solver.p2gdr", "linalg.compute_svd", "problems.gradient"} <= names
     for name, (home, attr) in tracing.FUNCTIONS.items():

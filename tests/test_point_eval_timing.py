@@ -26,7 +26,7 @@ def timing_tool(monkeypatch):
     return module
 
 
-# A residual cost takes the row-blocked evaluate; the polynomial the generic one.
+# A residual cost takes ResidualCost.evaluate; the polynomial the generic one.
 @pytest.mark.parametrize("workload", ["mc-dense", "poly-desk"])
 def test_times_a_tiny_workload(timing_tool, capsys, workload):
     argv = ["--workload", workload, "--size", "tiny", "--repeats", "3"]

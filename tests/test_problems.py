@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from oracles import random_point_factors
 
-from lowrankopt import linalg, solver
+from lowrankopt import solver
 from lowrankopt.linalg import NonFiniteError, frobenius, singular_values, truncate_to_rank
 from lowrankopt.problems import (
     CostFunction,
@@ -21,7 +21,7 @@ from lowrankopt.problems import (
 )
 from lowrankopt.solver import LineSearchParams, SolverParams, p2gd_step, p2gdr
 from lowrankopt.variety import (
-    FramedGradient,
+    NormedGradient,
     VarietyPoint,
     point_from_matrix,
     stationarity_measure,
@@ -166,6 +166,15 @@ class TestMatrixCompletion:
         with pytest.raises(ValueError):
             MatrixCompletionProblem(np.eye(3), np.ones((2, 3), dtype=bool))
 
+    def test_mask_is_copied_and_target_held(self):
+        target, mask = np.ones((3, 3)), np.ones((3, 3), dtype=bool)
+        problem = MatrixCompletionProblem(target, mask)
+        assert problem.eval(np.zeros((3, 3))) == 4.5
+        mask[0, 0] = False
+        assert problem.eval(np.zeros((3, 3))) == 4.5
+        target[1, 1] = 5.0
+        assert problem.eval(np.zeros((3, 3))) == 16.5
+
 
 def assert_bitwise_equal(a, b):
     """Equal values and equal signs, also of zeros."""
@@ -185,6 +194,8 @@ class TestEvaluate:
         assert type(f) is float
         assert_bitwise_equal(f, problem.eval(x))
         assert_bitwise_equal(gradient(), problem.gradient(x))
+        if isinstance(gradient, NormedGradient):
+            assert gradient.norm == frobenius(gradient())
 
     def test_completion_with_negative_unobserved_residuals(self):
         rng = np.random.default_rng(30)
@@ -204,6 +215,14 @@ class TestEvaluate:
         for rank in (0, 2, 4):
             self.assert_matches(LowRankApproxProblem(rng.standard_normal((7, 6))),
                                 self.point(rng, 7, 6, rank))
+
+    def test_residual_costs_carry_the_norm(self):
+        rng = np.random.default_rng(33)
+        point = self.point(rng, 7, 6, 2)
+        for problem in residual_problems(rng, 7, 6):
+            _, gradient = problem.evaluate(point)
+            assert isinstance(gradient, NormedGradient)
+            self.assert_matches(problem, point)
 
     def test_polynomial_takes_the_generic_evaluate(self, poly_deg4):
         assert type(poly_deg4).evaluate is CostFunction.evaluate
@@ -261,7 +280,7 @@ def residual_problems(rng, m, n):
 
 
 class TestResidualBuffer:
-    """The residual costs evaluate a point in one m-by-n array, X overwritten by G."""
+    """The residual costs evaluate a point in the one matrix ``point.matrix()`` returns."""
 
     @pytest.mark.parametrize("kind", [0, 1], ids=["completion", "lowrank"])
     def test_evaluate_allocates_one_matrix(self, kind):
@@ -276,11 +295,19 @@ class TestResidualBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # X, overwritten by the residual; the products and a block's
-        # temporaries are k-by-n, m-by-k or one block's rows by k, and
-        # numpy casts the boolean mask through a buffer of 8192 floats.
-        assert peak < 1.25 * m * n * 8
+        # X, overwritten by the residual, and isfinite's m-by-n booleans.
+        assert peak < 1.5 * m * n * 8
         assert gradient().shape == (m, n)
+
+    def test_gradient_out_is_the_buffer(self):
+        rng = np.random.default_rng(61)
+        for problem in residual_problems(rng, 9, 8):
+            # below the target everywhere: unobserved residuals would be -0.0
+            x = problem.target - np.abs(rng.standard_normal((9, 8)))
+            g = problem.gradient(x)
+            buffer = x.copy()
+            assert problem.gradient(buffer, out=buffer) is buffer
+            assert buffer.tobytes() == g.tobytes()
 
     def test_overflowing_residual_cost_is_infinite(self):
         rng = np.random.default_rng(62)
@@ -304,66 +331,6 @@ class TestResidualBuffer:
             assert outcome.f_after < outcome.f_before
 
 
-def assert_close_normwise(a, b, rtol):
-    assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
-
-
-class TestRowBlockedPass:
-    """``evaluate`` of a residual cost over several row blocks, and the
-    norm and products its gradient carries."""
-
-    M, N, BLOCK_ROWS = 11, 6, 3
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(linalg, "ROW_BLOCK_BYTES", self.BLOCK_ROWS * 8 * self.N)
-        # three whole blocks and a remainder of two rows
-        assert [r.stop - r.start for r in linalg.row_blocks(self.M, self.N)] == [3, 3, 3, 2]
-
-    def problems_above(self, rng, point):
-        """Costs whose target lies above the point everywhere: every residual
-        is negative, so the unobserved ones would be -0.0."""
-        target = point.matrix() + np.abs(rng.standard_normal((self.M, self.N))) + 0.1
-        return [MatrixCompletionProblem(target, rng.random((self.M, self.N)) < 0.4),
-                LowRankApproxProblem(target)]
-
-    @pytest.mark.parametrize("rank", [0, 1, 4])
-    def test_matches_eval_gradient_and_products(self, rank):
-        rng = np.random.default_rng(70 + rank)
-        point = VarietyPoint(*random_point_factors(rng, self.M, self.N, rank), 4)
-        x = point.matrix()
-        rows = np.vstack([(point.u[r] * point.sigma) @ point.v.T
-                          for r in linalg.row_blocks(self.M, self.N)])
-        assert_bitwise_equal(x, rows)
-        for problem in self.problems_above(rng, point):
-            f, gradient = problem.evaluate(point)
-            g = problem.gradient(x)
-            assert isinstance(gradient, FramedGradient) and gradient.taken_at(point)
-            assert_bitwise_equal(f, problem.eval(x))
-            assert_bitwise_equal(gradient(), g)
-            if isinstance(problem, MatrixCompletionProblem):
-                assert not np.any(np.signbit(g[~problem.mask]))
-            assert gradient.norm == frobenius(g)
-            assert gradient.utg.shape == (rank, self.N) and gradient.gv.shape == (self.M, rank)
-            if rank:
-                assert_close_normwise(gradient.utg, point.u.T @ g, 1e-13)
-                assert_close_normwise(gradient.gv, g @ point.v, 1e-13)
-
-    def test_report_agrees_with_the_dense_route(self):
-        rng = np.random.default_rng(75)
-        for rank in (2, 4):
-            point = VarietyPoint(*random_point_factors(rng, self.M, self.N, rank), 4)
-            for problem in self.problems_above(rng, point):
-                _, gradient = problem.evaluate(point)
-                framed = stationarity_measure(problem, point, gradient)
-                dense = stationarity_measure(problem, point)
-                assert framed.gradient_norm == dense.gradient_norm
-                assert framed.s_value == pytest.approx(dense.s_value, rel=1e-13)
-                for name in ("a", "b_cols", "c_rows"):
-                    assert_close_normwise(getattr(framed.tangent, name),
-                                          getattr(dense.tangent, name), 1e-13)
-
-
 def overflowing_point(m, n):
     """A rank-2 point whose X overflows to Inf at (0, 0) and (1, 1) only.
 
@@ -377,9 +344,9 @@ def overflowing_point(m, n):
     return VarietyPoint(u, np.array([top, top]), v, 2)
 
 
-class TestUncheckedX:
-    """The pass runs no finiteness check on X: a NaN or Inf in X leaves the
-    cost non-finite, and only that cost sends X through the check."""
+class TestNonFiniteX:
+    """A NaN or Inf in X, even at an unobserved entry, raises; a trial with
+    one ends the solve ``nonfinite``."""
 
     def problem(self):
         m, n = 6, 5

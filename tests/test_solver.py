@@ -31,7 +31,7 @@ from lowrankopt.solver import (
     p2gdr_search,
 )
 from lowrankopt.variety import (
-    FramedGradient,
+    NormedGradient,
     VarietyPoint,
     point_from_matrix,
     project_step_factored,
@@ -732,32 +732,30 @@ class TestEvaluationContract:
             assert len(calls) >= len(trace.records) + 1
 
     def test_matrix_formed_once_per_trial_and_at_start(self, monkeypatch):
-        # Every dense matrix of a point is formed row block by row block,
-        # by ``matrix()`` or inside the residual cost's own pass.
         formed = []
         backtracks = []
-        rows_of, step = VarietyPoint.reconstruct_rows, solver.p2gd_step
+        matrix, step = VarietyPoint.matrix, solver.p2gd_step
 
-        def counted_rows(point, rows, out):
-            formed.append(out.shape[0])
-            return rows_of(point, rows, out)
+        def counted_matrix(point):
+            formed.append(point.rank)
+            return matrix(point)
 
         def counted_step(*args, **kwargs):
             out = step(*args, **kwargs)
             backtracks.append(out.backtrack_count)
             return out
 
-        monkeypatch.setattr(VarietyPoint, "reconstruct_rows", counted_rows)
+        monkeypatch.setattr(VarietyPoint, "matrix", counted_matrix)
         monkeypatch.setattr(solver, "p2gd_step", counted_step)
         trace = p2gdr(self.completion(), np.zeros((40, 30)), self.PARAMS)
         assert trace.termination == "stationary"
         assert all(rec.candidates_evaluated == 1 for rec in trace.records)
-        assert sum(formed) == 40 * (1 + len(trace.records) + sum(backtracks))
+        assert len(formed) == 1 + len(trace.records) + sum(backtracks)
 
-    def test_products_reach_the_measure_only_at_their_own_point(self, monkeypatch):
+    def test_gradients_reach_the_measure_only_at_their_own_point(self, monkeypatch):
         # Truncated candidates and rejected trials are evaluated too; the
-        # products a gradient carries reach stationarity_measure only with
-        # the point whose factor arrays they were taken at.
+        # gradient, and the norm it carries, reach stationarity_measure only
+        # with the point it was taken at.
         rng = np.random.default_rng(23)
         m, n = 30, 25
         u = np.linalg.qr(rng.standard_normal((m, 4)))[0]
@@ -791,10 +789,10 @@ class TestEvaluationContract:
         assert any(r.candidates_evaluated > 1 for r in trace.records)
         assert any(r.chosen_j > 0 for r in trace.records)
         # Each gradient measured is the one evaluate returned for that very
-        # point, a truncated candidate too, and was taken at its factors.
+        # point, a truncated candidate too.
         pairs = {(id(p), id(g)) for p, g in evaluated}
         for point, gradient in measured:
-            assert isinstance(gradient, FramedGradient) and gradient.taken_at(point)
+            assert isinstance(gradient, NormedGradient)
             assert (id(point), id(gradient)) in pairs
         # No rejected trial's gradient reaches the measure.
         handed = {id(g) for _, g in measured}

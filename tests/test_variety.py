@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -18,8 +17,8 @@ from lowrankopt.linalg import (
 )
 from lowrankopt.problems import LowRankApproxProblem, MatrixCompletionProblem
 from lowrankopt.variety import (
-    FramedGradient,
     InfeasiblePointError,
+    NormedGradient,
     VarietyPoint,
     point_from_matrix,
     project_to_tangent_cone,
@@ -437,45 +436,40 @@ class TestSuppliedGradient:
         _, gradient = problem.evaluate(point)
         supplied = stationarity_measure(problem, point, gradient())
         computed = stationarity_measure(problem, point)
-        # One row block: the products the gradient carries are U^T G and
-        # G V to the bit.
-        framed = stationarity_measure(problem, point, gradient)
+        # The deferred gradient itself, which lends its norm.
+        normed = stationarity_measure(problem, point, gradient)
         # The dense route: project -G, formed as a whole, onto the cone.
         decomp, _, norm = project_to_tangent_cone(point, -problem.gradient(point.matrix()))
-        assert supplied.s_value == computed.s_value == framed.s_value == norm
-        assert supplied.gradient_norm == computed.gradient_norm == framed.gradient_norm
+        assert supplied.s_value == computed.s_value == normed.s_value == norm
+        assert supplied.gradient_norm == computed.gradient_norm == normed.gradient_norm
         for name in ("a", "b_cols", "c_rows"):
             assert_bitwise_equal(getattr(supplied.tangent, name), getattr(computed.tangent, name))
-            assert_bitwise_equal(getattr(supplied.tangent, name), getattr(framed.tangent, name))
+            assert_bitwise_equal(getattr(supplied.tangent, name), getattr(normed.tangent, name))
             assert_bitwise_equal(getattr(supplied.tangent, name), getattr(decomp, name))
         for name in ("u", "sigma", "v"):
             d = getattr(supplied.tangent.d_truncated, name)
             assert_bitwise_equal(d, getattr(computed.tangent.d_truncated, name))
-            assert_bitwise_equal(d, getattr(framed.tangent.d_truncated, name))
+            assert_bitwise_equal(d, getattr(normed.tangent.d_truncated, name))
             assert_bitwise_equal(d, getattr(decomp.d_truncated, name))
         assert supplied.tangent.d_truncated.rank == bound - rank
 
-    def test_framed_products_are_read_only_at_their_own_point(self):
+    def test_carried_norm_is_read_in_place_of_g(self):
         rng = np.random.default_rng(54)
         m, n, bound = 40, 30, 4
         point = make_point(rng, m, n, bound, 3)
         problem = MatrixCompletionProblem(rng.standard_normal((m, n)), rng.random((m, n)) < 0.3)
         _, gradient = problem.evaluate(point)
-        assert isinstance(gradient, FramedGradient) and gradient.taken_at(point)
-        # Products and a norm that disagree with G show where they are read.
-        wrong = dataclasses.replace(gradient, norm=1.0, utg=np.zeros_like(gradient.utg),
-                                    gv=np.zeros_like(gradient.gv))
-        own = stationarity_measure(problem, point, wrong)
-        assert own.gradient_norm == 1.0
-        assert not np.any(own.tangent.a) and not np.any(own.tangent.c_rows)
-        # Elsewhere, at a truncation or a copy with equal values, only G is read.
-        copy = VarietyPoint(point.u.copy(), point.sigma, point.v.copy(), bound)
-        for other in (point.truncated(2), copy):
-            assert not wrong.taken_at(other)
-            report = stationarity_measure(problem, other, wrong)
-            reference = stationarity_measure(problem, other, gradient())
-            assert report.gradient_norm == reference.gradient_norm == frobenius(gradient())
-            assert report.s_value == reference.s_value
+        assert isinstance(gradient, NormedGradient)
+        assert gradient.norm == frobenius(gradient())
+        # A norm that disagrees with G shows that it is read, and only it.
+        wrong = NormedGradient(gradient(), 1.0)
+        report = stationarity_measure(problem, point, wrong)
+        reference = stationarity_measure(problem, point, gradient())
+        assert report.gradient_norm == 1.0
+        assert report.s_value == reference.s_value
+        # A non-finite carried norm raises as a non-finite G would.
+        with pytest.raises(NonFiniteError):
+            stationarity_measure(problem, point, NormedGradient(gradient(), np.inf))
 
     def test_full_rank_allocates_less_than_one_copy(self):
         # At full rank no D-block is formed, so neither is -G.
@@ -711,3 +705,55 @@ def test_truncated_keeps_leading_triplets():
     assert frobenius(cut.matrix() - point.matrix()) == pytest.approx(
         np.sqrt(np.sum(point.sigma[1:] ** 2)), rel=1e-12
     )
+
+
+def assert_close_normwise(a, b, rtol):
+    assert np.linalg.norm(a - b) <= rtol * np.linalg.norm(b)
+
+
+class TestFrameProducts:
+    """``U^T G`` and ``G V`` taken over several row blocks of G."""
+
+    M, N, BLOCK_ROWS = 11, 6, 3
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # three whole blocks of three rows and a remainder of two
+        monkeypatch.setattr(variety, "PRODUCT_BLOCK_BYTES", self.BLOCK_ROWS * 8 * self.N)
+
+    @pytest.mark.parametrize("rank", [0, 1, 4])
+    def test_blocked_products_match_the_whole_ones(self, rank):
+        rng = np.random.default_rng(70 + rank)
+        point = make_point(rng, self.M, self.N, 4, rank)
+        g = rng.standard_normal((self.M, self.N))
+        utg, gv = variety._frame_products(g, point.u, point.v)
+        assert utg.shape == (rank, self.N) and gv.shape == (self.M, rank)
+        if rank:
+            assert_close_normwise(utg, point.u.T @ g, 1e-13)
+            assert_close_normwise(gv, g @ point.v, 1e-13)
+
+    def test_one_block_is_the_whole_product(self, monkeypatch):
+        monkeypatch.setattr(variety, "PRODUCT_BLOCK_BYTES", self.M * 8 * self.N)
+        rng = np.random.default_rng(74)
+        point = make_point(rng, self.M, self.N, 4, 3)
+        g = rng.standard_normal((self.M, self.N))
+        utg, gv = variety._frame_products(g, point.u, point.v)
+        assert_bitwise_equal(utg, point.u.T @ g)
+        assert_bitwise_equal(gv, g @ point.v)
+
+    @pytest.mark.parametrize("rank", [0, 2, 4], ids=["zero", "spare-rank", "full-rank"])
+    def test_report_agrees_with_the_reference_projection(self, rank):
+        rng = np.random.default_rng(75 + rank)
+        point = make_point(rng, self.M, self.N, 4, rank)
+        # Every residual is negative, so the unobserved ones would be -0.0.
+        target = point.matrix() + np.abs(rng.standard_normal((self.M, self.N))) + 0.1
+        problem = MatrixCompletionProblem(target, rng.random((self.M, self.N)) < 0.4)
+        g = problem.gradient(point.matrix())
+        report = stationarity_measure(problem, point)
+        projected, reference, _ = reference_tangent_projection(
+            point.u, point.sigma, point.v, 4, -g)
+        assert report.gradient_norm == frobenius(g)
+        assert report.s_value == pytest.approx(reference, rel=1e-12)
+        _, dense, norm = project_to_tangent_cone(point, -g)
+        assert norm == report.s_value
+        assert_close_normwise(dense, projected, 1e-12)
