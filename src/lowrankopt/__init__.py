@@ -41,6 +41,7 @@ from .solver import (
 from .variety import (
     InfeasiblePointError,
     StationarityReport,
+    StepFrame,
     TangentDecomposition,
     VarietyPoint,
     point_from_matrix,
@@ -49,6 +50,7 @@ from .variety import (
     project_to_variety,
     stationarity_measure,
     stationarity_sandwich_check,
+    step_frame,
     tangent_curve,
     tangent_line_distance_bound,
     tightness_instance,
@@ -66,6 +68,7 @@ __all__ = [
     "NumericalFailure",
     "SolverParams",
     "StationarityReport",
+    "StepFrame",
     "StepOutcome",
     "SvdFactorization",
     "TangentDecomposition",
@@ -90,6 +93,7 @@ __all__ = [
     "singular_values",
     "stationarity_measure",
     "stationarity_sandwich_check",
+    "step_frame",
     "tangent_curve",
     "tangent_line_distance_bound",
     "tightness_instance",

@@ -57,6 +57,13 @@ def rank_threshold(sigma_max: float, shape: tuple[int, int]) -> float:
     return sigma_max * max(shape) * EPS
 
 
+def numerical_rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
+    """Number of the nonincreasing ``sigma`` of an m-by-n matrix above
+    :func:`rank_threshold` of the first."""
+    first = float(sigma[0]) if sigma.size else 0.0
+    return int(np.count_nonzero(sigma > rank_threshold(first, shape)))
+
+
 @dataclass(frozen=True)
 class SvdFactorization:
     """Thin SVD ``X = U diag(sigma) V^T`` of an m-by-n matrix X.
@@ -80,10 +87,7 @@ class SvdFactorization:
 
     @property
     def numerical_rank(self) -> int:
-        """Number of singular values above :func:`rank_threshold` of the first."""
-        first = float(self.sigma[0]) if self.sigma.size else 0.0
-        tau = rank_threshold(first, self.shape)
-        return int(np.count_nonzero(self.sigma > tau))
+        return numerical_rank(self.sigma, self.shape)
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T

@@ -25,6 +25,7 @@ from .variety import (
     point_from_matrix,
     project_step_factored,
     stationarity_measure,
+    step_frame,
 )
 
 
@@ -225,11 +226,13 @@ def p2gd_step(
     Projects the negative gradient onto the cone of feasible directions at
     ``point``, then shrinks the step size geometrically until
     ``f(Y) <= f(X) - c * alpha * s**2`` where Y is the projection of
-    ``X + alpha G`` back to the feasible set and s the direction norm. Each
-    trial projects through :func:`project_step_factored`, which reuses the
-    blocks of G; only the small core SVD is recomputed per trial alpha.
-    Each trial is evaluated by ``problem.evaluate``, and the accepted
-    one's gradient rides along in the outcome.
+    ``X + alpha G`` back to the feasible set and s the direction norm. The
+    direction's :func:`~lowrankopt.variety.step_frame` (the QRs of its
+    tall factors) is taken once per step; each trial projects through
+    :func:`project_step_factored` in that frame, so only the small core
+    SVD is recomputed per trial alpha. Each trial is evaluated by
+    ``problem.evaluate``, and the accepted one's gradient rides along in
+    the outcome.
 
     ``report`` (the stationarity report at ``point``) and ``f_value``
     (the cost there) are computed unless both are supplied; a caller that
@@ -247,7 +250,8 @@ def p2gd_step(
         finite, or if a trial step's factors overflow (see
         :func:`~lowrankopt.variety.project_step_factored`).
     NumericalFailure
-        If the QR or SVD that projects a trial step does not converge.
+        If the QR of the step's frame or the SVD that projects a trial
+        step does not converge.
     ValueError
         If the point is already stationary (zero direction norm).
     """
@@ -257,9 +261,10 @@ def p2gd_step(
     if s == 0.0:
         raise ValueError("point is stationary: the projected direction vanishes")
 
+    frame = step_frame(point, report.tangent)
     alpha = params.alpha_hi
     for backtracks in range(params.max_backtracks + 1):
-        y = project_step_factored(point, report.tangent, alpha)
+        y = project_step_factored(point, report.tangent, alpha, frame)
         fy, gradient = problem.evaluate(y)
         if fy <= f_value - params.c * alpha * s * s:
             return StepOutcome(y, alpha, backtracks, f_value, fy, s, gradient)

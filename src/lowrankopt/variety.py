@@ -23,14 +23,16 @@ from .linalg import (
     as_matrix,
     compute_svd,  # noqa: F401  not called here; perfbench's tracer test reads variety.compute_svd
     frobenius,
+    numerical_rank,
 )
 
 ORTHONORMALITY_TOL = 1e-10
 # U^T G and G V are taken in one pass over row blocks of G of about this
 # many bytes, so that each block is read from memory once for both
-# products; a G that fits in one block is multiplied whole. On a host with
+# products; a G that fits in two blocks is multiplied whole. On a host with
 # 2 MiB of L2 cache per core, 1000-by-800 G took the pair fastest with
-# blocks of 256 KiB to 512 KiB, ~38% faster than whole (BENCH_15.json).
+# blocks of 256 KiB to 512 KiB, ~38% faster than whole (BENCH_15.json),
+# while a 300-by-250 G (1.5 blocks) took it fastest whole (BENCH_16.json).
 PRODUCT_BLOCK_BYTES = 384 * 1024
 
 
@@ -201,61 +203,126 @@ def project_to_variety(x, rank_bound: int) -> VarietyPoint:
     return VarietyPoint.from_svd(_leading_svd(a, rank_bound), rank_bound)
 
 
+@dataclass(frozen=True)
+class StepFrame:
+    """The factored form of a tangent direction, shared by every step size.
+
+    For a point with factors (U, V) of rank k and a direction with blocks
+    A, B, C and D = D_u diag(sigma_d) D_v^T (a :class:`TangentDecomposition`),
+    ``left`` has orthonormal columns orthogonal to U whose span holds C and
+    D_u: k plus D's rank of them, or m - k if that is fewer. ``right`` is
+    the same for V, B^T and D_v. The direction is
+    ``[U left] @ core @ [V right]^T``. ``peak`` is the largest entry of C
+    and D_u diag(sigma_d), so ``alpha * peak`` overflows exactly when the
+    step's tall factor ``alpha [C, D_u diag(sigma_d)]`` does.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    core: np.ndarray
+    peak: float
+
+
+def _complement_qr(u: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``q, r`` with ``block = q r`` up to its share in span(``u``), which
+    is roundoff here, and the columns of ``q`` orthonormal and orthogonal
+    to ``u``.
+
+    Householder QR of a rank-deficient ``block`` fills the columns beyond
+    its rank with unit vectors that may lie in span(``u``); when an entry
+    of ``u^T q`` is above ``ORTHONORMALITY_TOL``, the QR of ``[u, q]``
+    takes them out.
+    """
+    q, r = np.linalg.qr(block)
+    k = u.shape[1]
+    if k and q.size and np.abs(u.T @ q).max() > ORTHONORMALITY_TOL:
+        q_both, r_both = np.linalg.qr(np.hstack([u, q]))
+        q, r = q_both[:, k:], r_both[k:, k:] @ r
+    return q, r
+
+
+def step_frame(point: VarietyPoint, tangent: TangentDecomposition) -> StepFrame:
+    """The :class:`StepFrame` of ``tangent`` at ``point``: two tall QRs,
+    of ``[C, D_u diag(sigma_d)]`` and ``[B^T, D_v]``.
+
+    Raises
+    ------
+    NumericalFailure
+        If a QR does not converge.
+    """
+    d = tangent.d_truncated
+    k = point.rank
+    tall = np.hstack([tangent.c_rows, d.u * d.sigma])
+    try:
+        left, r_left = _complement_qr(point.u, tall)
+        right, r_right = _complement_qr(point.v, np.hstack([tangent.b_cols.T, d.v]))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(str(exc)) from exc
+    core = np.empty((k + r_left.shape[0], k + r_right.shape[0]))
+    core[:k, :k] = tangent.a
+    core[:k, k:] = r_right[:, :k].T
+    core[k:, :k] = r_left[:, :k]
+    core[k:, k:] = r_left[:, k:] @ r_right[:, k:].T
+    return StepFrame(left, right, core, float(np.abs(tall).max(initial=0.0)))
+
+
 def project_step_factored(
-    point: VarietyPoint, tangent: TangentDecomposition, alpha: float
+    point: VarietyPoint,
+    tangent: TangentDecomposition,
+    alpha: float,
+    frame: StepFrame | None = None,
 ) -> VarietyPoint:
     """Project ``X + alpha G`` to the feasible set without forming it densely.
 
-    Writes the displaced matrix as a product of concatenated thin factors
-    of combined rank at most ``rank(X) + rank_bound``, orthonormalizes both
-    sides by QR, and runs the SVD on the small core only, so no m-by-n
-    matrix is formed or factored. Agrees with the dense projection
+    In the ``frame`` of the direction (its :func:`step_frame`, computed
+    here when None), ``X + alpha G`` is ``[U left] K [V right]^T`` with
+    the small core ``K = diag(sigma, 0) + alpha * frame.core``, so each
+    step size costs one SVD of K and the products that rotate the kept
+    columns into m-by-r and n-by-r factors; a line search computes the
+    frame once for all its trials. Agrees with the dense projection
     :func:`project_to_variety` to tight tolerance.
 
     Raises
     ------
     NonFiniteError
-        If a stacked factor or their small core overflows (a large
-        ``alpha`` times a large direction).
+        If an ``alpha``-scaled factor of the step or the core overflows
+        (a large ``alpha`` times a large direction).
     NumericalFailure
-        If a QR or the SVD of the finite factors does not converge.
+        If the frame's QR or the core's SVD does not converge.
     """
-    d = tangent.d_truncated
+    if frame is None:
+        frame = step_frame(point, tangent)
+    k = point.rank
     # An overflow is reported by the checks below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        # At rank 0 the first two blocks on each side have width 0; with D's too, QR and
-        # SVD of the zero-width factors give the zero point.
-        left = [point.u @ (np.diag(point.sigma) + alpha * tangent.a) + alpha * tangent.c_rows,
-                alpha * point.u,
-                alpha * (d.u * d.sigma)]
-        big_l = np.hstack(left)
-        big_r = np.hstack([point.v, tangent.b_cols.T, d.v])
-    if not (np.all(np.isfinite(big_l)) and np.all(np.isfinite(big_r))):
-        raise NonFiniteError(f"the step's factors at alpha {alpha:.3e} are not finite")
+        if not np.isfinite(alpha * frame.peak):
+            raise NonFiniteError(f"the step's factors at alpha {alpha:.3e} are not finite")
+        core = alpha * frame.core
+        core[:k, :k] += np.diag(point.sigma)
+    if not np.all(np.isfinite(core)):
+        raise NonFiniteError(f"the step's core at alpha {alpha:.3e} is not finite")
     try:
-        ql, rl = np.linalg.qr(big_l)
-        qr_, rr = np.linalg.qr(big_r)
-        with np.errstate(over="ignore", invalid="ignore"):
-            core = rl @ rr.T
-        if not np.all(np.isfinite(core)):
-            raise NonFiniteError(f"the step's core at alpha {alpha:.3e} is not finite")
+        # At rank 0 with a zero direction the core is 0-by-0: the zero point.
         uu, ss, vvh = np.linalg.svd(core, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
-    return VarietyPoint.from_svd(SvdFactorization(ql @ uu, ss, qr_ @ vvh.T), point.rank_bound)
+    keep = min(point.rank_bound, numerical_rank(ss, point.shape))
+    u = point.u @ uu[:k, :keep] + frame.left @ uu[k:, :keep]
+    v = point.v @ vvh[:keep, :k].T + frame.right @ vvh[:keep, k:].T
+    return VarietyPoint(u, ss[:keep], v, point.rank_bound)
 
 
 def _frame_products(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``U^T g`` and ``g V``, in one pass over row blocks of ``g`` of about
     ``PRODUCT_BLOCK_BYTES``.
 
-    A ``g`` of one block gives the two whole products bit for bit; over
-    several, ``U^T g`` is summed block by block and may differ from the
-    whole product in the last bits.
+    A ``g`` of at most two blocks is multiplied whole, bit for bit the two
+    products; over more, ``U^T g`` is summed block by block and may differ
+    from the whole product in the last bits.
     """
     m, n = g.shape
     step = max(1, PRODUCT_BLOCK_BYTES // (g.itemsize * n))
-    if step >= m:
+    if m <= 2 * step:
         return u.T @ g, g @ v
     utg = np.zeros((u.shape[1], n))
     gv = np.empty((m, v.shape[1]))

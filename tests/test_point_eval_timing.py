@@ -13,7 +13,7 @@ import pytest
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 SOLVE = re.compile(r"solve workload=(\S+) size=tiny seed=101 shape=\d+x\d+ rank=\d+ "
                    r"iters=\d+ termination=stationary")
-TIMING = re.compile(r"(matrix|evaluate|gradient\+measure) best_ms=(\S+)")
+TIMING = re.compile(r"(matrix|evaluate|gradient\+measure|step) best_ms=(\S+)")
 
 
 @pytest.fixture
@@ -32,12 +32,12 @@ def test_times_a_tiny_workload(timing_tool, capsys, workload):
     argv = ["--workload", workload, "--size", "tiny", "--repeats", "3"]
     assert timing_tool.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 4, lines
+    assert len(lines) == 5, lines
     solve = SOLVE.fullmatch(lines[0])
     assert solve and solve.group(1) == workload, lines[0]
     timings = [TIMING.fullmatch(line) for line in lines[1:]]
     assert all(timings), lines
-    assert [t.group(1) for t in timings] == ["matrix", "evaluate", "gradient+measure"]
+    assert [t.group(1) for t in timings] == ["matrix", "evaluate", "gradient+measure", "step"]
     assert all(float(t.group(2)) > 0 for t in timings)
 
 

@@ -31,6 +31,7 @@ from lowrankopt.solver import (
     p2gdr_search,
 )
 from lowrankopt.variety import (
+    ORTHONORMALITY_TOL,
     NormedGradient,
     VarietyPoint,
     point_from_matrix,
@@ -38,6 +39,7 @@ from lowrankopt.variety import (
     project_to_tangent_cone,
     project_to_variety,
     stationarity_measure,
+    step_frame,
 )
 
 
@@ -283,6 +285,72 @@ class TestStep:
                 y, _, alpha = reference_backtracking_step(problem, point.matrix(), 3)
                 assert out.accepted_alpha == alpha
                 assert frobenius(out.next_point.matrix() - y) <= 1e-10
+
+
+def diagonal_instance(rank_bound, start):
+    """Low-rank approximation of diag(3, 2, 1, .5, .25) padded with a zero
+    row: from ``diag(1, 5)`` every column-space part C of its directions
+    is exactly zero, so the tall factors of a step are rank-deficient."""
+    target = np.zeros((6, 5))
+    target[:5] = np.diag([3.0, 2.0, 1.0, 0.5, 0.25])
+    x = np.zeros((6, 5))
+    if start == "diag(1, 5)":
+        x[0, 0], x[1, 1] = 1.0, 5.0
+    return LowRankApproxProblem(target), point_from_matrix(x, rank_bound)
+
+
+class TestStepFrame:
+    """The frame of a direction, taken once per step, and the trials in it."""
+
+    @pytest.mark.parametrize("rank_bound, start", [
+        (2, "diag(1, 5)"), (3, "diag(1, 5)"), (2, "zero"),
+    ], ids=["full-rank", "spare-rank", "rank-zero"])
+    def test_rank_deficient_factors(self, rank_bound, start):
+        problem, point = diagonal_instance(rank_bound, start)
+        tangent = stationarity_measure(problem, point).tangent
+        frame = step_frame(point, tangent)
+        k = point.rank
+        if k:
+            # Householder QR alone fills the deficient columns from span(U).
+            q = np.linalg.qr(np.hstack([tangent.c_rows, tangent.d_truncated.u]))[0]
+            assert np.abs(point.u.T @ q).max() == pytest.approx(1.0)
+        for side, q in ((point.u, frame.left), (point.v, frame.right)):
+            assert q.shape[1] == k + tangent.d_truncated.rank
+            assert np.abs(side.T @ q).max(initial=0.0) <= 1e-14
+            assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=ORTHONORMALITY_TOL)
+        _, direction, _ = project_to_tangent_cone(point, -problem.gradient(point.matrix()))
+        for alpha in (2.0, 1.0, 0.5, 0.25):
+            y = project_step_factored(point, tangent, alpha, frame)
+            for q in (y.u, y.v):
+                assert_allclose(q.T @ q, np.eye(y.rank), atol=ORTHONORMALITY_TOL)
+            dense = project_to_variety(point.matrix() + alpha * direction, rank_bound)
+            assert frobenius(y.matrix() - dense.matrix()) <= 1e-10 * (
+                1.0 + frobenius(dense.matrix())
+            )
+            # Without a frame, the projection takes the same one itself.
+            assert np.array_equal(project_step_factored(point, tangent, alpha).matrix(), y.matrix())
+
+    def test_backtracking_step_takes_its_qrs_once(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        point = make_point(rng, 8, 6, 3, 2)
+        problem = LowRankApproxProblem(rng.standard_normal((8, 6)))
+        report = stationarity_measure(problem, point)
+        f_value = problem.eval(point.matrix())
+        qr = np.linalg.qr
+        calls = []
+
+        def counting_qr(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        counts = {}
+        for alpha_hi in (1.0, 64.0):
+            calls.clear()
+            out = p2gd_step(problem, point, LineSearchParams(alpha_hi=alpha_hi), report, f_value)
+            counts[out.backtrack_count] = list(calls)
+        assert min(counts) == 0 and max(counts) >= 3
+        assert counts[0] == counts[max(counts)] == [(8, 3), (6, 3)]
 
 
 class TestKappaBound:
@@ -558,8 +626,8 @@ class TestOuterLoop:
         problem = MatrixCompletionProblem(rng.standard_normal((6, 5)), rng.random((6, 5)) < 0.7)
         step = solver.project_step_factored
 
-        def overflowing_step(point, tangent, alpha):
-            y = step(point, tangent, alpha)
+        def overflowing_step(point, tangent, alpha, frame=None):
+            y = step(point, tangent, alpha, frame)
             return VarietyPoint(y.u, np.full(y.rank, np.inf), y.v, y.rank_bound)
 
         monkeypatch.setattr(solver, "project_step_factored", overflowing_step)

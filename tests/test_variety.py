@@ -741,6 +741,16 @@ class TestFrameProducts:
         assert_bitwise_equal(utg, point.u.T @ g)
         assert_bitwise_equal(gv, g @ point.v)
 
+    def test_two_blocks_are_the_whole_product(self, monkeypatch):
+        # six rows a block: an 11-row G spans a block and a remainder of five
+        monkeypatch.setattr(variety, "PRODUCT_BLOCK_BYTES", 6 * 8 * self.N)
+        rng = np.random.default_rng(78)
+        point = make_point(rng, self.M, self.N, 4, 3)
+        g = rng.standard_normal((self.M, self.N))
+        utg, gv = variety._frame_products(g, point.u, point.v)
+        assert_bitwise_equal(utg, point.u.T @ g)
+        assert_bitwise_equal(gv, g @ point.v)
+
     @pytest.mark.parametrize("rank", [0, 2, 4], ids=["zero", "spare-rank", "full-rank"])
     def test_report_agrees_with_the_reference_projection(self, rank):
         rng = np.random.default_rng(75 + rank)

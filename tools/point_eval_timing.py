@@ -9,14 +9,19 @@ Builds one perfbench workload at one seed, solves it once with
   gradient, as every line-search trial takes them;
 - ``gradient+measure``: the deferred gradient of one such evaluation and
   ``stationarity_measure`` of it, handed over as the solver hands over an
-  accepted point's (``solver._evaluate``).
+  accepted point's (``solver._evaluate``);
+- ``step``: ``variety.project_step_factored`` of that report's direction
+  at the line search's first step size, with no frame given: the step's
+  frame (its two tall QRs, taken once per line search) plus one trial's
+  core SVD and factors.
 
 One line describes the solve, then one line per timing, in milliseconds.
 
     PYTHONPATH=src python3 tools/point_eval_timing.py [--workload mc-dense] [--size full] [--repeats 50]
 
-``perfbench/run.py --trace 1`` has no span around ``problems.evaluate``, so
-this is where a change to the evaluation pass shows on its own. Point
+``perfbench/run.py --trace 1`` has no span around ``problems.evaluate`` or
+``variety.project_step_factored``, so this is where a change to the
+evaluation pass or to the step's projection shows on its own. Point
 PYTHONPATH at another checkout's ``src`` to time that library at the same
 point. ``perfbench/workloads.py`` is loaded read-only from this checkout,
 as ``tools/trace_digest.py`` loads it. BLAS runs on one thread, as in the
@@ -35,7 +40,7 @@ import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from lowrankopt import solver  # noqa: E402
+from lowrankopt import solver, variety  # noqa: E402
 from trace_digest import load_workloads  # noqa: E402
 
 
@@ -71,10 +76,13 @@ def main(argv=None) -> int:
     def gradient_and_measure(f_value, gradient):
         return lambda: solver._evaluate(problem, point, f_value, gradient)
 
+    tangent = solver._evaluate(problem, point)[0].tangent
+    alpha = inst.params.line_search.alpha_hi
     timings = {
         "matrix": point.matrix,
         "evaluate": lambda: problem.evaluate(point),
         "gradient+measure": gradient_and_measure(*problem.evaluate(point)),
+        "step": lambda: variety.project_step_factored(point, tangent, alpha),
     }
     for name, work in timings.items():
         print(f"{name} best_ms={best_ms(work, args.repeats):.4f}", flush=True)
