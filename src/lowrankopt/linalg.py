@@ -20,11 +20,14 @@ EPS = float(np.finfo(np.float64).eps)
 # least LEADING_MIN_RATIO block widths; below that, the dense SVD runs.
 LEADING_OVERSAMPLE = 10
 LEADING_MIN_RATIO = 8
-# It stops when every residual is within LEADING_RES_TOL * sigma_1, and
-# gives up when the residuals' decay predicts more than LEADING_MAX_SWEEPS
-# sweeps: at that point the dense SVD is cheaper.
+# It stops when every residual is within LEADING_RES_TOL * sigma_1. Between
+# Rayleigh-Ritz steps a Chebyshev filter of degree LEADING_FILTER_DEGREE damps
+# the spectrum below the block. It gives up when the residuals' decay predicts
+# more than LEADING_PRODUCT_BUDGET * min(m, n) / w products with the matrix or
+# its transpose in all: at that point the dense SVD is cheaper.
 LEADING_RES_TOL = 1e-12
-LEADING_MAX_SWEEPS = 25
+LEADING_FILTER_DEGREE = 3
+LEADING_PRODUCT_BUDGET = 6
 
 
 class NumericalFailure(np.linalg.LinAlgError):
@@ -127,41 +130,85 @@ def compute_svd(x) -> SvdFactorization:
     return SvdFactorization(u, s, vh.T)
 
 
+def _chebyshev_filter(a: np.ndarray, v: np.ndarray, av: np.ndarray, theta: float,
+                      degree: int) -> None:
+    """Overwrite ``av = a @ v`` with ``a @ T_degree(L) v``, up to a positive factor.
+
+    ``L = 2 a^T a / theta^2 - I`` maps the squared singular values in
+    ``[0, theta^2]`` to ``[-1, 1]``, where the Chebyshev polynomial stays
+    within 1, and those above ``theta`` past 1, where it grows faster than
+    any other polynomial of its degree. The three-term recurrence
+    ``T_{j+1} = 2 L T_j - T_{j-1}`` runs in place on ``av`` and three
+    n-by-w blocks, ``v`` (overwritten) among them. Each degree divides the
+    two newest blocks by the newest one's largest entry, so no entry
+    grows, and takes two products, one with ``a^T`` and one with ``a``.
+    """
+    prev, cur, spare = None, v, None
+    for _ in range(degree):
+        av *= 1.0 / theta
+        nxt = np.matmul(a.T, av, out=spare)
+        if prev is None:
+            nxt *= 2.0 / theta
+        else:
+            nxt *= 4.0 / theta
+            nxt -= cur
+            nxt -= prev
+        nxt -= cur
+        scale = 1.0 / max(nxt.max(), -nxt.min())
+        nxt *= scale
+        cur *= scale
+        spare, prev, cur = prev, cur, nxt
+        np.matmul(a, cur, out=av)
+
+
 def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
     """SVD of ``a`` whose leading ``k`` triplets are exact to a residual tolerance.
 
     When ``min(m, n)`` is at least ``LEADING_MIN_RATIO * (k +
-    LEADING_OVERSAMPLE)``, the k triplets come from block subspace
-    iteration. It starts from a Gaussian block of width ``k +
-    LEADING_OVERSAMPLE`` drawn with a fixed seed, so repeated calls return
-    identical bytes. Each sweep forms ``B = Q^T a`` and takes the SVD of
-    its transpose ``B^T`` (Rayleigh-Ritz): the n-by-w side is the tall one,
-    on which LAPACK's SVD is cheaper than on the wide B. Then ``a V`` both
-    gives the residuals ``||a v_i - sigma_i u_i||`` and, orthonormalized,
-    the next ``Q``; ``a^T u_i = sigma_i v_i`` holds exactly by
-    construction. The iteration stops when every one of the k residuals is
-    at most ``LEADING_RES_TOL * sigma_1``, never on the singular values
-    alone, so the factors agree with the dense SVD's to about that share.
+    LEADING_OVERSAMPLE)``, the k triplets come from Chebyshev-filtered
+    block subspace iteration. It starts from a Gaussian block of width
+    ``w = k + LEADING_OVERSAMPLE`` drawn with a fixed seed, so repeated
+    calls return identical bytes. Each Rayleigh-Ritz step orthonormalizes
+    the last ``a Y`` into ``Q``, forms ``B = Q^T a`` and takes the SVD of
+    its transpose ``B^T``: the n-by-w side is the tall one, on which
+    LAPACK's SVD is cheaper than on the wide B. Then ``a V`` gives the
+    residuals ``||a v_i - sigma_i u_i||``; ``a^T u_i = sigma_i v_i`` holds
+    exactly by construction. The iteration stops when every one of the k
+    residuals is at most ``LEADING_RES_TOL * sigma_1``, never on the
+    singular values alone, so the factors agree with the dense SVD's to
+    about that share. Otherwise :func:`_chebyshev_filter` turns ``V`` into
+    ``Y = T_d(2 a^T a / theta_w^2 - I) V`` with ``d =
+    LEADING_FILTER_DEGREE``, reusing ``a V``, where ``theta_w`` is the
+    step's smallest Ritz value: every singular value below the block is
+    damped against those in it, and each step advances the subspace by a
+    polynomial of degree d + 1 in ``a^T a`` instead of ``a^T a`` alone.
+    When ``theta_w`` is at the numerical-rank threshold, the block already
+    holds the numerical range and the step runs unfiltered.
 
     On smaller matrices, when the decay of the largest residual predicts
-    more than ``LEADING_MAX_SWEEPS`` sweeps (a flat spectrum past the k-th
-    value), or when a factorization fails, the result is the dense
-    :func:`compute_svd` of ``a`` with all min(m, n) triplets.
+    that reaching the tolerance takes more than ``LEADING_PRODUCT_BUDGET *
+    min(m, n) / w`` products with ``a`` or ``a^T`` (about what the dense
+    SVD costs; a flat spectrum past the k-th value decays slowly), or when
+    a factorization fails, the result is the dense :func:`compute_svd` of
+    ``a`` with all min(m, n) triplets.
     """
     m, n = a.shape
     if LEADING_MIN_RATIO * (k + LEADING_OVERSAMPLE) > min(m, n):
         return compute_svd(a)
     width = min(k + LEADING_OVERSAMPLE, m, n)
+    budget = LEADING_PRODUCT_BUDGET * min(m, n) / width
     omega = np.random.default_rng(0).standard_normal((n, width))
     av = a @ omega
-    previous = None
-    for sweep in range(1, LEADING_MAX_SWEEPS + 1):
+    products, previous, previous_products = 1, None, 0
+    # Every step adds products and the prediction exceeds them, so the budget ends the loop.
+    while True:
         try:
             q = np.linalg.qr(av)[0]
             vb, s, ubh = np.linalg.svd((q.T @ a).T, full_matrices=False)
         except np.linalg.LinAlgError:
             break
         av = a @ vb
+        products += 2
         u = q @ ubh[:k].T
         r = av[:, :k] - u * s[:k]
         residual = float(np.sqrt(np.max(np.sum(r * r, axis=0))))
@@ -172,9 +219,15 @@ def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
             rate = residual / previous
             if not (0 < rate < 1 and tol > 0):
                 break
-            if sweep + math.log(tol / residual) / math.log(rate) > LEADING_MAX_SWEEPS:
+            per_step = products - previous_products
+            if products + per_step * math.log(tol / residual) / math.log(rate) > budget:
                 break
-        previous = residual
+        previous, previous_products = residual, products
+        del q, u, r
+        theta = float(s[-1])
+        if theta > rank_threshold(float(s[0]), a.shape):
+            _chebyshev_filter(a, vb, av, theta, LEADING_FILTER_DEGREE)
+            products += 2 * LEADING_FILTER_DEGREE
     return compute_svd(a)
 
 

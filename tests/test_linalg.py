@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -79,17 +81,56 @@ class TestLeadingSvd:
     @pytest.mark.parametrize("shape", [(200, 160), (160, 200)])
     def test_sweeps_factor_the_tall_side(self, monkeypatch, dense_svd_calls, shape):
         a = graded(np.random.default_rng(25), *shape, 0.8 ** np.arange(160))
-        svd_shapes = []
-        svd = np.linalg.svd
+        svd_shapes, qr_calls = [], []
+        svd, qr = np.linalg.svd, np.linalg.qr
 
         def recorded(x, *args, **kwargs):
             svd_shapes.append(np.shape(x))
             return svd(x, *args, **kwargs)
 
+        def counted(*args, **kwargs):
+            qr_calls.append(1)
+            return qr(*args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", recorded)
+        monkeypatch.setattr(np.linalg, "qr", counted)
         _leading_svd(a, 4)
         assert dense_svd_calls == [] and len(svd_shapes) > 1
         assert all(rows >= cols for rows, cols in svd_shapes), svd_shapes
+        # Plain subspace sweeps take 6 and 7 steps here; the filter at least halves that.
+        assert len(qr_calls) <= 3
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_flat_bulk_after_the_kept_values_converges(self, dense_svd_calls, k):
+        # The spectrum of an early D-block: sigma_2 / sigma_1 = 0.9 and a bulk
+        # from 0.85 down, with sigma_12 / sigma_1 = 0.71. Plain sweeps shrink
+        # the residual by about 0.5 each, too slowly to beat the dense SVD.
+        sigma = np.concatenate([[1.0, 0.9], 0.85 * 0.98 ** np.arange(248)])
+        a = graded(np.random.default_rng(27), 300, 250, sigma)
+        fact = _leading_svd(a, k)
+        assert dense_svd_calls == []
+        u, s, v = fact.u, fact.sigma, fact.v
+        assert u.shape == (300, k) and v.shape == (250, k)
+        assert_allclose(s, sigma[:k], rtol=1e-13)
+        left = np.linalg.norm(a @ v - u * s, axis=0)
+        right = np.linalg.norm(a.T @ u - v * s, axis=0)
+        assert np.all(left <= LEADING_RES_TOL * s[0]), left / s[0]
+        assert np.all(right <= 1e-13 * s[0]), right / s[0]
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_rank_inside_the_block(self, dense_svd_calls, k):
+        # Rank 8 with a block of k + 10 columns: the trailing Ritz values sit
+        # at roundoff, where the filter's interval [0, theta_w^2] is empty.
+        sigma = [4.0, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5, 0.25]
+        a = graded(np.random.default_rng(28), 200, 170, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fact = _leading_svd(a, k)
+        assert dense_svd_calls == []
+        assert all(np.all(np.isfinite(x)) for x in (fact.u, fact.sigma, fact.v))
+        assert_allclose(fact.sigma, sigma[:k], rtol=1e-13)
+        dense = compute_svd(a).leading(k)
+        assert frobenius(fact.reconstruct() - dense.reconstruct()) <= 1e-12 * frobenius(a)
 
     @pytest.mark.parametrize("shape", [(200, 160), (160, 200)])
     @pytest.mark.parametrize("k", [1, 4, 10])

@@ -4,10 +4,12 @@ Solves one perfbench workload at one seed directly with ``solver.p2gdr``
 and records each call of ``linalg._leading_svd`` it makes: the SVD of the
 start (of G at a zero start) and the D-block of every tangent-cone
 projection with spare rank. It then replays each recorded call on its own
-and prints one line per call: its shape, k, the subspace sweeps it ran
-(counted from its ``np.linalg.qr`` calls), whether it ran the dense SVD
-(below the size cutoff, or as a fallback), and the best of three wall
-times. A last line gives the totals.
+and prints one line per call: its shape, k, the subspace sweeps it ran,
+whether it ran the dense SVD (below the size cutoff, or as a fallback),
+and the best of three wall times. A last line gives the totals. A sweep
+is one Rayleigh-Ritz step, counted by its one ``np.linalg.qr`` call,
+together with the Chebyshev filter that follows it when the step has not
+converged.
 
     PYTHONPATH=src python3 tools/replay_leading_svd.py [--workload rankdrop-cli] [--seed 101]
 
@@ -65,7 +67,8 @@ def record(problem, x0, params) -> list[tuple[np.ndarray, int]]:
 
 
 def count(a: np.ndarray, k: int) -> tuple[int, bool]:
-    """Sweeps (QR calls) and whether the dense SVD ran, for one ``_leading_svd(a, k)``."""
+    """Sweeps (Rayleigh-Ritz steps, one QR each) and whether the dense SVD ran,
+    for one ``_leading_svd(a, k)``."""
     qr_calls, dense_calls = [], []
     qr, dense = np.linalg.qr, linalg.compute_svd
 

@@ -14,8 +14,12 @@ Prints one line per trace of the first directory:
     python3 tools/trace_diff.py before after
 
 A relative difference is ``|a - b| / max(|a|, |b|)``, and 0 when both
-values are 0. The exit status is 0 when every trace is at least
-structurally identical, and 1 otherwise.
+values are 0. With ``--rtol TOL`` a structurally identical line whose
+largest f, s or alpha difference exceeds TOL ends with ``above rtol`` and
+the columns that do. The exit status is 0 when every trace is at least
+structurally identical and, with ``--rtol``, within TOL, and 1 otherwise:
+
+    python3 tools/trace_diff.py --rtol 2e-9 before after
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 from pathlib import Path
 
 STRUCTURAL = ("iter", "rank", "delta_rank", "chosen_j", "candidates")
@@ -42,8 +47,9 @@ def relative_difference(a: list[str], b: list[str]) -> float:
     return worst
 
 
-def compare(before: str, after: str) -> tuple[bool, str]:
-    """(structurally identical, the report line's verdict) for two CSV texts."""
+def compare(before: str, after: str, rtol: float = math.inf) -> tuple[bool, str]:
+    """(structurally identical with every f, s and alpha difference within
+    ``rtol``, the report line's verdict) for two CSV texts."""
     if before == after:
         return True, "identical"
     a, b = read_columns(before), read_columns(after)
@@ -52,14 +58,22 @@ def compare(before: str, after: str) -> tuple[bool, str]:
         rows = len(a.get("iter", [])), len(b.get("iter", []))
         counts = f" (rows {rows[0]} vs {rows[1]})" if rows[0] != rows[1] else ""
         return False, f"structural columns differ: {' '.join(differ)}{counts}"
-    worst = " ".join(f"{name}={relative_difference(a[name], b[name]):.2e}" for name in VALUES)
-    return True, f"structural identical, max relative difference {worst}"
+    worst = {name: relative_difference(a[name], b[name]) for name in VALUES}
+    verdict = "structural identical, max relative difference " + " ".join(
+        f"{name}={value:.2e}" for name, value in worst.items()
+    )
+    above = [name for name, value in worst.items() if value > rtol]
+    if above:
+        return False, f"{verdict}, above rtol {rtol:.2e}: {' '.join(above)}"
+    return True, verdict
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("before", type=Path)
     parser.add_argument("after", type=Path)
+    parser.add_argument("--rtol", type=float, default=math.inf,
+                        help="largest relative f, s or alpha difference that passes")
     args = parser.parse_args(argv)
     ok = True
     for path in sorted(args.before.glob("*.csv")):
@@ -68,8 +82,9 @@ def main(argv=None) -> int:
             ok = False
             print(f"{path.stem}: missing", flush=True)
             continue
-        same, verdict = compare(path.read_text(encoding="utf-8"), other.read_text(encoding="utf-8"))
-        ok = ok and same
+        passed, verdict = compare(path.read_text(encoding="utf-8"),
+                                  other.read_text(encoding="utf-8"), args.rtol)
+        ok = ok and passed
         print(f"{path.stem}: {verdict}", flush=True)
     return 0 if ok else 1
 
