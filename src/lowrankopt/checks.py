@@ -340,7 +340,7 @@ def check_candidate_dominance() -> str:
         if stationarity_measure(problem, point).s_value <= params.stop_tol:
             continue
         plain = p2gd_step(problem, point, params.line_search)
-        best, _, _ = p2gdr_search(problem, point, params)
+        best = p2gdr_search(problem, point, params).point
         _require(
             float(problem.eval(best.matrix())) <= plain.f_after + 1e-12,
             "rank reduction lost to the plain step",

@@ -112,20 +112,18 @@ class StepOutcome:
     gradient: Callable[[], np.ndarray]
 
 
-class SearchResult(tuple):
-    """The ``(point, record, f)`` triple of :func:`p2gdr_search`.
+@dataclass(frozen=True)
+class SearchResult:
+    """The winning candidate of :func:`p2gdr_search`, its record and cost.
 
-    It unpacks and indexes as a 3-tuple. ``gradient`` is the winning
-    step's :attr:`StepOutcome.gradient`, or None when the winner is a
-    truncated copy that took no step.
+    ``gradient`` is the winning step's :attr:`StepOutcome.gradient`, or
+    None when the winner is a truncated copy that took no step.
     """
 
+    point: VarietyPoint
+    record: IterationRecord
+    f_value: float
     gradient: Callable[[], np.ndarray] | None
-
-    def __new__(cls, point, record, f_value, gradient):
-        result = super().__new__(cls, (point, record, f_value))
-        result.gradient = gradient
-        return result
 
 
 @dataclass(frozen=True)
@@ -194,20 +192,16 @@ def _finite_or_none(x: float) -> float | None:
     return x if np.isfinite(x) else None
 
 
-def _evaluate(
-    problem, point: VarietyPoint, f_value=None, gradient=None
-) -> tuple[StationarityReport, float]:
+def _evaluate(problem, point: VarietyPoint, evaluation=None) -> tuple[StationarityReport, float]:
     """Report and cost at a point the solver stands on; a NaN or Inf
     gradient, measure or cost raises NonFiniteError.
 
-    Without ``f_value`` both come from one ``problem.evaluate(point)``.
-    Otherwise the gradient comes from ``gradient``, the callable that the
-    same evaluation returned, or is computed afresh when it is None. The
+    ``evaluation`` is the ``(f, gradient)`` pair of one
+    ``problem.evaluate(point)``, taken here when None. The gradient
     callable goes to ``stationarity_measure`` as it is, so a norm it
     carries (see :class:`~lowrankopt.variety.NormedGradient`) is used.
     """
-    if f_value is None:
-        f_value, gradient = problem.evaluate(point)
+    f_value, gradient = problem.evaluate(point) if evaluation is None else evaluation
     report = stationarity_measure(problem, point, gradient)
     if not np.isfinite(f_value):
         raise NonFiniteError(f"cost is {f_value} at a rank-{point.rank} point")
@@ -235,8 +229,8 @@ def p2gd_step(
     the outcome.
 
     ``report`` (the stationarity report at ``point``) and ``f_value``
-    (the cost there) are computed unless both are supplied; a caller that
-    holds them passes them in to save a gradient and a cost evaluation.
+    (the cost there) are both computed here unless both are supplied; a
+    caller that holds them passes them in to save an evaluation.
 
     A NaN or Inf cost at a trial point fails the decrease test, so the
     search backtracks past it.
@@ -256,7 +250,7 @@ def p2gd_step(
         If the point is already stationary (zero direction norm).
     """
     if report is None or f_value is None:
-        report, f_value = _evaluate(problem, point, f_value)
+        report, f_value = _evaluate(problem, point)
     s = report.s_value
     if s == 0.0:
         raise ValueError("point is stationary: the projected direction vanishes")
@@ -264,7 +258,7 @@ def p2gd_step(
     frame = step_frame(point, report.tangent)
     alpha = params.alpha_hi
     for backtracks in range(params.max_backtracks + 1):
-        y = project_step_factored(point, report.tangent, alpha, frame)
+        y = project_step_factored(point, frame, alpha)
         fy, gradient = problem.evaluate(y)
         if fy <= f_value - params.c * alpha * s * s:
             return StepOutcome(y, alpha, backtracks, f_value, fy, s, gradient)
@@ -327,7 +321,7 @@ def p2gdr_search(
     would hide a wrong gradient.
     """
     if report is None or f_value is None:
-        report, f_value = _evaluate(problem, point, f_value)
+        report, f_value = _evaluate(problem, point)
     stop_tol = params.stop_tol if params.stop_tol is not None else 0.0
     if not report.s_value > stop_tol:
         raise ValueError("search requires a non-stationary point")
@@ -395,9 +389,12 @@ def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
             except LineSearchFailure:
                 termination = "line_search_failure"
                 break
-            point, record, f_value = found
-            records.append(record)
-            report, f_value = _evaluate(problem, point, f_value, found.gradient)
+            point, f_value = found.point, found.f_value
+            records.append(found.record)
+            # A truncated winner that took no step has no gradient to hand over.
+            report, f_value = _evaluate(
+                problem, point, None if found.gradient is None else (f_value, found.gradient)
+            )
             # The gradient is spent: do not hold it through the next iteration.
             del found
         final_s = report.s_value

@@ -266,20 +266,15 @@ def step_frame(point: VarietyPoint, tangent: TangentDecomposition) -> StepFrame:
     return StepFrame(left, right, core, float(np.abs(tall).max(initial=0.0)))
 
 
-def project_step_factored(
-    point: VarietyPoint,
-    tangent: TangentDecomposition,
-    alpha: float,
-    frame: StepFrame | None = None,
-) -> VarietyPoint:
+def project_step_factored(point: VarietyPoint, frame: StepFrame, alpha: float) -> VarietyPoint:
     """Project ``X + alpha G`` to the feasible set without forming it densely.
 
-    In the ``frame`` of the direction (its :func:`step_frame`, computed
-    here when None), ``X + alpha G`` is ``[U left] K [V right]^T`` with
-    the small core ``K = diag(sigma, 0) + alpha * frame.core``, so each
-    step size costs one SVD of K and the products that rotate the kept
-    columns into m-by-r and n-by-r factors; a line search computes the
-    frame once for all its trials. Agrees with the dense projection
+    In the ``frame`` of the direction G (its :func:`step_frame`),
+    ``X + alpha G`` is ``[U left] K [V right]^T`` with the small core
+    ``K = diag(sigma, 0) + alpha * frame.core``, so each step size costs
+    one SVD of K and the products that rotate the kept columns into
+    m-by-r and n-by-r factors; a line search computes the frame once for
+    all its trials. Agrees with the dense projection
     :func:`project_to_variety` to tight tolerance.
 
     Raises
@@ -288,10 +283,8 @@ def project_step_factored(
         If an ``alpha``-scaled factor of the step or the core overflows
         (a large ``alpha`` times a large direction).
     NumericalFailure
-        If the frame's QR or the core's SVD does not converge.
+        If the core's SVD does not converge.
     """
-    if frame is None:
-        frame = step_frame(point, tangent)
     k = point.rank
     # An overflow is reported by the checks below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -333,44 +326,30 @@ def _frame_products(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.nda
     return utg, gv
 
 
-def _cone_blocks(
-    point: VarietyPoint, g: np.ndarray, negate: bool = False
-) -> tuple[TangentDecomposition, float]:
-    """Blocks of the projection of H = ``g`` (``-g`` if ``negate``) onto the
-    tangent cone, and its norm.
+def _cone_blocks(point: VarietyPoint, g: np.ndarray) -> tuple[TangentDecomposition, float]:
+    """Blocks of the projection of ``g`` onto the tangent cone, and its norm.
 
-    D = H - S, with S = U U^T H + c_rows V^T, is formed (in one m-by-n
+    D = G - S, with S = U U^T G + c_rows V^T, is formed (in one m-by-n
     buffer) and truncated only when the point has spare rank budget; at
     full rank the cone is the tangent space and D's share is the zero
-    point. At rank 0, S is +0.0 everywhere and D is H itself, taken as one
-    negation or copy of ``g``: (-0.0) - g and g - (+0.0) are -g and g to the
-    bit. Otherwise negating forms no -G: it scales the small products of
-    ``g`` by -1, and D as (-S) - G, which is (-G) - S to the bit, signed
-    zeros included, since IEEE subtraction adds the negation and addition
-    commutes.
+    point. At rank 0, D is ``g`` itself: neither SVD path writes into it.
     """
     m, n = point.shape
     if g.shape != (m, n):
         raise ValueError(f"direction shape {g.shape} does not match point shape {(m, n)}")
     u, v = point.u, point.v
-    sign = -1.0 if negate else 1.0
     utg, gv = _frame_products(g, u, v)
-    utg = sign * utg
     core = utg @ v
     b_cols = utg - core @ v.T
-    c_rows = sign * gv - u @ core
+    c_rows = gv - u @ core
     budget = point.rank_bound - point.rank
     if budget > 0:
         if point.rank == 0:
-            d_full = np.negative(g) if negate else g.copy()
+            d_full = g
         else:
             d_full = u @ utg
             d_full += c_rows @ v.T
-            if negate:
-                np.negative(d_full, out=d_full)
-                np.subtract(d_full, g, out=d_full)
-            else:
-                np.subtract(g, d_full, out=d_full)
+            np.subtract(g, d_full, out=d_full)
         d_tr = project_to_variety(d_full, budget)
     else:
         d_tr = VarietyPoint.zero((m, n), 0)
@@ -418,7 +397,10 @@ def stationarity_measure(problem, point: VarietyPoint, gradient=None) -> Station
     """First-order stationarity of ``problem`` at ``point``.
 
     Projects the negative of ``gradient``, the gradient at the point,
-    onto the cone of feasible directions. ``gradient`` is an array, or a
+    onto the cone of feasible directions. The cone is closed under
+    negation, so that projection is the negation of G's: the blocks of
+    G's projection come back negated, and its D block ``U_d diag(sigma_d)
+    V_d^T`` as ``(U_d, sigma_d, -V_d)``. ``gradient`` is an array, or a
     zero-argument callable that returns it (the deferred gradient of
     ``problem.evaluate(point)``); when None it is evaluated at the
     materialized point. A :class:`NormedGradient` lends its norm. The
@@ -436,10 +418,13 @@ def stationarity_measure(problem, point: VarietyPoint, gradient=None) -> Station
         gradient_norm = gradient.norm if isinstance(gradient, NormedGradient) else frobenius(g)
         if not np.isfinite(gradient_norm):
             raise NonFiniteError(f"gradient norm {gradient_norm} is not finite")
-        decomp, s = _cone_blocks(point, g, negate=True)
+        decomp, s = _cone_blocks(point, g)
     if not np.isfinite(s):
         raise NonFiniteError(f"measure {s} is not finite")
-    return StationarityReport(s_value=s, gradient_norm=gradient_norm, tangent=decomp)
+    d = decomp.d_truncated
+    d_negated = VarietyPoint(d.u, d.sigma, -d.v, d.rank_bound)
+    tangent = TangentDecomposition(-decomp.a, -decomp.b_cols, -decomp.c_rows, d_negated)
+    return StationarityReport(s_value=s, gradient_norm=gradient_norm, tangent=tangent)
 
 
 def stationarity_sandwich_check(point: VarietyPoint, report: StationarityReport) -> bool:

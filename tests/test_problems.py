@@ -367,7 +367,7 @@ class TestNonFiniteX:
     def test_trial_that_overflows_at_unobserved_entries_ends_nonfinite(self, monkeypatch):
         problem = self.problem()
         point = overflowing_point(*problem.shape)
-        monkeypatch.setattr(solver, "project_step_factored", lambda *args: point)
+        monkeypatch.setattr(solver, "project_step_factored", lambda _point, _frame, _alpha: point)
         with np.errstate(over="ignore", invalid="ignore"):
             trace = p2gdr(problem, np.zeros(problem.shape), SolverParams(rank_bound=2, delta=0.1))
         assert trace.termination == "nonfinite" and trace.records == []

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -218,7 +219,7 @@ class TestStep:
             )
             alpha = float(rng.uniform(0.01, 1.5))
             dense = project_to_variety(point.matrix() + alpha * direction, r)
-            fact = project_step_factored(point, tangent, alpha)
+            fact = project_step_factored(point, step_frame(point, tangent), alpha)
             assert frobenius(dense.matrix() - fact.matrix()) <= 1e-10 * (
                 1.0 + frobenius(dense.matrix())
             )
@@ -232,7 +233,7 @@ class TestStep:
             )
             alpha = float(rng.uniform(0.01, 1.5))
             dense = project_to_variety(point.matrix() + alpha * direction, 8)
-            fact = project_step_factored(point, tangent, alpha)
+            fact = project_step_factored(point, step_frame(point, tangent), alpha)
             assert frobenius(dense.matrix() - fact.matrix()) <= 1e-10 * (
                 1.0 + frobenius(dense.matrix())
             )
@@ -240,7 +241,7 @@ class TestStep:
     def test_factored_projection_from_zero_with_zero_tangent(self):
         point = point_from_matrix(np.zeros((6, 5)), 2)
         tangent, _, _ = project_to_tangent_cone(point, np.zeros((6, 5)))
-        out = project_step_factored(point, tangent, 0.5)
+        out = project_step_factored(point, step_frame(point, tangent), 0.5)
         assert out.rank == 0
         assert out.shape == (6, 5)
         assert out.rank_bound == 2
@@ -255,22 +256,24 @@ class TestStep:
         sigma_1 = tangent.d_truncated.sigma[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            frame = step_frame(zero, tangent)
             with pytest.raises(NonFiniteError, match="factors"):
-                project_step_factored(zero, tangent, 1e200)
+                project_step_factored(zero, frame, 1e200)
             with pytest.raises(NonFiniteError, match="core"):
-                project_step_factored(zero, tangent, 2.3 * (1e308 / sigma_1))
+                project_step_factored(zero, frame, 2.3 * (1e308 / sigma_1))
 
     def test_factored_projection_failure_is_numerical_failure(self, monkeypatch):
         rng = np.random.default_rng(29)
         point = make_point(rng, 6, 5, 2, 1)
         tangent, _, _ = project_to_tangent_cone(point, rng.standard_normal((6, 5)))
+        frame = step_frame(point, tangent)
 
         def no_svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         with pytest.raises(NumericalFailure, match="^SVD did not converge$"):
-            project_step_factored(point, tangent, 0.5)
+            project_step_factored(point, frame, 0.5)
 
     def test_factored_projection_path_in_step(self):
         # the step projects through the factored path and still reproduces
@@ -320,15 +323,13 @@ class TestStepFrame:
             assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=ORTHONORMALITY_TOL)
         _, direction, _ = project_to_tangent_cone(point, -problem.gradient(point.matrix()))
         for alpha in (2.0, 1.0, 0.5, 0.25):
-            y = project_step_factored(point, tangent, alpha, frame)
+            y = project_step_factored(point, frame, alpha)
             for q in (y.u, y.v):
                 assert_allclose(q.T @ q, np.eye(y.rank), atol=ORTHONORMALITY_TOL)
             dense = project_to_variety(point.matrix() + alpha * direction, rank_bound)
             assert frobenius(y.matrix() - dense.matrix()) <= 1e-10 * (
                 1.0 + frobenius(dense.matrix())
             )
-            # Without a frame, the projection takes the same one itself.
-            assert np.array_equal(project_step_factored(point, tangent, alpha).matrix(), y.matrix())
 
     def test_backtracking_step_takes_its_qrs_once(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -406,7 +407,8 @@ class TestSearch:
         params = SolverParams(rank_bound=3, delta=0.1, stop_tol=1e-12)
         assert point.delta_rank(0.1) == point.rank
         step = p2gd_step(problem, point, params.line_search)
-        best, record, _ = p2gdr_search(problem, point, params)
+        found = p2gdr_search(problem, point, params)
+        best, record = found.point, found.record
         assert record.candidates_evaluated == 1
         assert record.chosen_j == 0
         assert record.delta_rank == record.rank == 3
@@ -419,7 +421,7 @@ class TestSearch:
         problem = LowRankApproxProblem(rng.standard_normal((3, 3)))
         point = point_from_matrix(x0, 2)
         params = SolverParams(rank_bound=2, delta=delta, stop_tol=1e-12)
-        _, record, _ = p2gdr_search(problem, point, params)
+        record = p2gdr_search(problem, point, params).record
         assert record.rank == 2
         assert record.delta_rank == 1
         assert record.candidates_evaluated == 2
@@ -462,7 +464,7 @@ class TestSearch:
                 rank_bound=3, delta=float(rng.uniform(0.4, 2.5)), stop_tol=1e-12
             )
             plain = p2gd_step(problem, point, params.line_search)
-            best, _, _ = p2gdr_search(problem, point, params)
+            best = p2gdr_search(problem, point, params).point
             assert problem.eval(best.matrix()) <= plain.f_after + 1e-12
 
     def test_requires_nonstationary(self):
@@ -626,8 +628,8 @@ class TestOuterLoop:
         problem = MatrixCompletionProblem(rng.standard_normal((6, 5)), rng.random((6, 5)) < 0.7)
         step = solver.project_step_factored
 
-        def overflowing_step(point, tangent, alpha, frame=None):
-            y = step(point, tangent, alpha, frame)
+        def overflowing_step(point, frame, alpha):
+            y = step(point, frame, alpha)
             return VarietyPoint(y.u, np.full(y.rank, np.inf), y.v, y.rank_bound)
 
         monkeypatch.setattr(solver, "project_step_factored", overflowing_step)
@@ -871,9 +873,8 @@ class TestEvaluationContract:
         problem = MatrixCompletionProblem(rng.standard_normal((8, 6)), rng.random((8, 6)) < 0.6)
         point = make_point(rng, 8, 6, 3, 3)
         found = p2gdr_search(problem, point, SolverParams(rank_bound=3, delta=0.1, stop_tol=0.0))
-        best, record, f = found
-        assert len(found) == 3 and found[0] is best and found[2] == f
-        assert f == problem.eval(best.matrix())
+        best = found.point
+        assert found.f_value == problem.eval(best.matrix())
         assert np.array_equal(found.gradient(), problem.gradient(best.matrix()))
 
     def test_stationary_truncation_hands_over_no_gradient(self):
@@ -882,8 +883,26 @@ class TestEvaluationContract:
         params = SolverParams(rank_bound=2, delta=0.1, stop_tol=1e-12,
                               line_search=LineSearchParams(alpha_hi=0.5))
         found = p2gdr_search(problem, point, params)
-        assert (found[1].chosen_j, found[1].accepted_alpha) == (1, 0.0)
+        assert (found.record.chosen_j, found.record.accepted_alpha) == (1, 0.0)
         assert found.gradient is None
+
+    def test_solve_holds_no_gradient_across_iterations(self):
+        # From zero, D is G itself and each accepted gradient is let go once
+        # measured, so the solve never holds two m-by-n arrays at once.
+        rng = np.random.default_rng(60)
+        m, n, r = 400, 300, 5
+        target = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        problem = MatrixCompletionProblem(target, rng.random((m, n)) < 0.3)
+        x0 = np.zeros((m, n))
+        params = SolverParams(rank_bound=r, delta=0.1, stop_tol=0.0, max_iters=30)
+        tracemalloc.start()
+        try:
+            trace = p2gdr(problem, x0, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (trace.termination, len(trace.records)) == ("max_iters", 30)
+        assert peak < 1.5 * x0.nbytes
 
 
 def test_search_agrees_with_bruteforce_candidates():
@@ -895,7 +914,8 @@ def test_search_agrees_with_bruteforce_candidates():
         x0 = np.diag([1.0, 0.1, 0.0, 0.0])[:4, :4]
         point = point_from_matrix(x0, 2)
         params = SolverParams(rank_bound=2, delta=0.25, stop_tol=1e-12)
-        best, record, _ = p2gdr_search(problem, point, params)
+        found = p2gdr_search(problem, point, params)
+        best, record = found.point, found.record
         fs = []
         for j in range(record.candidates_evaluated):
             x_hat = np.diag([1.0, 0.1, 0.0, 0.0])[:4, :4] if j == 0 else np.diag(

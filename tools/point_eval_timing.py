@@ -10,10 +10,10 @@ Builds one perfbench workload at one seed, solves it once with
 - ``gradient+measure``: the deferred gradient of one such evaluation and
   ``stationarity_measure`` of it, handed over as the solver hands over an
   accepted point's (``solver._evaluate``);
-- ``step``: ``variety.project_step_factored`` of that report's direction
-  at the line search's first step size, with no frame given: the step's
-  frame (its two tall QRs, taken once per line search) plus one trial's
-  core SVD and factors.
+- ``step``: ``variety.step_frame`` of that report's direction, then
+  ``variety.project_step_factored`` in that frame at the line search's
+  first step size: the step's frame (its two tall QRs, taken once per
+  line search) plus one trial's core SVD and factors.
 
 One line describes the solve, then one line per timing, in milliseconds.
 
@@ -73,16 +73,15 @@ def main(argv=None) -> int:
     print(f"solve workload={args.workload} size={args.size} seed={args.seed} shape={m}x{n} "
           f"rank={point.rank} iters={len(trace.records)} termination={trace.termination}")
 
-    def gradient_and_measure(f_value, gradient):
-        return lambda: solver._evaluate(problem, point, f_value, gradient)
-
+    evaluation = problem.evaluate(point)
     tangent = solver._evaluate(problem, point)[0].tangent
     alpha = inst.params.line_search.alpha_hi
     timings = {
         "matrix": point.matrix,
         "evaluate": lambda: problem.evaluate(point),
-        "gradient+measure": gradient_and_measure(*problem.evaluate(point)),
-        "step": lambda: variety.project_step_factored(point, tangent, alpha),
+        "gradient+measure": lambda: solver._evaluate(problem, point, evaluation),
+        "step": lambda: variety.project_step_factored(
+            point, variety.step_frame(point, tangent), alpha),
     }
     for name, work in timings.items():
         print(f"{name} best_ms={best_ms(work, args.repeats):.4f}", flush=True)
