@@ -15,16 +15,19 @@ import numpy as np
 
 EPS = float(np.finfo(np.float64).eps)
 
-# The leading-triplet SVD iterates on a block of k + LEADING_OVERSAMPLE
-# columns. It pays against LAPACK only on matrices whose smaller side is at
-# least LEADING_MIN_RATIO block widths; below that, the dense SVD runs.
+# The leading-triplet SVD starts from a block of k + LEADING_OVERSAMPLE
+# columns; the oversampling sizes only its first Rayleigh-Ritz step, after
+# which the block keeps the width with the least predicted work, and the size
+# cutoff: it pays against LAPACK only on matrices whose smaller side is at
+# least LEADING_MIN_RATIO starting widths; below that, the dense SVD runs.
 LEADING_OVERSAMPLE = 10
 LEADING_MIN_RATIO = 8
 # It stops when every residual is within LEADING_RES_TOL * sigma_1. Between
 # Rayleigh-Ritz steps a Chebyshev filter of degree LEADING_FILTER_DEGREE damps
 # the spectrum below the block. It gives up when the residuals' decay predicts
-# more than LEADING_PRODUCT_BUDGET * min(m, n) / w products with the matrix or
-# its transpose in all: at that point the dense SVD is cheaper.
+# more than LEADING_PRODUCT_BUDGET * min(m, n) column-products (one column
+# multiplied by the matrix or its transpose) in all: at that point the dense
+# SVD is cheaper.
 LEADING_RES_TOL = 1e-12
 LEADING_FILTER_DEGREE = 3
 LEADING_PRODUCT_BUDGET = 6
@@ -161,6 +164,47 @@ def _chebyshev_filter(a: np.ndarray, v: np.ndarray, av: np.ndarray, theta: float
         np.matmul(a, cur, out=av)
 
 
+def _chebyshev(x: float, degree: int) -> float:
+    """The Chebyshev polynomial of the first kind ``T_degree(x)``, ``degree >= 1``."""
+    prev, cur = 1.0, x
+    for _ in range(degree - 1):
+        prev, cur = cur, 2.0 * x * cur - prev
+    return cur
+
+
+def _narrowed_width(s: np.ndarray, k: int, residual: float, tol: float,
+                    threshold: float) -> int:
+    """The block width in ``[k + 1, w]`` with the least predicted work.
+
+    ``s`` holds the w Ritz values of a first Rayleigh-Ritz step whose
+    largest residual is ``residual > tol``. A block of w' columns, filtered
+    with ``theta = s_w'``, shrinks the k-th residual per sweep by about
+    ``rho = (s_{w'+1} / s_k)^2 |T_d(2 s_{w'+1}^2 / s_w'^2 - 1)| /
+    T_d(2 s_k^2 / s_w'^2 - 1)`` (1-based, ``s_{w+1} := s_w``, ``d =
+    LEADING_FILTER_DEGREE``): the next Ritz value stands for the largest
+    singular value outside the block. The predicted work is w' times the
+    sweeps ``ceil(log(tol / residual) / log rho)``. A width whose next
+    value is at most ``threshold``, or whose ``rho`` is not in (0, 1), is
+    not a candidate; with none left, the width stays w.
+    """
+    width = len(s)
+    sk = float(s[k - 1])
+    best, kept = math.inf, width
+    for cols in range(k + 1, width + 1):
+        theta, outside = float(s[cols - 1]), float(s[min(cols, width - 1)])
+        if not outside > threshold:
+            continue
+        rho = ((outside / sk) ** 2
+               * abs(_chebyshev(2.0 * (outside / theta) ** 2 - 1.0, LEADING_FILTER_DEGREE))
+               / _chebyshev(2.0 * (sk / theta) ** 2 - 1.0, LEADING_FILTER_DEGREE))
+        if not 0 < rho < 1:
+            continue
+        work = cols * math.ceil(math.log(tol / residual) / math.log(rho))
+        if work < best:
+            best, kept = work, cols
+    return kept
+
+
 def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
     """SVD of ``a`` whose leading ``k`` triplets are exact to a residual tolerance.
 
@@ -185,21 +229,29 @@ def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
     When ``theta_w`` is at the numerical-rank threshold, the block already
     holds the numerical range and the step runs unfiltered.
 
+    The oversampling sizes only the first step. Before the first filter,
+    :func:`_narrowed_width` reads that step's Ritz values and cuts ``V``,
+    ``a V`` and the Ritz values to the width in ``[k + 1, w]`` with the
+    least predicted column-products; past a flat bulk, a block of two or
+    three columns converges in about as many filtered sweeps as one of
+    k + 10, at a fraction of the cost per product. The full width is a
+    candidate, so by its own estimate the rule never costs more.
+
     On smaller matrices, when the decay of the largest residual predicts
     that reaching the tolerance takes more than ``LEADING_PRODUCT_BUDGET *
-    min(m, n) / w`` products with ``a`` or ``a^T`` (about what the dense
-    SVD costs; a flat spectrum past the k-th value decays slowly), or when
-    a factorization fails, the result is the dense :func:`compute_svd` of
-    ``a`` with all min(m, n) triplets.
+    min(m, n)`` column-products (one column multiplied by ``a`` or ``a^T``;
+    about what the dense SVD costs; a flat spectrum past the k-th value
+    decays slowly), or when a factorization fails, the result is the dense
+    :func:`compute_svd` of ``a`` with all min(m, n) triplets.
     """
     m, n = a.shape
     if LEADING_MIN_RATIO * (k + LEADING_OVERSAMPLE) > min(m, n):
         return compute_svd(a)
     width = min(k + LEADING_OVERSAMPLE, m, n)
-    budget = LEADING_PRODUCT_BUDGET * min(m, n) / width
+    budget = LEADING_PRODUCT_BUDGET * min(m, n)
     omega = np.random.default_rng(0).standard_normal((n, width))
     av = a @ omega
-    products, previous, previous_products = 1, None, 0
+    products, previous, previous_products = width, None, 0
     # Every step adds products and the prediction exceeds them, so the budget ends the loop.
     while True:
         try:
@@ -208,14 +260,20 @@ def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
         except np.linalg.LinAlgError:
             break
         av = a @ vb
-        products += 2
+        products += 2 * width
         u = q @ ubh[:k].T
         r = av[:, :k] - u * s[:k]
         residual = float(np.sqrt(np.max(np.sum(r * r, axis=0))))
         tol = LEADING_RES_TOL * float(s[0])
         if residual <= tol:
             return SvdFactorization(u, s[:k].copy(), vb[:, :k])
-        if previous is not None:
+        threshold = rank_threshold(float(s[0]), a.shape)
+        if previous is None:
+            kept = _narrowed_width(s, k, residual, tol, threshold)
+            if kept < width:
+                width, s = kept, s[:kept]
+                vb, av = np.ascontiguousarray(vb[:, :kept]), np.ascontiguousarray(av[:, :kept])
+        else:
             rate = residual / previous
             if not (0 < rate < 1 and tol > 0):
                 break
@@ -225,9 +283,9 @@ def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
         previous, previous_products = residual, products
         del q, u, r
         theta = float(s[-1])
-        if theta > rank_threshold(float(s[0]), a.shape):
+        if theta > threshold:
             _chebyshev_filter(a, vb, av, theta, LEADING_FILTER_DEGREE)
-            products += 2 * LEADING_FILTER_DEGREE
+            products += 2 * LEADING_FILTER_DEGREE * width
     return compute_svd(a)
 
 

@@ -117,6 +117,30 @@ class TestLeadingSvd:
         assert np.all(left <= LEADING_RES_TOL * s[0]), left / s[0]
         assert np.all(right <= 1e-13 * s[0]), right / s[0]
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_flat_bulk_narrows_after_the_first_step(self, monkeypatch, dense_svd_calls, k):
+        # The spectrum above: past the bulk's edge the filter converges about
+        # as fast on a few columns as on k + 10, so only the first step is wide.
+        sigma = np.concatenate([[1.0, 0.9], 0.85 * 0.98 ** np.arange(248)])
+        a = graded(np.random.default_rng(27), 300, 250, sigma)
+        qr_shapes = []
+        qr = np.linalg.qr
+
+        def recorded(x, *args, **kwargs):
+            qr_shapes.append(np.shape(x))
+            return qr(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        fact = _leading_svd(a, k)
+        assert dense_svd_calls == []
+        assert qr_shapes[0] == (300, k + 10) and len(qr_shapes) > 1
+        assert all(cols < k + 10 for _, cols in qr_shapes[1:]), qr_shapes
+        u, s, v = fact.u, fact.sigma, fact.v
+        left = np.linalg.norm(a @ v - u * s, axis=0)
+        right = np.linalg.norm(a.T @ u - v * s, axis=0)
+        assert np.all(left <= LEADING_RES_TOL * s[0]), left / s[0]
+        assert np.all(right <= 1e-13 * s[0]), right / s[0]
+
     @pytest.mark.parametrize("k", [2, 5])
     def test_rank_inside_the_block(self, dense_svd_calls, k):
         # Rank 8 with a block of k + 10 columns: the trailing Ritz values sit

@@ -5,11 +5,16 @@ and records each call of ``linalg._leading_svd`` it makes: the SVD of the
 start (of G at a zero start) and the D-block of every tangent-cone
 projection with spare rank. It then replays each recorded call on its own
 and prints one line per call: its shape, k, the subspace sweeps it ran,
-whether it ran the dense SVD (below the size cutoff, or as a fallback),
-and the best of three wall times. A last line gives the totals. A sweep
-is one Rayleigh-Ritz step, counted by its one ``np.linalg.qr`` call,
-together with the Chebyshev filter that follows it when the step has not
-converged.
+the block width it kept, its column-products, whether it ran the dense
+SVD (below the size cutoff, or as a fallback), and the best of three wall
+times. A last line gives the totals. A sweep is one Rayleigh-Ritz step,
+counted by its one ``np.linalg.qr`` call, together with the Chebyshev
+filter that follows it when the step has not converged. The kept width
+is the block width of the last sweep (0 below the size cutoff, where no
+sweep runs). A column-product is one column multiplied by ``a`` or
+``a^T``: the start block's columns, twice a sweep's width (``Q^T a`` and
+``a V``) and twice the filter degree times a filter's width. The width
+rule in ``_leading_svd`` minimises them.
 
     PYTHONPATH=src python3 tools/replay_leading_svd.py [--workload rankdrop-cli] [--seed 101]
 
@@ -66,23 +71,32 @@ def record(problem, x0, params) -> list[tuple[np.ndarray, int]]:
     return calls
 
 
-def count(a: np.ndarray, k: int) -> tuple[int, bool]:
-    """Sweeps (Rayleigh-Ritz steps, one QR each) and whether the dense SVD ran,
-    for one ``_leading_svd(a, k)``."""
-    qr_calls, dense_calls = [], []
-    qr, dense = np.linalg.qr, linalg.compute_svd
+def count(a: np.ndarray, k: int) -> tuple[int, int, int, bool]:
+    """Sweeps (Rayleigh-Ritz steps, one QR each), the kept width, the
+    column-products and whether the dense SVD ran, for one ``_leading_svd(a, k)``."""
+    qr_widths, filter_columns, dense_calls = [], [], []
+    qr, chebyshev_filter, dense = np.linalg.qr, linalg._chebyshev_filter, linalg.compute_svd
 
-    def counted_qr(*args, **kwargs):
-        qr_calls.append(1)
-        return qr(*args, **kwargs)
+    def counted_qr(x, *args, **kwargs):
+        qr_widths.append(np.shape(x)[1])
+        return qr(x, *args, **kwargs)
+
+    def counted_filter(a, v, av, theta, degree):
+        filter_columns.append(2 * degree * v.shape[1])
+        return chebyshev_filter(a, v, av, theta, degree)
 
     def counted_dense(x):
         dense_calls.append(1)
         return dense(x)
 
-    with patched(np.linalg, "qr", counted_qr), patched(linalg, "compute_svd", counted_dense):
+    with (patched(np.linalg, "qr", counted_qr),
+          patched(linalg, "_chebyshev_filter", counted_filter),
+          patched(linalg, "compute_svd", counted_dense)):
         linalg._leading_svd(a, k)
-    return len(qr_calls), bool(dense_calls)
+    if not qr_widths:
+        return 0, 0, 0, bool(dense_calls)
+    col_products = qr_widths[0] + 2 * sum(qr_widths) + sum(filter_columns)
+    return len(qr_widths), qr_widths[-1], col_products, bool(dense_calls)
 
 
 def best_time(a: np.ndarray, k: int) -> float:
@@ -96,18 +110,21 @@ def best_time(a: np.ndarray, k: int) -> float:
 
 def replay(calls: list[tuple[np.ndarray, int]]) -> None:
     """Print one line per recorded call, then the totals."""
-    sweeps_total = fallbacks = 0
+    sweeps_total = widths = col_products_total = fallbacks = 0
     seconds_total = 0.0
     for i, (a, k) in enumerate(calls):
-        sweeps, fallback = count(a, k)
+        sweeps, width, col_products, fallback = count(a, k)
         seconds = best_time(a, k)
         sweeps_total += sweeps
+        widths += width
+        col_products_total += col_products
         fallbacks += fallback
         seconds_total += seconds
-        print(f"{i} shape={a.shape[0]}x{a.shape[1]} k={k} sweeps={sweeps} "
-              f"fallback={'yes' if fallback else 'no'} best_s={seconds:.6f}")
-    print(f"total calls={len(calls)} sweeps={sweeps_total} fallbacks={fallbacks} "
-          f"best_s={seconds_total:.6f}")
+        print(f"{i} shape={a.shape[0]}x{a.shape[1]} k={k} sweeps={sweeps} width={width} "
+              f"col_products={col_products} fallback={'yes' if fallback else 'no'} "
+              f"best_s={seconds:.6f}")
+    print(f"total calls={len(calls)} sweeps={sweeps_total} width={widths} "
+          f"col_products={col_products_total} fallbacks={fallbacks} best_s={seconds_total:.6f}")
 
 
 def main(argv=None) -> int:
