@@ -17,9 +17,10 @@ EPS = float(np.finfo(np.float64).eps)
 
 # The leading-triplet SVD starts from a block of k + LEADING_OVERSAMPLE
 # columns; the oversampling sizes only its first Rayleigh-Ritz step, after
-# which the block keeps the width with the least predicted work, and the size
-# cutoff: it pays against LAPACK only on matrices whose smaller side is at
-# least LEADING_MIN_RATIO starting widths; below that, the dense SVD runs.
+# which the block may narrow to the width with the least predicted work, and
+# the size cutoff: it pays against LAPACK only on matrices whose smaller side
+# is at least LEADING_MIN_RATIO starting widths; below that, the dense SVD
+# runs.
 LEADING_OVERSAMPLE = 10
 LEADING_MIN_RATIO = 8
 # It stops when every residual is within LEADING_RES_TOL * sigma_1. Between
@@ -31,6 +32,11 @@ LEADING_MIN_RATIO = 8
 LEADING_RES_TOL = 1e-12
 LEADING_FILTER_DEGREE = 3
 LEADING_PRODUCT_BUDGET = 6
+# After the first step the block narrows only where that divides the predicted
+# column-products by at least LEADING_NARROW_GAIN: a narrowed block converges
+# more slowly, so its last step overshoots the tolerance less and its triplets
+# land nearer it.
+LEADING_NARROW_GAIN = 1.5
 
 
 class NumericalFailure(np.linalg.LinAlgError):
@@ -164,45 +170,42 @@ def _chebyshev_filter(a: np.ndarray, v: np.ndarray, av: np.ndarray, theta: float
         np.matmul(a, cur, out=av)
 
 
-def _chebyshev(x: float, degree: int) -> float:
-    """The Chebyshev polynomial of the first kind ``T_degree(x)``, ``degree >= 1``."""
-    prev, cur = 1.0, x
-    for _ in range(degree - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
 def _narrowed_width(s: np.ndarray, k: int, residual: float, tol: float,
                     threshold: float) -> int:
-    """The block width in ``[k + 1, w]`` with the least predicted work.
+    """The block width after a first step: w, or the one in ``[k + 1, w]``
+    with the least predicted work.
 
     ``s`` holds the w Ritz values of a first Rayleigh-Ritz step whose
     largest residual is ``residual > tol``. A block of w' columns, filtered
-    with ``theta = s_w'``, shrinks the k-th residual per sweep by about
-    ``rho = (s_{w'+1} / s_k)^2 |T_d(2 s_{w'+1}^2 / s_w'^2 - 1)| /
-    T_d(2 s_k^2 / s_w'^2 - 1)`` (1-based, ``s_{w+1} := s_w``, ``d =
-    LEADING_FILTER_DEGREE``): the next Ritz value stands for the largest
-    singular value outside the block. The predicted work is w' times the
-    sweeps ``ceil(log(tol / residual) / log rho)``. A width whose next
-    value is at most ``threshold``, or whose ``rho`` is not in (0, 1), is
-    not a candidate; with none left, the width stays w.
+    with ``theta = s_w'``, shrinks the k-th residual per sweep by at most
+    ``rho = (s_{w'+1} / s_k)^2 / T_d(2 s_k^2 / s_w'^2 - 1)`` (1-based,
+    ``s_{w+1} := s_w``, ``d = LEADING_FILTER_DEGREE``): the filter keeps
+    every singular value outside the block, all at most the next Ritz
+    value ``s_{w'+1}``, within ``|T_d| <= 1``. The predicted work is w'
+    times the sweeps ``ceil(log(tol / residual) / log rho)``. A width
+    whose next value is at most ``threshold``, or whose ``rho`` is not in
+    (0, 1), is not a candidate; with none left, the width stays w.
+
+    The width also stays w unless that least work is at most ``1 /
+    LEADING_NARROW_GAIN`` of w's own; a w that is not a candidate counts
+    as unbounded work.
     """
     width = len(s)
     sk = float(s[k - 1])
-    best, kept = math.inf, width
+    works = {}
     for cols in range(k + 1, width + 1):
         theta, outside = float(s[cols - 1]), float(s[min(cols, width - 1)])
         if not outside > threshold:
             continue
-        rho = ((outside / sk) ** 2
-               * abs(_chebyshev(2.0 * (outside / theta) ** 2 - 1.0, LEADING_FILTER_DEGREE))
-               / _chebyshev(2.0 * (sk / theta) ** 2 - 1.0, LEADING_FILTER_DEGREE))
+        growth = math.cosh(LEADING_FILTER_DEGREE * math.acosh(2.0 * (sk / theta) ** 2 - 1.0))
+        rho = (outside / sk) ** 2 / growth
         if not 0 < rho < 1:
             continue
-        work = cols * math.ceil(math.log(tol / residual) / math.log(rho))
-        if work < best:
-            best, kept = work, cols
-    return kept
+        works[cols] = cols * math.ceil(math.log(tol / residual) / math.log(rho))
+    if not works:
+        return width
+    kept = min(works, key=works.get)
+    return kept if LEADING_NARROW_GAIN * works[kept] <= works.get(width, math.inf) else width
 
 
 def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
@@ -232,10 +235,10 @@ def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
     The oversampling sizes only the first step. Before the first filter,
     :func:`_narrowed_width` reads that step's Ritz values and cuts ``V``,
     ``a V`` and the Ritz values to the width in ``[k + 1, w]`` with the
-    least predicted column-products; past a flat bulk, a block of two or
+    least predicted column-products, where that divides w's own by at
+    least ``LEADING_NARROW_GAIN``; past a flat bulk, a block of two or
     three columns converges in about as many filtered sweeps as one of
-    k + 10, at a fraction of the cost per product. The full width is a
-    candidate, so by its own estimate the rule never costs more.
+    k + 10, at a fraction of the cost per product.
 
     On smaller matrices, when the decay of the largest residual predicts
     that reaching the tolerance takes more than ``LEADING_PRODUCT_BUDGET *

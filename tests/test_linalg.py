@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from lowrankopt.linalg import (
     LEADING_RES_TOL,
     _leading_svd,
+    _narrowed_width,
     compute_svd,
     delta_rank,
     distance_to_bounded_rank,
@@ -140,6 +141,40 @@ class TestLeadingSvd:
         right = np.linalg.norm(a.T @ u - v * s, axis=0)
         assert np.all(left <= LEADING_RES_TOL * s[0]), left / s[0]
         assert np.all(right <= 1e-13 * s[0]), right / s[0]
+
+    def test_small_saving_keeps_the_full_width(self, monkeypatch, dense_svd_calls):
+        # The spectrum of a zero start's G: the k-th value sits on the edge of
+        # a slowly decaying bulk, so every extra column speeds convergence and
+        # a narrower block would save under a tenth of the column-products.
+        sigma = np.concatenate([[1.0, 0.9, 0.8, 0.7, 0.22, 0.21], 0.2 * 0.99 ** np.arange(244)])
+        a = graded(np.random.default_rng(29), 300, 250, sigma)
+        qr_shapes = []
+        qr = np.linalg.qr
+
+        def recorded(x, *args, **kwargs):
+            qr_shapes.append(np.shape(x))
+            return qr(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        fact = _leading_svd(a, 6)
+        assert dense_svd_calls == [] and len(qr_shapes) > 1
+        assert all(shape == (300, 16) for shape in qr_shapes), qr_shapes
+        u, s, v = fact.u, fact.sigma, fact.v
+        left = np.linalg.norm(a @ v - u * s, axis=0)
+        assert np.all(left <= LEADING_RES_TOL * s[0]), left / s[0]
+
+    def test_width_does_not_follow_a_root_of_the_filter(self):
+        # Ritz values of a flat bulk past sigma_1. The value after the 4th
+        # sits at 0.966 of it, where T_3(2 x^2 - 1) = 0: an estimate that
+        # read the filter's value there would predict one sweep for 4 columns.
+        root = np.sqrt((1.0 + np.cos(np.pi / 6)) / 2.0)
+        kept = []
+        for ratio in (0.93, root, 0.99):
+            s = np.concatenate([[1.0], 0.9 * 0.98 ** np.arange(10)])
+            s[4] = ratio * s[3]
+            s[5:] = np.minimum(s[5:], s[4] * 0.98 ** np.arange(1, 7))
+            kept.append(_narrowed_width(s, 1, 0.5, 1e-12, 1e-14))
+        assert kept[0] == kept[1] == kept[2] != 4, kept
 
     @pytest.mark.parametrize("k", [2, 5])
     def test_rank_inside_the_block(self, dense_svd_calls, k):
