@@ -1,12 +1,11 @@
 """Config-driven experiment runner.
 
 Subcommands: ``run`` a solver on a problem, ``compare`` the rank-reducing
-and plain variants from the same start, ``check`` the property suite, and
-``gen-problem`` to emit a problem-document skeleton. Exit codes: 0 the run
-reached stationarity, 1 configuration error or a factorization that did not
-converge, 2 iteration budget exhausted, 3 line-search failure, 4 a property
-check or trace-equality assertion failed, 5 a NaN or Inf gradient or cost
-ended the run.
+and plain variants from the same start, and ``gen-problem`` to emit a
+problem-document skeleton. Exit codes: 0 the run reached stationarity, 1
+configuration error or a factorization that did not converge, 2 iteration
+budget exhausted, 3 line-search failure, 4 ``compare --assert-identical``
+found differing traces, 5 a NaN or Inf gradient or cost ended the run.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import run_all_checks
 from .linalg import truncate_to_rank
 from .problems import CostFunction, load_problem, problem_skeleton
 from .serialize import json_number, load_matrix, read_json
@@ -179,18 +177,6 @@ def _verdict_entry(trace: Trace) -> dict:
     return {key: summary[key] for key in ("final_s", "final_f", "final_rank")}
 
 
-def cmd_check(_args) -> int:
-    results = run_all_checks()
-    width = max(len(name) for name, _, _ in results)
-    failed = 0
-    for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"{name:<{width}}  {status}  {detail}")
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 4
-
-
 def cmd_gen_problem(args) -> int:
     doc = problem_skeleton(args.kind)
     text = json.dumps(doc, indent=2) + "\n"
@@ -229,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail unless the two traces agree row by row",
     )
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_chk = sub.add_parser("check", help="run the invariant and property suite")
-    p_chk.set_defaults(func=cmd_check)
 
     p_gen = sub.add_parser("gen-problem", help="emit a problem JSON skeleton")
     p_gen.add_argument("kind", choices=["lowrank_approx", "completion", "polynomial"])

@@ -18,8 +18,8 @@ def json_number(key: str, value, *, integer: bool = False) -> int | float | None
     """The JSON number ``value`` given for ``key``, or None for ``null`` (not given).
 
     Run configs and problem and matrix documents read every scalar by this
-    rule: a bool, a string or any other value raises ValueError, as does a
-    fraction where ``integer`` asks for an int."""
+    rule: a bool, a string or any other value raises ValueError, as do a
+    fraction where ``integer`` asks for an int and a number past a double."""
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
@@ -27,7 +27,10 @@ def json_number(key: str, value, *, integer: bool = False) -> int | float | None
     ):
         kind = "an integer" if integer else "a number"
         raise ValueError(f"{key!r} must be {kind}, got {value!r}")
-    return int(value) if integer else float(value)
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise ValueError(f"{key!r} must be a number that fits a double") from None
 
 
 def _fmt(v: float) -> str:
@@ -63,7 +66,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix document must be a JSON object")
     try:
         rows, cols = (json_number(key, obj[key], integer=True) for key in ("rows", "cols"))
-        entries = np.asarray(obj["entries"], dtype=np.float64)
+        entries = _entries(obj["entries"])
         if entries.size != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
     except KeyError as exc:
@@ -71,6 +74,20 @@ def matrix_from_json(obj) -> np.ndarray:
     except TypeError as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
     return as_matrix(entries.reshape(rows, cols))
+
+
+def _entries(values) -> np.ndarray:
+    """The ``entries`` of a matrix document: a JSON array of numbers that fit a double."""
+    if not isinstance(values, list):
+        raise ValueError(f"'entries' must be an array of numbers, got {values!r:.40}")
+    # Exact types: a bool is an int subclass, and JSON gives no other number types.
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise ValueError(f"'entries' must be an array of numbers, got {bad!r:.40}")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("'entries' must be numbers that fit a double") from None
 
 
 def save_matrix(x, path) -> None:
@@ -87,7 +104,7 @@ def read_json(path):
     text = Path(path).read_text(encoding="utf-8")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 

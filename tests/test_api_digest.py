@@ -1,0 +1,43 @@
+"""The ``api sha256=`` line of ``tools/trace_digest.py`` fingerprints the
+public routines' results: it repeats, and one ulp in one result moves it.
+
+The tool is loaded by path; its workload loader is not used here.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lowrankopt import linalg, problems, solver, variety
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+@pytest.fixture(scope="module")
+def digest_tool():
+    spec = importlib.util.spec_from_file_location("trace_digest", TOOLS / "trace_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_repeats(digest_tool):
+    assert digest_tool.api_digest(101) == digest_tool.api_digest(101)
+
+
+# Each routine whose result is one array or one float.
+@pytest.mark.parametrize("module, name", [
+    (linalg, "singular_values"),
+    (linalg, "distance_to_bounded_rank"),
+    (variety, "tangent_curve"),
+    (variety, "tangent_line_distance_bound"),
+    (solver, "kappa_bound"),
+    (problems, "finite_difference_check"),
+])
+def test_one_ulp_moves_the_digest(digest_tool, monkeypatch, module, name):
+    before = digest_tool.api_digest(101)
+    routine = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: np.nextafter(routine(*args), np.inf))
+    assert digest_tool.api_digest(101) != before

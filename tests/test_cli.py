@@ -142,6 +142,21 @@ class TestRun:
         assert cli.main(["run", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("entries", [
+        [10**400] + [0.0] * 8,
+        ["1e3", True, 3, 4, 5, 6, 7, 8, 9],
+        [None] + [1.0] * 8,
+    ], ids=["int-past-double", "string-and-bool", "null"])
+    def test_entries_must_be_numbers_that_fit_a_double(self, tmp_path, capsys, entries):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1)
+        (tmp_path / "problem.json").write_text(json.dumps({
+            "type": "lowrank_approx", "shape": [3, 3],
+            "payload": {"target": {"rows": 3, "cols": 3, "entries": entries}},
+        }))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err.startswith("error: 'entries' must be ")
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("problem_doc, x0_doc, message", [
         ({"type": "lowrank_approx", "payload": {}}, None, "problem document: missing key 'shape'"),
         ({"type": "lowrank_approx", "shape": [3, 3], "payload": {}}, None,
@@ -428,6 +443,14 @@ class TestConfig:
         assert "invalid config field: stop_tol" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    def test_number_past_a_double_is_a_config_error(self, tmp_path, capsys):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1)
+        config.write_text(config.read_text().replace('"delta": 0.1', '"delta": 1' + "0" * 400))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: invalid config field: 'delta' must be a number that fits a double\n")
+        assert not (tmp_path / "results").exists()
+
     def test_random_seed_is_read_with_the_config(self, tmp_path):
         config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1, x0="random:007")
         assert cli.RunConfig.load(config).x0 == 7
@@ -500,20 +523,18 @@ class TestCompare:
         assert "differ" in capsys.readouterr().err
 
 
-class TestCheck:
-    def test_fresh_build_passes(self, capsys):
-        assert cli.main(["check"]) == 0
-        out = capsys.readouterr().out
-        assert "tightness_fixture" in out
-        assert "step_size_floor" in out
-        assert "FAIL" not in out
+class TestCommands:
+    def test_check_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
 
-    def test_failure_exits_4(self, monkeypatch, capsys):
-        monkeypatch.setattr(
-            cli, "run_all_checks", lambda: [("stub", False, "boom"), ("ok", True, "fine")]
-        )
-        assert cli.main(["check"]) == 4
-        assert "FAIL" in capsys.readouterr().out
+    def test_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "{run,compare,gen-problem}" in capsys.readouterr().out
 
 
 class TestGenProblem:

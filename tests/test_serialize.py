@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from lowrankopt.serialize import (
+    json_number,
     load_matrix,
     matrix_from_csv,
     matrix_from_json,
@@ -57,6 +58,29 @@ def test_json_rejects_wrong_count():
         matrix_from_json({"rows": 2, "cols": 2, "entries": [1.0, 2.0, 3.0]})
 
 
+@pytest.mark.parametrize("entries", [
+    [1.0, 2.0, 3.0, 10**400],
+    ["1e3", 2.0, 3.0, 4.0],
+    [True, 2.0, 3.0, 4.0],
+    [None, 2.0, 3.0, 4.0],
+    [[1.0, 2.0], [3.0, 4.0]],
+    {"0": 1.0},
+], ids=["int-past-double", "string", "bool", "null", "nested", "object"])
+def test_json_entries_must_be_numbers_that_fit_a_double(entries):
+    with pytest.raises(ValueError, match="^'entries' must be "):
+        matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
+
+
+def test_json_entries_read_ints_and_floats():
+    x = matrix_from_json({"rows": 1, "cols": 3, "entries": [1, -2.5, 10**300]})
+    assert np.array_equal(x, [[1.0, -2.5, 1e300]])
+
+
+def test_json_number_past_a_double_names_its_key():
+    with pytest.raises(ValueError, match="^'delta' must be a number that fits a double$"):
+        json_number("delta", 10**400)
+
+
 def test_json_missing_key_is_named():
     with pytest.raises(ValueError, match="^malformed matrix document: missing key 'entries'$"):
         matrix_from_json({"rows": 2, "cols": 2})
@@ -65,6 +89,13 @@ def test_json_missing_key_is_named():
 def test_unparsable_json_file_is_named(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"rows": 2, "cols": 2, "entr')
+    with pytest.raises(ValueError, match=f"^malformed JSON in {path}: "):
+        load_matrix(path)
+
+
+def test_integer_past_the_digit_limit_names_its_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"rows": 1, "cols": 1, "entries": [' + "1" * 5000 + "]}")
     with pytest.raises(ValueError, match=f"^malformed JSON in {path}: "):
         load_matrix(path)
 

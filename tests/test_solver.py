@@ -517,6 +517,8 @@ class TestOuterLoop:
         trace = p2gdr(LowRankApproxProblem(a), np.zeros((10, 8)), params)
         assert trace.termination == "stationary"
         assert trace.final_f == pytest.approx(0.5 * np.sum(sv[3:] ** 2), abs=1e-6)
+        # from zero the rank grows, and never past the bound
+        assert all(rec.rank <= 3 for rec in trace.records) and trace.final_rank <= 3
 
     def test_strict_descent_and_feasibility(self):
         rng = np.random.default_rng(11)

@@ -13,10 +13,10 @@ line's algorithm reads ``cli`` and its digest is of the
 that config with ``"x0": "random:7"`` (algorithm ``cli-random7``), since
 every workload itself starts from zero and so never factors a nonzero
 start. Two checkouts whose outputs are identical produce byte-identical
-traces on all sixteen solves. A last line, ``check sha256=<digest>``,
-fingerprints the table that ``lowrankopt check`` prints, since the
-property suite builds every point it checks through the library's own
-constructors.
+traces on all sixteen solves. A last line, ``api sha256=<digest>``,
+fingerprints what the public routines that the tests check return on small
+seeded instances (:func:`api_digest`), which covers the library paths that
+the sixteen solves do not reach.
 
     PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] [--save DIR] > digest.txt
 
@@ -37,17 +37,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
-import io  # noqa: E402
 import json  # noqa: E402
+import struct  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-from lowrankopt import cli, solver  # noqa: E402
+import numpy as np  # noqa: E402
+
+from lowrankopt import linalg, problems, solver, variety  # noqa: E402
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SIZES = ("tiny", "full")
@@ -71,6 +72,67 @@ def random_start(inst):
     path = inst.config_path.with_name("config-random.json")
     path.write_text(json.dumps(config), encoding="utf-8")
     return dataclasses.replace(inst, config_path=path, out_dir=path.parent / "out-random")
+
+
+def _feed(hasher, value) -> None:
+    """Add the bytes of a routine's result: arrays and floats bit for bit,
+    dataclasses field by field, anything else by its repr."""
+    if isinstance(value, np.ndarray):
+        hasher.update(f"{value.dtype.str}{value.shape}".encode())
+        hasher.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, float):
+        hasher.update(struct.pack("<d", value))
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _feed(hasher, getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            _feed(hasher, item)
+    else:
+        hasher.update(repr(value).encode())
+
+
+def api_digest(seed: int) -> str:
+    """sha256 of what the public routines return on small seeded instances.
+
+    A 7x5 target with rank bound 3 is paired with a point of each rank 0
+    to 3: spare budget below the bound, none at it. Each point has one
+    small singular value, so the delta-rank and the rank-reduction search
+    see a drop. Routines are looked up on their modules at each call."""
+    rng = np.random.default_rng(seed)
+    hasher = hashlib.sha256()
+    m, n, bound, delta = 7, 5, 3, 0.1
+    target = rng.standard_normal((m, n))
+    problem = problems.LowRankApproxProblem(target)
+    params = solver.SolverParams(rank_bound=bound, delta=delta)
+    for k in range(min(m, n) + 1):
+        _feed(hasher, linalg.truncate_to_rank(target, k))
+        _feed(hasher, linalg.distance_to_bounded_rank(target, k))
+    for rank in range(bound + 1):
+        u = np.linalg.qr(rng.standard_normal((m, rank)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+        x = (u * [2.0, 1.0, 0.05][:rank]) @ v.T
+        _feed(hasher, linalg.singular_values(x))
+        _feed(hasher, linalg.delta_rank(x, delta))
+        point = variety.point_from_matrix(x, bound)
+        _feed(hasher, point)
+        tangent, projected, norm = variety.project_to_tangent_cone(
+            point, rng.standard_normal((m, n)))
+        _feed(hasher, (projected, norm))
+        _feed(hasher, variety.stationarity_measure(problem, point))
+        if rank:  # both are undefined at the zero matrix
+            _feed(hasher, variety.tangent_curve(point, tangent, 0.7))
+            _feed(hasher, variety.tangent_line_distance_bound(point, norm))
+        _feed(hasher, solver.kappa_bound(problem, point, 1.0, 1.0))
+        _feed(hasher, solver.p2gd_step(problem, point, params.line_search))
+        _feed(hasher, solver.p2gdr_search(problem, point, params).record)
+    mask = rng.random((m, n)) < 0.5
+    terms = [([(0, 0, 2), (1, 1, 2)], 0.7), ([(2, 3, 4)], -0.3),
+             ([(4, 0, 1), (0, 3, 1), (1, 2, 1)], 1.1), ([(3, 3, 1)], 2.0)]
+    for cost in (problem, problems.MatrixCompletionProblem(target, mask),
+                 problems.UserPolynomialProblem((m, n), terms)):
+        _feed(hasher, problems.finite_difference_check(cost, rng.standard_normal((m, n)), 1e-5))
+    return hasher.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -102,10 +164,7 @@ def main(argv=None) -> int:
                     random = random_start(inst)
                     report(name, size, "cli-" + RANDOM_START.replace(":", ""),
                            *workload.finish(random, workload.solve(random)))
-    table = io.StringIO()
-    with contextlib.redirect_stdout(table):
-        cli.main(["check"])
-    print(f"check sha256={hashlib.sha256(table.getvalue().encode('utf-8')).hexdigest()}")
+    print(f"api sha256={api_digest(args.seed)}")
     return 0
 
 
