@@ -78,6 +78,10 @@ def _half_squared_norm(d: np.ndarray) -> float:
 class ResidualCost(CostFunction):
     """Half the squared Frobenius norm of a residual of ``x``, whose
     gradient is that residual. A subclass forms it in ``_residual``.
+
+    ``eval(x)`` and ``gradient(x)`` check ``x`` like every public entry;
+    :meth:`evaluate` checks the matrix it forms only when the cost is not
+    finite.
     """
 
     @abstractmethod
@@ -89,8 +93,15 @@ class ResidualCost(CostFunction):
         return _half_squared_norm(self._residual(self._check_shape(x)))
 
     def gradient(self, x, out=None) -> np.ndarray:
-        """The residual, written into ``out`` when it is given."""
-        return self._residual(self._check_shape(x), out)
+        """The residual, written into ``out`` when it is given.
+
+        Written over ``x`` itself (``out is x``), as :meth:`evaluate` writes
+        it, ``x`` is an array of the cost's shape whose entries are not
+        checked: a NaN or Inf among them leaves the residual non-finite.
+        """
+        if out is not x or np.shape(x) != self.shape:
+            x = self._check_shape(x)
+        return self._residual(x, out)
 
     def evaluate(self, point) -> tuple[float, NormedGradient]:
         """:meth:`CostFunction.evaluate` in one dense matrix, which the
@@ -99,11 +110,24 @@ class ResidualCost(CostFunction):
         ``point.matrix()`` is a fresh array that nothing else holds, so the
         gradient is written over it. The cost is ``eval``'s single dot of
         the residual bit for bit, and ``||G||`` the root of that dot.
+
+        X is checked for NaN and Inf only when that dot is not finite: any
+        such entry of X, observed or not, makes the residual non-finite
+        (``Inf * 0`` is NaN), so a finite dot proves X finite. A
+        non-finite X then raises :class:`~lowrankopt.linalg.NonFiniteError`
+        from ``point.matrix()`` formed again; a finite X whose squares
+        overflow gives a cost of Inf.
         """
         x = point.matrix()
-        g = self.gradient(x, out=x)
-        flat = g.ravel()
-        squares = float(flat @ flat)
+        # A NaN or Inf in X, or squares that overflow, show in the cost and
+        # the check, not as numpy warnings; forming X above warns of an
+        # overflow of its own.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.gradient(x, out=x)
+            flat = g.ravel()
+            squares = float(flat @ flat)
+            if not math.isfinite(squares):
+                as_matrix(point.matrix())
         return 0.5 * squares, NormedGradient(g, math.sqrt(squares))
 
 
@@ -126,10 +150,12 @@ class LowRankApproxProblem(ResidualCost):
 class MatrixCompletionProblem(ResidualCost):
     """Half squared misfit on the observed entries of a target matrix.
 
-    The mask is copied, one byte an entry, so a later change to the
-    caller's array leaves the cost as it was built. The target is held as
-    given (a float64 array is not copied), as in
-    :class:`LowRankApproxProblem`.
+    The cost reads two arrays built at construction: a copy of the mask,
+    one byte an entry, and ``offset = 0.0 - target * mask``, which is
+    ``-target`` on the observed entries (+0.0 for a zero target) and
+    +0.0 elsewhere. So a later change to the caller's mask or target
+    leaves the cost as it was built. ``target`` is the caller's array as
+    given (a float64 array is not copied); the cost does not read it.
     """
 
     def __init__(self, target, mask):
@@ -140,17 +166,20 @@ class MatrixCompletionProblem(ResidualCost):
                 f"mask shape {self.mask.shape} does not match target {self.target.shape}"
             )
         self.shape = self.target.shape
+        self._offset = np.multiply(self.target, self.mask)
+        np.subtract(0.0, self._offset, out=self._offset)
 
     def _residual(self, x, out=None) -> np.ndarray:
         """``x - target`` on the observed entries and +0.0 elsewhere.
 
-        Multiplying by the mask, read as 0/1 weights, leaves -0.0 where a
-        negative residual is unobserved; adding 0.0 turns that into +0.0
-        and changes no other entry's value.
+        ``x * mask + offset``, with the mask read as 0/1 weights: an
+        observed entry is ``x + (-target)``, which is ``x - target`` (a zero
+        comes out +0.0, as no offset entry is -0.0), and an unobserved one
+        is ``±0.0 + 0.0``, which is +0.0. So for a finite ``x`` the
+        residual is bit for bit ``(x - target) * mask + 0.0``.
         """
-        d = np.subtract(x, self.target, out=out)
-        d *= self.mask
-        d += 0.0
+        d = np.multiply(x, self.mask, out=out)
+        d += self._offset
         return d
 
 
@@ -326,7 +355,9 @@ def load_problem(source) -> CostFunction:
     The document is ``{"type": ..., "shape": [m, n], "payload": {...}}``
     with type one of ``lowrank_approx``, ``completion``, ``polynomial``.
     A file that is not JSON, or a document that is not an object, lacks a
-    key or has wrongly typed fields, raises ``ValueError``.
+    key, holds a key it does not read (a ``mask`` in a ``lowrank_approx``
+    payload too), has wrongly typed fields or a completion ``mask`` entry
+    other than 0 or 1, raises ``ValueError``.
     """
     doc = source if isinstance(source, dict) else read_json(source)
     if not isinstance(doc, dict):
@@ -347,17 +378,32 @@ def _integers(key: str, values, count: int) -> tuple[int, ...]:
     return ints
 
 
+# The keys a problem document may hold, and those of each type's payload.
+DOCUMENT_KEYS = {"type", "shape", "payload"}
+PAYLOAD_KEYS = {
+    "lowrank_approx": {"target"},
+    "completion": {"target", "mask"},
+    "polynomial": {"terms"},
+}
+
+
+def _known_keys(where: str, obj: dict, keys: set) -> None:
+    """Reject a key of ``obj`` outside ``keys``, naming it."""
+    unknown = sorted(map(str, set(obj) - keys))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(map(repr, unknown))}")
+
+
 def _problem_from_doc(doc: dict) -> CostFunction:
     kind = doc.get("type")
+    if kind not in PAYLOAD_KEYS:
+        raise ValueError(f"unknown problem type {kind!r}")
+    _known_keys("problem document", doc, DOCUMENT_KEYS)
     shape = _integers("shape", doc["shape"], 2)
     payload = doc.get("payload", {})
-    if kind in ("lowrank_approx", "completion"):
-        target = matrix_from_json(payload["target"])
-        if target.shape != shape:
-            raise ValueError(f"target shape {target.shape} does not match {shape}")
-        if kind == "lowrank_approx":
-            return LowRankApproxProblem(target)
-        return MatrixCompletionProblem(target, matrix_from_json(payload["mask"]) != 0.0)
+    if not isinstance(payload, dict):
+        raise ValueError("'payload' must be a JSON object")
+    _known_keys(f"{kind} payload", payload, PAYLOAD_KEYS[kind])
     if kind == "polynomial":
         terms = [
             ([_integers("monomial factor", f, 3) for f in term["monomial"]],
@@ -365,7 +411,23 @@ def _problem_from_doc(doc: dict) -> CostFunction:
             for term in payload["terms"]
         ]
         return UserPolynomialProblem(shape, terms)
-    raise ValueError(f"unknown problem type {kind!r}")
+    target = matrix_from_json(payload["target"])
+    if target.shape != shape:
+        raise ValueError(f"target shape {target.shape} does not match {shape}")
+    if kind == "lowrank_approx":
+        return LowRankApproxProblem(target)
+    return MatrixCompletionProblem(target, _mask(matrix_from_json(payload["mask"])))
+
+
+def _mask(weights: np.ndarray) -> np.ndarray:
+    """A completion document's mask, whose entries are 1 (observed) or 0."""
+    observed = weights == 1.0
+    bad = ~observed & (weights != 0.0)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise ValueError(f"'mask' entries must be 0 or 1, got {float(weights[row, col])!r} "
+                         f"at ({row}, {col})")
+    return observed
 
 
 def problem_skeleton(kind: str) -> dict:

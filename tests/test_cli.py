@@ -142,6 +142,39 @@ class TestRun:
         assert cli.main(["run", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"target": matrix_to_json(np.eye(3)), "mask": matrix_to_json(np.eye(3))},
+         "unknown lowrank_approx payload keys: 'mask'"),
+        ({"target": matrix_to_json(np.eye(3)), "weights": 1.0},
+         "unknown lowrank_approx payload keys: 'weights'"),
+        (None, "unknown problem document keys: 'comment'"),
+    ], ids=["lowrank-mask", "payload-key", "document-key"])
+    def test_unread_problem_keys_exit_1(self, tmp_path, capsys, payload, message):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1)
+        doc = json.loads((tmp_path / "problem.json").read_text())
+        if payload is None:
+            doc["comment"] = "ignored until now"
+        else:
+            doc["payload"] = payload
+        (tmp_path / "problem.json").write_text(json.dumps(doc))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("weight", [0.5, -3.0, 2.0])
+    def test_completion_mask_entries_are_0_or_1(self, tmp_path, capsys, weight):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1)
+        mask = np.ones((3, 3))
+        mask[2, 1] = weight
+        (tmp_path / "problem.json").write_text(json.dumps({
+            "type": "completion", "shape": [3, 3],
+            "payload": {"target": matrix_to_json(np.eye(3)), "mask": matrix_to_json(mask)},
+        }))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: 'mask' entries must be 0 or 1, got {weight!r} at (2, 1)\n")
+        assert not (tmp_path / "results").exists()
+
     @pytest.mark.parametrize("entries", [
         [10**400] + [0.0] * 8,
         ["1e3", True, 3, 4, 5, 6, 7, 8, 9],

@@ -1,6 +1,9 @@
+import itertools
 import json
+import struct
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -167,13 +170,63 @@ class TestMatrixCompletion:
             MatrixCompletionProblem(np.eye(3), np.ones((2, 3), dtype=bool))
 
     def test_mask_is_copied_and_target_held(self):
+        # The cost reads its own copies of the mask and of the observed
+        # target, so later changes to the caller's arrays leave it as it
+        # was built; ``target`` is the caller's array itself.
         target, mask = np.ones((3, 3)), np.ones((3, 3), dtype=bool)
         problem = MatrixCompletionProblem(target, mask)
         assert problem.eval(np.zeros((3, 3))) == 4.5
         mask[0, 0] = False
-        assert problem.eval(np.zeros((3, 3))) == 4.5
         target[1, 1] = 5.0
-        assert problem.eval(np.zeros((3, 3))) == 16.5
+        assert problem.eval(np.zeros((3, 3))) == 4.5
+        assert problem.evaluate(VarietyPoint.zero((3, 3), 1))[0] == 4.5
+        assert problem.target is target
+
+
+def three_pass_residual(x, target, mask):
+    """The completion residual as three passes over X: the reference that
+    the one-pass ``x * mask + offset`` matches bit for bit."""
+    d = x - target
+    d *= mask
+    d += 0.0
+    return d
+
+
+def dense_point(x):
+    """Stands in for a :class:`VarietyPoint`: ``matrix()`` returns a fresh
+    copy of ``x``, as a point's reconstruction is a fresh array."""
+    return SimpleNamespace(matrix=x.copy)
+
+
+class TestCompletionResidual:
+    def instance(self, seed):
+        """x and target with every pairing of +0.0, -0.0 and 1.5 at an
+        observed and at an unobserved entry; elsewhere x is below the
+        target, so every unobserved residual is negative."""
+        rng = np.random.default_rng(seed)
+        m, n = 8, 9
+        target = rng.standard_normal((m, n))
+        x = target - np.abs(rng.standard_normal((m, n)))
+        mask = rng.random((m, n)) < 0.4
+        cases = itertools.product([True, False], [0.0, -0.0, 1.5], [0.0, -0.0, 1.5])
+        for k, (observed, xk, tk) in enumerate(cases):
+            mask.flat[k], x.flat[k], target.flat[k] = observed, xk, tk
+        return x, target, mask
+
+    @pytest.mark.parametrize("seed", [70, 71, 72])
+    def test_matches_three_passes_bitwise(self, seed):
+        x, target, mask = self.instance(seed)
+        problem = MatrixCompletionProblem(target, mask)
+        ref = three_pass_residual(x, target, mask)
+        f_ref = 0.5 * float(ref.ravel() @ ref.ravel())
+        assert np.any((x - target)[~mask] < 0.0)
+        assert problem.gradient(x).tobytes() == ref.tobytes()
+        assert struct.pack("<d", problem.eval(x)) == struct.pack("<d", f_ref)
+        f, gradient = problem.evaluate(dense_point(x))
+        assert gradient().tobytes() == ref.tobytes()
+        assert struct.pack("<d", f) == struct.pack("<d", f_ref)
+        buffer = x.copy()
+        assert problem.gradient(buffer, out=buffer).tobytes() == ref.tobytes()
 
 
 def assert_bitwise_equal(a, b):
@@ -285,7 +338,10 @@ class TestResidualBuffer:
     @pytest.mark.parametrize("kind", [0, 1], ids=["completion", "lowrank"])
     def test_evaluate_allocates_one_matrix(self, kind):
         rng = np.random.default_rng(60)
-        m, n = 300, 200
+        # Large enough that numpy's fixed 64 KiB buffer, which casts the
+        # completion mask to float in 8192-entry chunks, is small beside
+        # one-byte-an-entry m-by-n booleans.
+        m, n = 600, 400
         problem = residual_problems(rng, m, n)[kind]
         point = VarietyPoint(*random_point_factors(rng, m, n, 5), 5)
         problem.evaluate(point)  # numpy's first-call caches
@@ -295,8 +351,8 @@ class TestResidualBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # X, overwritten by the residual, and isfinite's m-by-n booleans.
-        assert peak < 1.5 * m * n * 8
+        # X, overwritten by the residual, and nothing else of its size.
+        assert peak < 1.1 * m * n * 8
         assert gradient().shape == (m, n)
 
     def test_gradient_out_is_the_buffer(self):
@@ -363,6 +419,19 @@ class TestNonFiniteX:
             assert not np.any(problem.mask & ~np.isfinite(x))
             with pytest.raises(NonFiniteError):
                 problem.evaluate(point)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind, entry", [
+        ("completion", (0, 0)), ("completion", (0, 1)), ("lowrank", (0, 0)),
+    ], ids=["completion-unobserved", "completion-observed", "lowrank"])
+    def test_evaluate_raises(self, kind, entry, bad):
+        problem = self.problem() if kind == "completion" else LowRankApproxProblem(np.ones((6, 5)))
+        x = np.zeros(problem.shape)
+        x[entry] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                problem.evaluate(dense_point(x))
 
     def test_trial_that_overflows_at_unobserved_entries_ends_nonfinite(self, monkeypatch):
         problem = self.problem()
@@ -573,6 +642,32 @@ class TestLoading:
     def test_missing_key_is_named(self, doc, message):
         with pytest.raises(ValueError, match=f"^malformed {message}$"):
             load_problem(doc)
+
+    @pytest.mark.parametrize("kind, change, message", [
+        ("lowrank_approx", lambda doc: doc.update(extra=1),
+         "unknown problem document keys: 'extra'"),
+        ("polynomial", lambda doc: doc["payload"].update(coeffs=[], target=0),
+         "unknown polynomial payload keys: 'coeffs', 'target'"),
+        ("lowrank_approx", lambda doc: doc["payload"].update(mask=doc["payload"]["target"]),
+         "unknown lowrank_approx payload keys: 'mask'"),
+        ("completion", lambda doc: doc["payload"]["mask"]["entries"].__setitem__(4, 0.5),
+         r"'mask' entries must be 0 or 1, got 0\.5 at \(1, 1\)"),
+        ("completion", lambda doc: doc["payload"]["mask"]["entries"].__setitem__(2, -3),
+         r"'mask' entries must be 0 or 1, got -3\.0 at \(0, 2\)"),
+        ("completion", lambda doc: doc.update(payload=[]), "'payload' must be a JSON object"),
+    ], ids=["document-key", "payload-keys", "lowrank-mask", "mask-0.5", "mask-minus-3",
+            "payload-array"])
+    def test_unread_keys_and_mask_values_are_rejected(self, kind, change, message):
+        doc = problem_skeleton(kind)
+        change(doc)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_problem(doc)
+
+    def test_mask_reads_zeros_and_ones(self):
+        doc = problem_skeleton("completion")
+        doc["payload"]["mask"]["entries"] = [1, 0.0, -0.0, 1.0, 0, 1, 0, 0, 1]
+        mask = load_problem(doc).mask
+        assert mask.ravel().tolist() == [True, False, False, True, False, True, False, False, True]
 
     def test_unparsable_file_is_named(self, tmp_path):
         path = tmp_path / "cut.json"

@@ -44,6 +44,7 @@ import json  # noqa: E402
 import struct  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -98,7 +99,9 @@ def api_digest(seed: int) -> str:
     A 7x5 target with rank bound 3 is paired with a point of each rank 0
     to 3: spare budget below the bound, none at it. Each point has one
     small singular value, so the delta-rank and the rank-reduction search
-    see a drop. Routines are looked up on their modules at each call."""
+    see a drop. A completion problem's ``gradient`` and ``evaluate`` are
+    then taken where its residual holds signed zeros. Routines are looked
+    up on their modules at each call."""
     rng = np.random.default_rng(seed)
     hasher = hashlib.sha256()
     m, n, bound, delta = 7, 5, 3, 0.1
@@ -132,6 +135,18 @@ def api_digest(seed: int) -> str:
     for cost in (problem, problems.MatrixCompletionProblem(target, mask),
                  problems.UserPolynomialProblem((m, n), terms)):
         _feed(hasher, problems.finite_difference_check(cost, rng.standard_normal((m, n)), 1e-5))
+    # The completion residual where its signed zeros are decided: x below
+    # the target, so every unobserved residual is negative, then +0.0 and
+    # -0.0 entries in both, observed and not. ``evaluate`` reads only the
+    # point's ``matrix()``, a fresh copy of x here.
+    t = target.copy()
+    x = t - np.abs(rng.standard_normal((m, n)))
+    for a in (x, t):
+        a[rng.random((m, n)) < 0.2] = 0.0
+        a[rng.random((m, n)) < 0.2] = -0.0
+    completion = problems.MatrixCompletionProblem(t, mask)
+    _feed(hasher, completion.gradient(x))
+    _feed(hasher, completion.evaluate(types.SimpleNamespace(matrix=x.copy)))
     return hasher.hexdigest()
 
 
