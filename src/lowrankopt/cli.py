@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import truncate_to_rank
-from .problems import CostFunction, load_problem, problem_skeleton
-from .serialize import json_number, load_matrix, read_json
+from .problems import PROBLEM_TYPES, CostFunction, load_problem, problem_skeleton
+from .serialize import json_number, json_object, load_matrix, read_json
 from .solver import LineSearchParams, SolverParams, Trace, p2gd_plain, p2gdr
 
 _TERMINATION_EXIT = {"stationary": 0, "max_iters": 2, "line_search_failure": 3, "nonfinite": 5}
@@ -57,16 +57,11 @@ class RunConfig:
         """Read a run config; an ``overrides`` value that is not None replaces its key's."""
         path = Path(path)
         try:
-            doc = read_json(path)
+            doc = json_object("config", read_json(path), CONFIG_KEYS, ())
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must be a JSON object")
-        unknown = sorted(set(doc) - CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         doc.update((key, value) for key, value in (overrides or {}).items()
                    if key in CONFIG_KEYS and value is not None)
 
@@ -217,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_gen = sub.add_parser("gen-problem", help="emit a problem JSON skeleton")
-    p_gen.add_argument("kind", choices=["lowrank_approx", "completion", "polynomial"])
+    p_gen.add_argument("kind", choices=list(PROBLEM_TYPES))
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=cmd_gen_problem)
     return parser

@@ -6,6 +6,7 @@ exists to validate them, never to replace them.
 
 from __future__ import annotations
 
+import copy
 import math
 from abc import ABC, abstractmethod
 from collections.abc import Callable
@@ -14,7 +15,8 @@ from itertools import chain
 import numpy as np
 
 from .linalg import as_matrix
-from .serialize import json_number, matrix_from_json, matrix_to_json, read_json
+from .serialize import (json_array, json_number, json_object, matrix_from_json, matrix_to_json,
+                        read_json)
 from .variety import NormedGradient
 
 
@@ -59,7 +61,10 @@ class CostFunction(ABC):
         :func:`~lowrankopt.variety.stationarity_measure` reads instead of
         passing over G for it.
         """
-        x = point.matrix()
+        # An X that overflows shows as Inf in X and the cost, not as a numpy
+        # warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = point.matrix()
         return float(self.eval(x)), lambda: self.gradient(x)
 
     def _check_shape(self, x) -> np.ndarray:
@@ -118,11 +123,10 @@ class ResidualCost(CostFunction):
         from ``point.matrix()`` formed again; a finite X whose squares
         overflow gives a cost of Inf.
         """
-        x = point.matrix()
-        # A NaN or Inf in X, or squares that overflow, show in the cost and
-        # the check, not as numpy warnings; forming X above warns of an
-        # overflow of its own.
+        # A NaN or Inf in X, an X that overflows, or squares that overflow,
+        # show in the cost and the check, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
+            x = point.matrix()
             g = self.gradient(x, out=x)
             flat = g.ravel()
             squares = float(flat @ flat)
@@ -353,64 +357,55 @@ def load_problem(source) -> CostFunction:
     """Build a problem from a JSON document, given as a file path or a dict.
 
     The document is ``{"type": ..., "shape": [m, n], "payload": {...}}``
-    with type one of ``lowrank_approx``, ``completion``, ``polynomial``.
-    A file that is not JSON, or a document that is not an object, lacks a
-    key, holds a key it does not read (a ``mask`` in a ``lowrank_approx``
-    payload too), has wrongly typed fields or a completion ``mask`` entry
-    other than 0 or 1, raises ``ValueError``.
+    with type one of :data:`PROBLEM_TYPES`, whose skeleton payload holds
+    the keys that type reads. Each JSON object in it (the document, the
+    payload, each polynomial term, each matrix document) is read by
+    :func:`~lowrankopt.serialize.json_object`. A file that is not JSON, an
+    object that lacks a key or holds a key it does not read (a ``mask`` in
+    a ``lowrank_approx`` payload too), a wrongly typed field or a
+    completion ``mask`` entry other than 0 or 1 raises ``ValueError``.
     """
     doc = source if isinstance(source, dict) else read_json(source)
-    if not isinstance(doc, dict):
-        raise ValueError("problem document must be a JSON object")
     try:
         return _problem_from_doc(doc)
-    except KeyError as exc:
-        raise ValueError(f"malformed problem document: missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed problem document: {exc}") from exc
 
 
 def _integers(key: str, values, count: int) -> tuple[int, ...]:
     """A JSON array of exactly ``count`` integers, each read with :func:`json_number`."""
-    ints = tuple(json_number(key, v, integer=True) for v in values)
+    ints = tuple(json_number(key, v, integer=True) for v in json_array(key, values))
     if len(ints) != count:
         raise ValueError(f"{key!r} must hold {count} integers, got {values!r}")
     return ints
 
 
-# The keys a problem document may hold, and those of each type's payload.
-DOCUMENT_KEYS = {"type", "shape", "payload"}
-PAYLOAD_KEYS = {
-    "lowrank_approx": {"target"},
-    "completion": {"target", "mask"},
-    "polynomial": {"terms"},
+# Each problem type's skeleton payload, whose keys are the keys that type reads.
+PROBLEM_TYPES = {
+    "lowrank_approx": {"target": matrix_to_json(np.zeros((3, 3)))},
+    "completion": {"target": matrix_to_json(np.zeros((3, 3))),
+                   "mask": matrix_to_json(np.ones((3, 3)))},
+    "polynomial": {"terms": [{"monomial": [[0, 0, 2]], "coeff": 1.0}]},
 }
 
 
-def _known_keys(where: str, obj: dict, keys: set) -> None:
-    """Reject a key of ``obj`` outside ``keys``, naming it."""
-    unknown = sorted(map(str, set(obj) - keys))
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {', '.join(map(repr, unknown))}")
-
-
-def _problem_from_doc(doc: dict) -> CostFunction:
-    kind = doc.get("type")
-    if kind not in PAYLOAD_KEYS:
+def _problem_from_doc(doc) -> CostFunction:
+    json_object("problem document", doc, ("type", "shape", "payload"), ("type", "shape"))
+    kind = doc["type"]
+    if kind not in PROBLEM_TYPES:
         raise ValueError(f"unknown problem type {kind!r}")
-    _known_keys("problem document", doc, DOCUMENT_KEYS)
     shape = _integers("shape", doc["shape"], 2)
-    payload = doc.get("payload", {})
-    if not isinstance(payload, dict):
-        raise ValueError("'payload' must be a JSON object")
-    _known_keys(f"{kind} payload", payload, PAYLOAD_KEYS[kind])
+    keys = PROBLEM_TYPES[kind].keys()
+    payload = json_object(f"{kind} payload", doc.get("payload", {}), keys, keys)
     if kind == "polynomial":
-        terms = [
-            ([_integers("monomial factor", f, 3) for f in term["monomial"]],
+        term_keys = ("monomial", "coeff")
+        terms = [json_object("polynomial term", term, term_keys, term_keys)
+                 for term in json_array("terms", payload["terms"])]
+        return UserPolynomialProblem(shape, [
+            ([_integers("monomial factor", f, 3) for f in json_array("monomial", term["monomial"])],
              json_number("coeff", term["coeff"]))
-            for term in payload["terms"]
-        ]
-        return UserPolynomialProblem(shape, terms)
+            for term in terms
+        ])
     target = matrix_from_json(payload["target"])
     if target.shape != shape:
         raise ValueError(f"target shape {target.shape} does not match {shape}")
@@ -432,25 +427,6 @@ def _mask(weights: np.ndarray) -> np.ndarray:
 
 def problem_skeleton(kind: str) -> dict:
     """Template JSON document for a problem of the given type."""
-    if kind == "lowrank_approx":
-        return {
-            "type": "lowrank_approx",
-            "shape": [3, 3],
-            "payload": {"target": matrix_to_json(np.zeros((3, 3)))},
-        }
-    if kind == "completion":
-        return {
-            "type": "completion",
-            "shape": [3, 3],
-            "payload": {
-                "target": matrix_to_json(np.zeros((3, 3))),
-                "mask": matrix_to_json(np.ones((3, 3))),
-            },
-        }
-    if kind == "polynomial":
-        return {
-            "type": "polynomial",
-            "shape": [3, 3],
-            "payload": {"terms": [{"monomial": [[0, 0, 2]], "coeff": 1.0}]},
-        }
-    raise ValueError(f"unknown problem type {kind!r}")
+    if kind not in PROBLEM_TYPES:
+        raise ValueError(f"unknown problem type {kind!r}")
+    return {"type": kind, "shape": [3, 3], "payload": copy.deepcopy(PROBLEM_TYPES[kind])}

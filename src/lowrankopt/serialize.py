@@ -1,7 +1,9 @@
 """Lossless text codecs for matrices: CSV, and the JSON matrix document
 ``{"rows": m, "cols": n, "entries": [row-major]}`` that problem and x0
 files use. Floats are printed with 17 significant digits, which
-round-trips every finite double exactly.
+round-trips every finite double exactly. Every JSON document the program
+reads takes its objects, arrays and numbers through :func:`json_object`,
+:func:`json_array` and :func:`json_number`.
 """
 
 from __future__ import annotations
@@ -33,6 +35,32 @@ def json_number(key: str, value, *, integer: bool = False) -> int | float | None
         raise ValueError(f"{key!r} must be a number that fits a double") from None
 
 
+def json_object(where: str, value, keys, required) -> dict:
+    """``value``, the JSON object ``where``, holding only ``keys`` and every one of ``required``.
+
+    Every JSON object the program reads is checked here: run configs,
+    problem documents, their payloads, polynomial terms and matrix
+    documents. A value that is not an object, a key outside ``keys`` (each
+    is named) or a missing required key (the first is named) raises
+    ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(map(str, value.keys() - keys))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(map(repr, unknown))}")
+    missing = next((key for key in required if key not in value), None)
+    if missing is not None:
+        raise ValueError(f"malformed {where}: missing key {missing!r}")
+    return value
+
+
+def json_array(key: str, value) -> list:
+    """``value``, given for ``key``, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be an array, got {value!r:.40}")
+    return value
+
+
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
@@ -62,15 +90,13 @@ def matrix_to_json(x) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ValueError("matrix document must be a JSON object")
+    keys = ("rows", "cols", "entries")
+    doc = json_object("matrix document", obj, keys, keys)
     try:
-        rows, cols = (json_number(key, obj[key], integer=True) for key in ("rows", "cols"))
-        entries = _entries(obj["entries"])
+        rows, cols = (json_number(key, doc[key], integer=True) for key in ("rows", "cols"))
+        entries = _entries(doc["entries"])
         if entries.size != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
-    except KeyError as exc:
-        raise ValueError(f"malformed matrix document: missing key {exc.args[0]!r}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
     return as_matrix(entries.reshape(rows, cols))
@@ -78,10 +104,8 @@ def matrix_from_json(obj) -> np.ndarray:
 
 def _entries(values) -> np.ndarray:
     """The ``entries`` of a matrix document: a JSON array of numbers that fit a double."""
-    if not isinstance(values, list):
-        raise ValueError(f"'entries' must be an array of numbers, got {values!r:.40}")
     # Exact types: a bool is an int subclass, and JSON gives no other number types.
-    if not set(map(type, values)) <= {int, float}:
+    if not set(map(type, json_array("entries", values))) <= {int, float}:
         bad = next(v for v in values if type(v) not in (int, float))
         raise ValueError(f"'entries' must be an array of numbers, got {bad!r:.40}")
     try:

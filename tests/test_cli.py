@@ -8,7 +8,7 @@ import pytest
 
 from lowrankopt import cli
 from lowrankopt.linalg import singular_values
-from lowrankopt.problems import load_problem
+from lowrankopt.problems import PROBLEM_TYPES, load_problem
 from lowrankopt.serialize import matrix_to_json, save_matrix
 from lowrankopt.solver import LineSearchParams, SolverParams
 
@@ -142,21 +142,21 @@ class TestRun:
         assert cli.main(["run", str(config)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("payload, message", [
-        ({"target": matrix_to_json(np.eye(3)), "mask": matrix_to_json(np.eye(3))},
+    @pytest.mark.parametrize("name, change, message", [
+        ("problem.json", lambda doc: doc["payload"].update(mask=matrix_to_json(np.eye(3))),
          "unknown lowrank_approx payload keys: 'mask'"),
-        ({"target": matrix_to_json(np.eye(3)), "weights": 1.0},
+        ("problem.json", lambda doc: doc["payload"].update(weights=1.0),
          "unknown lowrank_approx payload keys: 'weights'"),
-        (None, "unknown problem document keys: 'comment'"),
-    ], ids=["lowrank-mask", "payload-key", "document-key"])
-    def test_unread_problem_keys_exit_1(self, tmp_path, capsys, payload, message):
-        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1)
-        doc = json.loads((tmp_path / "problem.json").read_text())
-        if payload is None:
-            doc["comment"] = "ignored until now"
-        else:
-            doc["payload"] = payload
-        (tmp_path / "problem.json").write_text(json.dumps(doc))
+        ("problem.json", lambda doc: doc.update(comment="ignored until now"),
+         "unknown problem document keys: 'comment'"),
+        ("x0.json", lambda doc: doc.update(extra=1), "unknown matrix document keys: 'extra'"),
+    ], ids=["lowrank-mask", "payload-key", "document-key", "x0-key"])
+    def test_unread_problem_keys_exit_1(self, tmp_path, capsys, name, change, message):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1, x0="x0.json")
+        save_matrix(np.zeros((3, 3)), tmp_path / "x0.json")
+        doc = json.loads((tmp_path / name).read_text())
+        change(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
         assert cli.main(["run", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "results").exists()
@@ -193,9 +193,9 @@ class TestRun:
     @pytest.mark.parametrize("problem_doc, x0_doc, message", [
         ({"type": "lowrank_approx", "payload": {}}, None, "problem document: missing key 'shape'"),
         ({"type": "lowrank_approx", "shape": [3, 3], "payload": {}}, None,
-         "problem document: missing key 'target'"),
+         "lowrank_approx payload: missing key 'target'"),
         ({"type": "polynomial", "shape": [3, 3], "payload": {"terms": [{"monomial": []}]}}, None,
-         "problem document: missing key 'coeff'"),
+         "polynomial term: missing key 'coeff'"),
         (None, {"rows": 3, "cols": 3}, "matrix document: missing key 'entries'"),
     ], ids=["shape", "target", "coeff", "x0-entries"])
     def test_missing_key_is_named(self, tmp_path, capsys, problem_doc, x0_doc, message):
@@ -571,7 +571,7 @@ class TestCommands:
 
 
 class TestGenProblem:
-    @pytest.mark.parametrize("kind", ["lowrank_approx", "completion", "polynomial"])
+    @pytest.mark.parametrize("kind", PROBLEM_TYPES)
     def test_emits_loadable_skeleton(self, tmp_path, kind):
         out = tmp_path / "skeleton.json"
         assert cli.main(["gen-problem", kind, "-o", str(out)]) == 0

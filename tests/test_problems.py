@@ -17,6 +17,7 @@ from lowrankopt.problems import (
     CostFunction,
     LowRankApproxProblem,
     MatrixCompletionProblem,
+    PROBLEM_TYPES,
     UserPolynomialProblem,
     finite_difference_check,
     load_problem,
@@ -434,12 +435,16 @@ class TestNonFiniteX:
                 problem.evaluate(dense_point(x))
 
     def test_trial_that_overflows_at_unobserved_entries_ends_nonfinite(self, monkeypatch):
-        problem = self.problem()
-        point = overflowing_point(*problem.shape)
+        """Without a numpy warning, for a residual cost and for a polynomial
+        whose terms read neither overflowing entry."""
+        point = overflowing_point(6, 5)
         monkeypatch.setattr(solver, "project_step_factored", lambda _point, _frame, _alpha: point)
-        with np.errstate(over="ignore", invalid="ignore"):
-            trace = p2gdr(problem, np.zeros(problem.shape), SolverParams(rank_bound=2, delta=0.1))
-        assert trace.termination == "nonfinite" and trace.records == []
+        polynomial = UserPolynomialProblem((6, 5), [([(2, 2, 1)], 1.0), ([(3, 1, 2)], 1.0)])
+        for problem in (self.problem(), polynomial):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = p2gdr(problem, np.zeros(problem.shape), SolverParams(rank_bound=2, delta=0.1))
+            assert trace.termination == "nonfinite" and trace.records == []
 
 
 class TestPolynomial:
@@ -633,9 +638,9 @@ class TestLoading:
     @pytest.mark.parametrize("doc, message", [
         ({"type": "lowrank_approx", "payload": {}}, "problem document: missing key 'shape'"),
         ({"type": "lowrank_approx", "shape": [2, 2], "payload": {}},
-         "problem document: missing key 'target'"),
+         "lowrank_approx payload: missing key 'target'"),
         ({"type": "polynomial", "shape": [2, 2], "payload": {"terms": [{"monomial": []}]}},
-         "problem document: missing key 'coeff'"),
+         "polynomial term: missing key 'coeff'"),
         ({"type": "lowrank_approx", "shape": [2, 2], "payload": {"target": {"rows": 2, "cols": 2}}},
          "matrix document: missing key 'entries'"),
     ], ids=["shape", "target", "coeff", "entries"])
@@ -654,9 +659,23 @@ class TestLoading:
          r"'mask' entries must be 0 or 1, got 0\.5 at \(1, 1\)"),
         ("completion", lambda doc: doc["payload"]["mask"]["entries"].__setitem__(2, -3),
          r"'mask' entries must be 0 or 1, got -3\.0 at \(0, 2\)"),
-        ("completion", lambda doc: doc.update(payload=[]), "'payload' must be a JSON object"),
+        ("completion", lambda doc: doc.update(payload=[]),
+         "completion payload must be a JSON object"),
+        ("lowrank_approx", lambda doc: doc["payload"]["target"].update(extra=1),
+         "unknown matrix document keys: 'extra'"),
+        ("completion", lambda doc: doc["payload"]["mask"].update(extra=1),
+         "unknown matrix document keys: 'extra'"),
+        ("polynomial", lambda doc: doc["payload"]["terms"][0].update(coef=2.0),
+         "unknown polynomial term keys: 'coef'"),
+        ("polynomial", lambda doc: doc["payload"].update(terms={}), "'terms' must be an array, got {}"),
+        ("polynomial", lambda doc: doc["payload"].update(terms=""), "'terms' must be an array, got ''"),
+        ("polynomial", lambda doc: doc["payload"]["terms"][0].update(monomial={}),
+         "'monomial' must be an array, got {}"),
+        ("polynomial", lambda doc: doc["payload"]["terms"][0].update(monomial=""),
+         "'monomial' must be an array, got ''"),
     ], ids=["document-key", "payload-keys", "lowrank-mask", "mask-0.5", "mask-minus-3",
-            "payload-array"])
+            "payload-array", "target-key", "mask-key", "term-key", "terms-object", "terms-string",
+            "monomial-object", "monomial-string"])
     def test_unread_keys_and_mask_values_are_rejected(self, kind, change, message):
         doc = problem_skeleton(kind)
         change(doc)
@@ -675,7 +694,7 @@ class TestLoading:
         with pytest.raises(ValueError, match=f"^malformed JSON in {path}: "):
             load_problem(path)
 
-    @pytest.mark.parametrize("kind", ["lowrank_approx", "completion", "polynomial"])
+    @pytest.mark.parametrize("kind", PROBLEM_TYPES)
     def test_skeletons_load(self, kind):
         problem = load_problem(problem_skeleton(kind))
         assert problem.shape == (3, 3)
