@@ -3,9 +3,10 @@
 Subcommands: ``run`` a solver on a problem, ``compare`` the rank-reducing
 and plain variants from the same start, and ``gen-problem`` to emit a
 problem-document skeleton. Exit codes: 0 the run reached stationarity, 1
-configuration error or a factorization that did not converge, 2 iteration
-budget exhausted, 3 line-search failure, 4 ``compare --assert-identical``
-found differing traces, 5 a NaN or Inf gradient or cost ended the run.
+configuration error, a problem too large for memory or a factorization
+that did not converge, 2 iteration budget exhausted, 3 line-search
+failure, 4 ``compare --assert-identical`` found differing traces, 5 a NaN
+or Inf gradient or cost ended the run.
 """
 
 from __future__ import annotations
@@ -58,20 +59,22 @@ class RunConfig:
         path = Path(path)
         try:
             doc = json_object("config", read_json(path), CONFIG_KEYS, ())
+            doc.update((key, value) for key, value in (overrides or {}).items()
+                       if key in CONFIG_KEYS and value is not None)
+            given = {key: value for key, value in doc.items() if value is not None}
+            json_object("config", given, CONFIG_KEYS, ("rank_bound", "delta"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        doc.update((key, value) for key, value in (overrides or {}).items()
-                   if key in CONFIG_KEYS and value is not None)
 
         try:
-            params = _params(SolverParams, doc, line_search=_params(LineSearchParams, doc))
-        except (TypeError, ValueError) as exc:
+            params = _params(SolverParams, given, line_search=_params(LineSearchParams, given))
+        except ValueError as exc:
             raise ConfigError(f"invalid config field: {exc}") from exc
         algorithm = doc.get("algorithm", "p2gdr")
         if algorithm not in ("p2gdr", "p2gd"):
-            raise ConfigError(f"unknown algorithm {algorithm!r}")
+            raise ConfigError(f"'algorithm' must be 'p2gdr' or 'p2gd', got {algorithm!r:.40}")
 
         def resolve(key: str, value) -> Path:
             if not isinstance(value, str):
@@ -92,10 +95,10 @@ class RunConfig:
 
 
 def _params(cls, doc: dict, **nested):
-    """``cls`` from the config's values for its numeric fields; null or absent keeps a default."""
-    values = {key: json_number(key, doc.get(key), integer=integer)
-              for key, integer in _number_fields(cls).items()}
-    return cls(**{key: v for key, v in values.items() if v is not None}, **nested)
+    """``cls`` from the values ``doc`` gives its numeric fields. ``doc`` is the
+    config without its null keys: a null or absent key keeps the default."""
+    return cls(**{key: json_number(key, doc[key], integer=integer)
+                  for key, integer in _number_fields(cls).items() if key in doc}, **nested)
 
 
 def _load(config: RunConfig) -> tuple[CostFunction, np.ndarray]:
@@ -132,24 +135,19 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     config = RunConfig.load(args.config, vars(args))
     problem, x0 = _load(config)
-    codes = {}
-    traces = {}
+    traces, verdict = {}, {}
     for algorithm in ("p2gd", "p2gdr"):
-        trace = _solve(problem, x0, config.params, algorithm)
+        traces[algorithm] = trace = _solve(problem, x0, config.params, algorithm)
         _write_outputs(config, algorithm, trace)
-        traces[algorithm] = trace
-        codes[algorithm] = _TERMINATION_EXIT[trace.termination]
+        summary = trace.summary()
+        verdict[algorithm] = {key: summary[key] for key in ("final_s", "final_f", "final_rank")}
         if trace.termination != "stationary":
             print(f"{algorithm}: terminated with {trace.termination}", file=sys.stderr)
 
     stop_tol = traces["p2gdr"].stop_tol
-    verdict = {
-        "p2gd": _verdict_entry(traces["p2gd"]),
-        "p2gdr": _verdict_entry(traces["p2gdr"]),
-        "apocalypse_flag": bool(
-            traces["p2gd"].final_s > 10.0 * stop_tol and traces["p2gdr"].final_s <= stop_tol
-        ),
-    }
+    verdict["apocalypse_flag"] = bool(
+        traces["p2gd"].final_s > 10.0 * stop_tol and traces["p2gdr"].final_s <= stop_tol
+    )
     (config.out_dir / "verdict.json").write_text(
         json.dumps(verdict, indent=2) + "\n", encoding="utf-8"
     )
@@ -164,12 +162,7 @@ def cmd_compare(args) -> int:
             )
             print(f"traces differ at row {row}", file=sys.stderr)
             return 4
-    return max(codes.values())
-
-
-def _verdict_entry(trace: Trace) -> dict:
-    summary = trace.summary()
-    return {key: summary[key] for key in ("final_s", "final_f", "final_rank")}
+    return max(_TERMINATION_EXIT[trace.termination] for trace in traces.values())
 
 
 def cmd_gen_problem(args) -> int:
@@ -225,7 +218,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

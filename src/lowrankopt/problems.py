@@ -212,8 +212,8 @@ class UserPolynomialProblem(CostFunction):
 
     def __init__(self, shape, terms):
         m, n = int(shape[0]), int(shape[1])
-        if m < 1 or n < 1:
-            raise ValueError(f"shape must be positive, got {(m, n)}")
+        if not (m >= 1 and n >= 1 and m * n <= np.iinfo(np.intp).max):
+            raise ValueError(f"shape must be positive and fit an array, got {(m, n)}")
         self.shape = (m, n)
         coeffs, monomials = [], []
         for monomial, coeff in terms:
@@ -362,14 +362,12 @@ def load_problem(source) -> CostFunction:
     payload, each polynomial term, each matrix document) is read by
     :func:`~lowrankopt.serialize.json_object`. A file that is not JSON, an
     object that lacks a key or holds a key it does not read (a ``mask`` in
-    a ``lowrank_approx`` payload too), a wrongly typed field or a
-    completion ``mask`` entry other than 0 or 1 raises ``ValueError``.
+    a ``lowrank_approx`` payload too), a wrongly typed field (``null``
+    included, and a ``type`` that is not a string), a matrix document whose
+    ``rows`` or ``cols`` is not positive, or a completion ``mask`` entry
+    other than 0 or 1 raises ``ValueError``; a wrongly typed field is named.
     """
-    doc = source if isinstance(source, dict) else read_json(source)
-    try:
-        return _problem_from_doc(doc)
-    except TypeError as exc:
-        raise ValueError(f"malformed problem document: {exc}") from exc
+    return _problem_from_doc(source if isinstance(source, dict) else read_json(source))
 
 
 def _integers(key: str, values, count: int) -> tuple[int, ...]:
@@ -392,6 +390,8 @@ PROBLEM_TYPES = {
 def _problem_from_doc(doc) -> CostFunction:
     json_object("problem document", doc, ("type", "shape", "payload"), ("type", "shape"))
     kind = doc["type"]
+    if not isinstance(kind, str):
+        raise ValueError(f"'type' must be a string, got {kind!r:.40}")
     if kind not in PROBLEM_TYPES:
         raise ValueError(f"unknown problem type {kind!r}")
     shape = _integers("shape", doc["shape"], 2)

@@ -16,14 +16,13 @@ import numpy as np
 from .linalg import as_matrix
 
 
-def json_number(key: str, value, *, integer: bool = False) -> int | float | None:
-    """The JSON number ``value`` given for ``key``, or None for ``null`` (not given).
+def json_number(key: str, value, *, integer: bool = False) -> int | float:
+    """The JSON number ``value`` given for ``key``.
 
-    Run configs and problem and matrix documents read every scalar by this
-    rule: a bool, a string or any other value raises ValueError, as do a
-    fraction where ``integer`` asks for an int and a number past a double."""
-    if value is None:
-        return None
+    Run configs and problem and matrix documents read every number by this
+    rule: ``null``, a bool, a string or any other value raises ValueError
+    naming ``key``, as do a fraction where ``integer`` asks for an int and
+    a number past a double. A run config drops its null keys beforehand."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (
         integer and isinstance(value, float) and not value.is_integer()
     ):
@@ -92,13 +91,12 @@ def matrix_to_json(x) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     keys = ("rows", "cols", "entries")
     doc = json_object("matrix document", obj, keys, keys)
-    try:
-        rows, cols = (json_number(key, doc[key], integer=True) for key in ("rows", "cols"))
-        entries = _entries(doc["entries"])
-        if entries.size != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
-    except TypeError as exc:
-        raise ValueError(f"malformed matrix document: {exc}") from exc
+    rows, cols = (json_number(key, doc[key], integer=True) for key in ("rows", "cols"))
+    if rows < 1 or cols < 1:
+        raise ValueError(f"'rows' and 'cols' must be positive, got {rows} and {cols}")
+    entries = _entries(doc["entries"])
+    if entries.size != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, got {entries.size}")
     return as_matrix(entries.reshape(rows, cols))
 
 
@@ -124,16 +122,19 @@ def save_matrix(x, path) -> None:
 
 
 def read_json(path):
-    """The JSON document in the file ``path``; a parse error names the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The JSON document in the file ``path``; a decode or parse error names the file."""
     try:
-        return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, a JSONDecodeError, or an integer past the digit limit
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def load_matrix(path) -> np.ndarray:
+    """The matrix in the file ``path``, CSV (``.csv``) or JSON; a bad CSV names the file."""
     path = Path(path)
-    if path.suffix.lower() == ".csv":
+    if path.suffix.lower() != ".csv":
+        return matrix_from_json(read_json(path))
+    try:
         return matrix_from_csv(path.read_text(encoding="utf-8"))
-    return matrix_from_json(read_json(path))
+    except ValueError as exc:
+        raise ValueError(f"malformed CSV in {path}: {exc}") from exc

@@ -1,14 +1,16 @@
 import json
+import re
 import sys
 import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lowrankopt import cli
 from lowrankopt.linalg import singular_values
-from lowrankopt.problems import PROBLEM_TYPES, load_problem
+from lowrankopt.problems import PROBLEM_TYPES, load_problem, problem_skeleton
 from lowrankopt.serialize import matrix_to_json, save_matrix
 from lowrankopt.solver import LineSearchParams, SolverParams
 
@@ -205,6 +207,64 @@ class TestRun:
         (tmp_path / "x0.json").write_text(json.dumps(x0_doc or matrix_to_json(np.zeros((3, 3)))))
         assert cli.main(["run", str(config)]) == 1
         assert capsys.readouterr().err == f"error: malformed {message}\n"
+
+    @pytest.mark.parametrize("kind, change, message", [
+        ("lowrank_approx", lambda doc: doc.update(shape=[None, 3]),
+         "'shape' must be an integer, got None"),
+        ("polynomial", lambda doc: doc["payload"]["terms"][0].update(coeff=None),
+         "'coeff' must be a number, got None"),
+        ("lowrank_approx", lambda doc: doc["payload"]["target"].update(rows=None),
+         "'rows' must be an integer, got None"),
+        ("polynomial", lambda doc: doc["payload"]["terms"][0]["monomial"][0].__setitem__(1, None),
+         "'monomial factor' must be an integer, got None"),
+        ("lowrank_approx", lambda doc: doc["payload"]["target"].update(
+            rows=-1, cols=-2, entries=[1.0, 2.0]),
+         "'rows' and 'cols' must be positive, got -1 and -2"),
+        ("lowrank_approx", lambda doc: doc.update(type=["x"]), "'type' must be a string, got ['x']"),
+        ("lowrank_approx", lambda doc: doc.update(type={}), "'type' must be a string, got {}"),
+        ("polynomial", lambda doc: (doc.update(shape=[3, 10**30]),
+                                    doc["payload"]["terms"][0]["monomial"][0].__setitem__(0, 1)),
+         f"shape must be positive and fit an array, got {(3, 10**30)}"),
+    ], ids=["shape-null", "coeff-null", "rows-null", "factor-null", "rows-cols-negative",
+            "type-list", "type-object", "shape-past-an-array"])
+    def test_bad_values_are_named(self, tmp_path, capsys, kind, change, message):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1)
+        doc = problem_skeleton(kind)
+        change(doc)
+        (tmp_path / "problem.json").write_text(json.dumps(doc))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("x0", ["zero", "random:3"])
+    def test_unallocatable_start_exits_1(self, tmp_path, monkeypatch, capsys, x0):
+        # The start's allocation is made to fail; nothing that large is allocated.
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1, x0=x0)
+        message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+        zeros = np.zeros
+
+        def no_memory(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name != "_load":
+                return zeros(*args, **kwargs)
+            raise MemoryError(message)
+
+        monkeypatch.setattr(np, "zeros", no_memory)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: SimpleNamespace(
+            standard_normal=no_memory))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,0,0\n0,abc,0\n0,0,0\n", "could not convert string to float: 'abc'"),
+        ("1,0,0\n0,0\n", "ragged CSV matrix: row widths [2, 3]"),
+    ], ids=["word", "ragged"])
+    def test_bad_csv_x0_names_its_file(self, tmp_path, capsys, text, message):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1, x0="x0.csv")
+        (tmp_path / "x0.csv").write_text(text)
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: malformed CSV in {tmp_path / 'x0.csv'}: {message}\n"
+        assert not (tmp_path / "results").exists()
 
     def test_unparsable_document_names_its_file(self, tmp_path, capsys):
         config = write_lowrank_setup(tmp_path, np.diag([3.0, 2.0, 1.0]), 2, 0.1, x0="x0.json")
@@ -483,6 +543,26 @@ class TestConfig:
         assert capsys.readouterr().err == (
             "config error: invalid config field: 'delta' must be a number that fits a double\n")
         assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("key", ["rank_bound", "delta"])
+    @pytest.mark.parametrize("given", [False, True], ids=["absent", "null"])
+    def test_missing_or_null_required_key_is_named(self, tmp_path, capsys, key, given):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1)
+        doc = json.loads(config.read_text())
+        del doc[key]
+        if given:
+            doc[key] = None
+        config.write_text(json.dumps(doc))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == f"config error: malformed config: missing key {key!r}\n"
+        assert not (tmp_path / "results").exists()
+
+    def test_delta_flag_gives_a_missing_delta(self, tmp_path):
+        config = write_lowrank_setup(tmp_path, np.diag([3.0, 2.0, 1.0]), 2, None)
+        with pytest.raises(cli.ConfigError, match="^malformed config: missing key 'delta'$"):
+            cli.RunConfig.load(config)
+        assert cli.RunConfig.load(config, {"delta": 0.5}).params.delta == 0.5
+        assert cli.main(["run", str(config), "--delta", "0.5"]) == 0
 
     def test_random_seed_is_read_with_the_config(self, tmp_path):
         config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1, x0="random:007")

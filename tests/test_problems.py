@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import struct
 import tracemalloc
 import warnings
@@ -680,6 +681,35 @@ class TestLoading:
         doc = problem_skeleton(kind)
         change(doc)
         with pytest.raises(ValueError, match=f"^{message}$"):
+            load_problem(doc)
+
+    @pytest.mark.parametrize("kind, change, message", [
+        ("lowrank_approx", lambda doc: doc.update(shape=[None, 3]),
+         "'shape' must be an integer, got None"),
+        ("polynomial", lambda doc: doc["payload"]["terms"][0].update(coeff=None),
+         "'coeff' must be a number, got None"),
+        ("lowrank_approx", lambda doc: doc["payload"]["target"].update(rows=None),
+         "'rows' must be an integer, got None"),
+        ("completion", lambda doc: doc["payload"]["mask"].update(cols=None),
+         "'cols' must be an integer, got None"),
+        ("polynomial", lambda doc: doc["payload"]["terms"][0]["monomial"][0].__setitem__(1, None),
+         "'monomial factor' must be an integer, got None"),
+        ("lowrank_approx", lambda doc: doc["payload"]["target"].update(
+            rows=-1, cols=-2, entries=[1.0, 2.0]),
+         "'rows' and 'cols' must be positive, got -1 and -2"),
+        ("lowrank_approx", lambda doc: doc["payload"]["target"].update(rows=0, entries=[]),
+         "'rows' and 'cols' must be positive, got 0 and 3"),
+        ("lowrank_approx", lambda doc: doc.update(type=["x"]), "'type' must be a string, got ['x']"),
+        ("lowrank_approx", lambda doc: doc.update(type={}), "'type' must be a string, got {}"),
+        ("polynomial", lambda doc: (doc.update(shape=[3, 10**30]),
+                                    doc["payload"]["terms"][0]["monomial"][0].__setitem__(0, 1)),
+         f"shape must be positive and fit an array, got {(3, 10**30)}"),
+    ], ids=["shape-null", "coeff-null", "rows-null", "mask-cols-null", "factor-null",
+            "rows-cols-negative", "rows-zero", "type-list", "type-object", "shape-past-an-array"])
+    def test_bad_values_are_named(self, kind, change, message):
+        doc = problem_skeleton(kind)
+        change(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_problem(doc)
 
     def test_mask_reads_zeros_and_ones(self):

@@ -81,6 +81,21 @@ def test_json_number_past_a_double_names_its_key():
         json_number("delta", 10**400)
 
 
+@pytest.mark.parametrize("integer, kind", [(False, "a number"), (True, "an integer")])
+def test_json_number_rejects_null_naming_its_key(integer, kind):
+    with pytest.raises(ValueError, match=f"^'coeff' must be {kind}, got None$"):
+        json_number("coeff", None, integer=integer)
+
+
+@pytest.mark.parametrize("rows, cols, entries", [
+    (-1, -2, [1.0, 2.0]), (-2, -2, [1.0, 2.0, 3.0, 4.0]), (0, 2, []), (2, 0, []),
+])
+def test_json_rows_and_cols_must_be_positive(rows, cols, entries):
+    with pytest.raises(ValueError, match=f"^'rows' and 'cols' must be positive, "
+                                         f"got {rows} and {cols}$"):
+        matrix_from_json({"rows": rows, "cols": cols, "entries": entries})
+
+
 def test_json_missing_key_is_named():
     with pytest.raises(ValueError, match="^malformed matrix document: missing key 'entries'$"):
         matrix_from_json({"rows": 2, "cols": 2})
@@ -90,6 +105,26 @@ def test_unparsable_json_file_is_named(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"rows": 2, "cols": 2, "entr')
     with pytest.raises(ValueError, match=f"^malformed JSON in {path}: "):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,abc\n", "could not convert string to float: 'abc'"),
+    ("1,2\n3\n", r"ragged CSV matrix: row widths \[1, 2\]"),
+    ("\n", "empty CSV matrix"),
+], ids=["word", "ragged", "empty"])
+def test_bad_csv_file_is_named(tmp_path, text, message):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^malformed CSV in {path}: {message}$"):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("name, kind", [("m.json", "JSON"), ("m.csv", "CSV")])
+def test_file_that_is_not_utf8_is_named(tmp_path, name, kind):
+    path = tmp_path / name
+    path.write_bytes(b"\xff1,2\n")
+    with pytest.raises(ValueError, match=f"^malformed {kind} in {path}: 'utf-8' codec "):
         load_matrix(path)
 
 
