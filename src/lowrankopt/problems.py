@@ -203,12 +203,12 @@ class UserPolynomialProblem(CostFunction):
     slots. The arithmetic is that of the term-by-term evaluation: products
     in factor order, the cost summed in term order, each gradient entry
     accumulated in term order, so results agree with it bit for bit. Rows
-    are taken CHUNK at a time, so a call's temporaries do not grow with the
-    number of terms.
+    are taken CHUNK at a time into one buffer per call, so a call's
+    temporaries do not grow with the number of terms.
     """
 
     MAX_DEGREE = 4
-    CHUNK = 128
+    CHUNK = 384
 
     def __init__(self, shape, terms):
         m, n = int(shape[0]), int(shape[1])
@@ -282,27 +282,33 @@ class UserPolynomialProblem(CostFunction):
 
     def eval(self, x) -> float:
         table = self._power_table(self._check_shape(x))
-        total = 0.0
+        # Slot 0 holds the running total and a chunk's products follow it,
+        # so one in-place accumulate adds them to it in term order.
+        run = np.zeros(self.CHUNK + 1)
         for start in range(0, len(self._coeffs), self.CHUNK):
-            prod = _products(table, self._coeffs, self._slots, start, start + self.CHUNK)
-            total = np.add.accumulate(np.concatenate(([total], prod)))[-1]
-        return float(total)
+            prod = _products(table, self._coeffs, self._slots, start, run[1:])
+            chunk = run[: 1 + len(prod)]
+            np.add.accumulate(chunk, out=chunk)
+            run[0] = chunk[-1]
+        return float(run[0])
 
     def gradient(self, x) -> np.ndarray:
         table = self._power_table(self._check_shape(x))
         g = np.zeros(self.shape)
         flat = g.reshape(-1)
+        buffer = np.empty(self.CHUNK)
         for start in range(0, len(self._grad_coeffs), self.CHUNK):
-            stop = start + self.CHUNK
-            prod = _products(table, self._grad_coeffs, self._grad_slots, start, stop)
-            np.add.at(flat, self._grad_entry[start:stop], prod)
+            prod = _products(table, self._grad_coeffs, self._grad_slots, start, buffer)
+            np.add.at(flat, self._grad_entry[start : start + len(prod)], prod)
         return g
 
 
-def _products(table, coeffs, slots, start: int, stop: int) -> np.ndarray:
-    """Coefficient times the tabulated factors of rows ``start:stop``,
-    multiplied in slot order."""
-    prod = coeffs[start:stop] * table[slots[0, start:stop]]
+def _products(table, coeffs, slots, start: int, out: np.ndarray) -> np.ndarray:
+    """Coefficient times the tabulated factors of the rows from ``start``
+    on, multiplied in slot order, written over the head of ``out`` (as many
+    rows as it holds); returns that head."""
+    stop = min(start + len(out), len(coeffs))
+    prod = np.multiply(coeffs[start:stop], table[slots[0, start:stop]], out=out[: stop - start])
     for column in slots[1:, start:stop]:
         prod *= table[column]
     return prod

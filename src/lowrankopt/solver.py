@@ -126,9 +126,10 @@ class SearchResult:
     gradient: Callable[[], np.ndarray] | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
-    """Per-iteration trace row.
+    """Per-iteration trace row. A trace keeps one per iteration, so it has
+    slots rather than a ``__dict__``.
 
     ``accepted_alpha`` is 0 in the rare case where the winning candidate
     was an already-stationary truncated copy that took no step.

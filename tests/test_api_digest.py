@@ -41,3 +41,18 @@ def test_one_ulp_moves_the_digest(digest_tool, monkeypatch, module, name):
     routine = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: np.nextafter(routine(*args), np.inf))
     assert digest_tool.api_digest(101) != before
+
+
+@pytest.mark.parametrize("name", ["eval", "gradient"])
+def test_one_ulp_past_two_chunks_moves_the_digest(digest_tool, monkeypatch, name):
+    # Only a polynomial whose sums cross two chunk edges is nudged.
+    cls = problems.UserPolynomialProblem
+    before = digest_tool.api_digest(101)
+    routine = getattr(cls, name)
+
+    def nudged(self, x):
+        value = routine(self, x)
+        return np.nextafter(value, np.inf) if len(self._coeffs) > 2 * cls.CHUNK else value
+
+    monkeypatch.setattr(cls, name, nudged)
+    assert digest_tool.api_digest(101) != before

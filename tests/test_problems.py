@@ -494,9 +494,11 @@ class TestPolynomial:
                 assert_matches_loop(problem, terms, random_point(rng, m, n))
 
     def test_matches_loop_across_chunks(self):
-        # Enough terms and gradient rows to carry the sums over several chunks.
+        # Term counts on either side of a chunk edge, and enough terms and
+        # gradient rows to carry the sums over several chunks.
         rng = np.random.default_rng(11)
-        for count in (127, 643):
+        chunk = UserPolynomialProblem.CHUNK
+        for count in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
             terms = random_polynomial(rng, 4, 5, count)
             problem = UserPolynomialProblem((4, 5), terms)
             for _ in range(5):
@@ -528,10 +530,10 @@ class TestPolynomial:
         assert cubic.gradient([[-1e200]])[0, 0] == np.inf
 
     def test_temporaries_do_not_grow_with_terms(self):
-        # Rows are taken CHUNK at a time, so a call holds a few CHUNK-long
-        # arrays, the table of at most 1 + 4mn powers and numpy's fixed
-        # ufunc.at workspace (about 5 KB). One array over all 20 000 terms
-        # would alone take 160 KB.
+        # Rows are taken CHUNK at a time, so a call holds one CHUNK-long
+        # buffer and one CHUNK-long gather at a time, the table of at most
+        # 1 + 4mn powers and numpy's fixed ufunc.at workspace (about 5 KB).
+        # One array over all 20 000 terms would alone take 160 KB.
         bound = 16_000
         rng = np.random.default_rng(12)
         problem = UserPolynomialProblem((6, 5), random_polynomial(rng, 6, 5, 20_000))

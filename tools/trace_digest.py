@@ -55,6 +55,9 @@ WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SIZES = ("tiny", "full")
 ALGORITHMS = ("p2gdr", "p2gd_plain")
 RANDOM_START = "random:7"
+# More than twice UserPolynomialProblem.CHUNK (384), and fixed, so that two
+# checkouts with different chunks digest the same polynomial.
+POLY_TERMS = 1000
 
 
 def load_workloads():
@@ -100,8 +103,9 @@ def api_digest(seed: int) -> str:
     to 3: spare budget below the bound, none at it. Each point has one
     small singular value, so the delta-rank and the rank-reduction search
     see a drop. A completion problem's ``gradient`` and ``evaluate`` are
-    then taken where its residual holds signed zeros. Routines are looked
-    up on their modules at each call."""
+    then taken where its residual holds signed zeros, and a polynomial of
+    POLY_TERMS terms has its ``eval`` and ``gradient`` taken. Routines are
+    looked up on their modules at each call."""
     rng = np.random.default_rng(seed)
     hasher = hashlib.sha256()
     m, n, bound, delta = 7, 5, 3, 0.1
@@ -147,6 +151,16 @@ def api_digest(seed: int) -> str:
     completion = problems.MatrixCompletionProblem(t, mask)
     _feed(hasher, completion.gradient(x))
     _feed(hasher, completion.evaluate(types.SimpleNamespace(matrix=x.copy)))
+    # A polynomial of more terms than two of its chunks, so that the cost's
+    # running total and the gradient's sums cross chunk edges.
+    rows, cols = rng.integers(0, m, (POLY_TERMS, 4)), rng.integers(0, n, (POLY_TERMS, 4))
+    degrees, coeffs = rng.integers(1, 5, POLY_TERMS), rng.standard_normal(POLY_TERMS)
+    terms = [([(i, j, 1) for i, j in zip(rows[k, :d], cols[k, :d])], coeff)
+             for k, (d, coeff) in enumerate(zip(degrees, coeffs))]
+    polynomial = problems.UserPolynomialProblem((m, n), terms)
+    x = rng.standard_normal((m, n))
+    _feed(hasher, polynomial.eval(x))
+    _feed(hasher, polynomial.gradient(x))
     return hasher.hexdigest()
 
 
