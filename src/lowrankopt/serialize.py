@@ -3,7 +3,9 @@
 files use. Floats are printed with 17 significant digits, which
 round-trips every finite double exactly. Every JSON document the program
 reads takes its objects, arrays and numbers through :func:`json_object`,
-:func:`json_array` and :func:`json_number`.
+:func:`json_array` and :func:`json_number`. :func:`read_json` turns each
+``entries`` array of numbers into a float64 array as its object closes, so
+a document load holds the Python floats of one matrix at a time.
 """
 
 from __future__ import annotations
@@ -101,15 +103,40 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def _entries(values) -> np.ndarray:
-    """The ``entries`` of a matrix document: a JSON array of numbers that fit a double."""
+    """The ``entries`` of a matrix document: a JSON array of numbers that fit a
+    double, or the 1-D float64 array that :func:`read_json` makes of one (an
+    array is taken as given, not copied; any other array is refused)."""
+    if type(values) is np.ndarray and values.ndim == 1 and values.dtype == np.float64:
+        return values
+    array = _float_array(json_array("entries", values))
+    if array is not None:
+        return array
+    for value in values:
+        if type(value) not in (int, float):
+            raise ValueError(f"'entries' must be an array of numbers, got {value!r:.40}")
+    raise ValueError("'entries' must be numbers that fit a double")
+
+
+def _float_array(values) -> np.ndarray | None:
+    """The float64 array of ``values``, a list of numbers that fit a double, or None."""
     # Exact types: a bool is an int subclass, and JSON gives no other number types.
-    if not set(map(type, json_array("entries", values))) <= {int, float}:
-        bad = next(v for v in values if type(v) not in (int, float))
-        raise ValueError(f"'entries' must be an array of numbers, got {bad!r:.40}")
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        return None
     try:
         return np.asarray(values, dtype=np.float64)
     except OverflowError:
-        raise ValueError("'entries' must be numbers that fit a double") from None
+        return None
+
+
+def _entries_to_array(obj: dict) -> dict:
+    """``read_json``'s object hook: a JSON object's ``entries`` list of numbers
+    becomes its float64 array as soon as the object closes, so the Python
+    floats of one matrix are freed before the next matrix is parsed. Any
+    other value stays as parsed, for :func:`matrix_from_json` to name."""
+    array = _float_array(obj.get("entries"))
+    if array is not None:
+        obj["entries"] = array
+    return obj
 
 
 def save_matrix(x, path) -> None:
@@ -122,9 +149,12 @@ def save_matrix(x, path) -> None:
 
 
 def read_json(path):
-    """The JSON document in the file ``path``; a decode or parse error names the file."""
+    """The JSON document in the file ``path``; a decode or parse error names the file.
+
+    Each object's ``entries`` array of numbers that fit a double is read as a
+    1-D float64 ndarray (see :func:`matrix_from_json`)."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_hook=_entries_to_array)
     except ValueError as exc:  # not UTF-8, a JSONDecodeError, or an integer past the digit limit
         raise ValueError(f"malformed JSON in {path}: {exc}") from exc
 

@@ -49,6 +49,8 @@ class LineSearchParams:
     The search starts at ``alpha_hi`` and multiplies by ``beta`` until the
     sufficient-decrease test with margin ``c`` passes. ``alpha_lo`` enters
     the theoretical step-size floor ``min(alpha_lo, beta * (1 - c) / kappa)``.
+    It is an absolute constant, unitless for the residual costs (whose step
+    multiplies a gradient in the data's units) but not for a polynomial.
     """
 
     alpha_lo: float = 1e-8
@@ -73,9 +75,13 @@ class SolverParams:
     """Outer-loop configuration.
 
     ``delta`` is the singular-value cutoff that triggers rank-reduction
-    candidates. ``stop_tol`` of None resolves at solve start to
-    ``1e-8 * (1 + ||grad f(x0)||)``, with the gradient taken at the
-    factored start point; an exact zero is unattainable in floating point.
+    candidates; it carries the data's units. ``stop_tol`` of None resolves
+    at solve start to ``1e-8 * ||grad f(x0)||``, with the gradient taken at
+    the factored start point; an exact zero is unattainable in floating
+    point. That default has no absolute floor, so scaling a residual
+    cost's data and ``delta`` by a power of two scales the whole solve by
+    it exactly. A zero gradient at the start still stops at once, as
+    ``s = 0 <= 0``.
     """
 
     rank_bound: int
@@ -367,6 +373,8 @@ def p2gdr_search(
 
 
 def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
+    if np.shape(x0) != problem.shape:
+        raise ValueError(f"x0 shape {np.shape(x0)} does not match problem shape {problem.shape}")
     start = time.perf_counter()
     point = point_from_matrix(x0, params.rank_bound)
     records: list[IterationRecord] = []
@@ -374,7 +382,7 @@ def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
     try:
         report, f_value = _evaluate(problem, point)
         if params.stop_tol is None:
-            params = replace(params, stop_tol=1e-8 * (1.0 + report.gradient_norm))
+            params = replace(params, stop_tol=1e-8 * report.gradient_norm)
         while True:
             if report.s_value <= params.stop_tol:
                 termination = "stationary"

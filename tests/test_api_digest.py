@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lowrankopt import linalg, problems, solver, variety
+from lowrankopt import linalg, problems, serialize, solver, variety
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -35,6 +35,7 @@ def test_digest_repeats(digest_tool):
     (variety, "tangent_line_distance_bound"),
     (solver, "kappa_bound"),
     (problems, "finite_difference_check"),
+    (serialize, "load_matrix"),
 ])
 def test_one_ulp_moves_the_digest(digest_tool, monkeypatch, module, name):
     before = digest_tool.api_digest(101)
@@ -55,4 +56,21 @@ def test_one_ulp_past_two_chunks_moves_the_digest(digest_tool, monkeypatch, name
         return np.nextafter(value, np.inf) if len(self._coeffs) > 2 * cls.CHUNK else value
 
     monkeypatch.setattr(cls, name, nudged)
+    assert digest_tool.api_digest(101) != before
+
+
+@pytest.mark.parametrize("name", ["target", "mask", "_offset"])
+def test_one_entry_of_a_loaded_problem_moves_the_digest(digest_tool, monkeypatch, name):
+    # One ulp up in a float array, or one flipped observation in the mask.
+    before = digest_tool.api_digest(101)
+    load_problem = problems.load_problem
+
+    def nudged(source):
+        cost = load_problem(source)
+        array = getattr(cost, name)
+        first = array.flat[0]
+        array.flat[0] = ~first if array.dtype == bool else np.nextafter(first, np.inf)
+        return cost
+
+    monkeypatch.setattr(problems, "load_problem", nudged)
     assert digest_tool.api_digest(101) != before

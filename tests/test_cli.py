@@ -297,6 +297,13 @@ class TestRun:
         save_matrix(np.diag([3.0, 2.0, 1.0]), tmp_path / "x0.csv")
         assert cli.main(["run", str(config)]) == 1
 
+    def test_x0_of_another_shape_exits_1(self, tmp_path, capsys):
+        config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1, x0="x0.json")
+        save_matrix(np.eye(2), tmp_path / "x0.json")
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == (
+            "error: x0 shape (2, 2) does not match problem shape (3, 3)\n")
+
     def test_nonfinite_x0_exits_1(self, tmp_path, capsys):
         config = write_lowrank_setup(tmp_path, np.eye(3), 1, 0.1, x0="x0.csv")
         (tmp_path / "x0.csv").write_text("nan,0,0\n0,0,0\n0,0,0\n")

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -676,7 +677,16 @@ class TestOuterLoop:
         a = rng.standard_normal((6, 5))
         problem = LowRankApproxProblem(a)
         trace = p2gdr(problem, np.zeros((6, 5)), SolverParams(rank_bound=2, delta=0.3))
-        assert trace.stop_tol == pytest.approx(1e-8 * (1.0 + frobenius(a)), rel=1e-12)
+        assert trace.stop_tol == pytest.approx(1e-8 * frobenius(a), rel=1e-12)
+
+    @pytest.mark.parametrize("solve", [p2gdr, p2gd_plain])
+    def test_x0_of_another_shape_is_named(self, solve):
+        # Checked before the rank bound is read against x0's shape: with a
+        # bound of 2 a 2x2 start would read "rank bound 2 out of range".
+        problem = LowRankApproxProblem(np.eye(3))
+        with pytest.raises(ValueError, match=r"^x0 shape \(2, 2\) does not match "
+                                             r"problem shape \(3, 3\)$"):
+            solve(problem, np.eye(2), SolverParams(rank_bound=2, delta=0.1))
 
     def test_deterministic_traces(self):
         rng = np.random.default_rng(15)
@@ -784,6 +794,48 @@ class TestOuterLoop:
         finally:
             tracemalloc.stop()
         assert held / len(records) < bound, held
+
+
+class TestScaleInvariance:
+    """Scaling a residual cost's target, the start and ``delta`` by 2^e
+    scales the whole solve exactly: f by 4^e; s, every iterate and the
+    default ``stop_tol`` by 2^e; the rest of each record not at all."""
+
+    @staticmethod
+    def solve(kind, algorithm, e):
+        rng = np.random.default_rng(13)
+        m, n = 8, 6
+        u = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        target = (u * [3.0, 2.0, 1.5, 0.2, 0.1, 0.05]) @ v.T
+        mask = rng.random((m, n)) < 0.7
+        # One small singular value along a weak direction of the target, so
+        # that P2GDR reduces the rank at its first iteration.
+        x0 = (u[:, [0, 1, 5]] * [2.0, 1.0, 0.1]) @ v[:, [0, 1, 5]].T
+        scale = 2.0**e
+        problem = (LowRankApproxProblem(target * scale) if kind == "lowrank"
+                   else MatrixCompletionProblem(target * scale, mask))
+        params = SolverParams(rank_bound=3, delta=0.5 * scale, max_iters=60,
+                              line_search=LineSearchParams(alpha_hi=0.3))
+        return algorithm(problem, x0 * scale, params)
+
+    @pytest.mark.parametrize("e", [-60, 0, 60])
+    @pytest.mark.parametrize("algorithm", [p2gdr, p2gd_plain])
+    @pytest.mark.parametrize("kind", ["lowrank", "completion"])
+    def test_default_stop_tol_scales_the_solve_bit_for_bit(self, kind, algorithm, e):
+        base, scaled = self.solve(kind, algorithm, 0), self.solve(kind, algorithm, e)
+        scale = 2.0**e
+        assert len(base.records) > 5
+        if algorithm is p2gdr:
+            assert any(rec.chosen_j > 0 for rec in base.records)
+        assert scaled.records == [
+            replace(rec, f_value=rec.f_value * scale**2, s_value=rec.s_value * scale)
+            for rec in base.records
+        ]
+        assert scaled.termination == base.termination
+        assert scaled.stop_tol == base.stop_tol * scale
+        assert (scaled.final_f, scaled.final_s) == (base.final_f * scale**2, base.final_s * scale)
+        assert np.array_equal(scaled.final_point.matrix(), base.final_point.matrix() * scale)
 
 
 class TestEvaluationContract:

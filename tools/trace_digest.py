@@ -16,7 +16,8 @@ start. Two checkouts whose outputs are identical produce byte-identical
 traces on all sixteen solves. A last line, ``api sha256=<digest>``,
 fingerprints what the public routines that the tests check return on small
 seeded instances (:func:`api_digest`), which covers the library paths that
-the sixteen solves do not reach.
+the sixteen solves do not reach, the reader of problem and matrix
+documents included.
 
     PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] [--save DIR] > digest.txt
 
@@ -49,7 +50,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from lowrankopt import linalg, problems, solver, variety  # noqa: E402
+from lowrankopt import linalg, problems, serialize, solver, variety  # noqa: E402
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 SIZES = ("tiny", "full")
@@ -58,6 +59,9 @@ RANDOM_START = "random:7"
 # More than twice UserPolynomialProblem.CHUNK (384), and fixed, so that two
 # checkouts with different chunks digest the same polynomial.
 POLY_TERMS = 1000
+# JSON numbers that a float64 array could read otherwise than a list of
+# them: ints, a negative zero, an int of 301 digits, exponents and a subnormal.
+EDGE_VALUES = ["3", "-7", "0", "-0.0", str(10**300), "1.5e-7", "2E+10", "-4.25e300", "1e-320"]
 
 
 def load_workloads():
@@ -104,8 +108,11 @@ def api_digest(seed: int) -> str:
     small singular value, so the delta-rank and the rank-reduction search
     see a drop. A completion problem's ``gradient`` and ``evaluate`` are
     then taken where its residual holds signed zeros, and a polynomial of
-    POLY_TERMS terms has its ``eval`` and ``gradient`` taken. Routines are
-    looked up on their modules at each call."""
+    POLY_TERMS terms has its ``eval`` and ``gradient`` taken. Last, a
+    completion document and a matrix document whose values start with
+    EDGE_VALUES are written to a temporary directory and read back by
+    ``load_problem`` (its target, mask and offset) and ``load_matrix``.
+    Routines are looked up on their modules at each call."""
     rng = np.random.default_rng(seed)
     hasher = hashlib.sha256()
     m, n, bound, delta = 7, 5, 3, 0.1
@@ -161,6 +168,24 @@ def api_digest(seed: int) -> str:
     x = rng.standard_normal((m, n))
     _feed(hasher, polynomial.eval(x))
     _feed(hasher, polynomial.gradient(x))
+
+    def document(rows, cols, values):
+        """A matrix document's text, its values written as the JSON numbers given."""
+        return f'{{"rows": {rows}, "cols": {cols}, "entries": [{", ".join(values)}]}}'
+
+    draws = rng.standard_normal(m * n - len(EDGE_VALUES)).tolist()
+    values = EDGE_VALUES + [repr(v) for v in draws]
+    mask = rng.choice(["0", "1", "0.0", "1.0"], m * n).tolist()
+    with tempfile.TemporaryDirectory() as tmp:
+        problem_path, matrix_path = Path(tmp) / "problem.json", Path(tmp) / "matrix.json"
+        problem_path.write_text(
+            f'{{"type": "completion", "shape": [{m}, {n}], "payload": '
+            f'{{"target": {document(m, n, values)}, "mask": {document(m, n, mask)}}}}}',
+            encoding="utf-8")
+        matrix_path.write_text(document(n, m, values), encoding="utf-8")
+        cost = problems.load_problem(problem_path)
+        _feed(hasher, (cost.target, cost.mask, cost._offset))
+        _feed(hasher, serialize.load_matrix(matrix_path))
     return hasher.hexdigest()
 
 
