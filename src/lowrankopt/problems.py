@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from itertools import chain
@@ -195,34 +196,44 @@ class UserPolynomialProblem(CostFunction):
     merged at construction. The gradient is the analytic derivative of each
     monomial.
 
-    Construction compiles the terms to index arrays. A call tabulates
-    ``x_e ** p`` once for each (entry, power) pair that some term uses, and
-    every monomial is a row of MAX_DEGREE slots into that table, padded with
-    a slot holding ``x_e ** 0 = 1.0``. The gradient has one such row per
-    (term, factor): the factor's derivative slot, then the term's other
-    slots. The arithmetic is that of the term-by-term evaluation: products
-    in factor order, the cost summed in term order, each gradient entry
-    accumulated in term order, so results agree with it bit for bit. Rows
-    are taken CHUNK at a time into one buffer per call, so a call's
-    temporaries do not grow with the number of terms.
+    Construction compiles the terms to index arrays. A call gathers the
+    base ``x_e`` of each (entry, power) pair that some term uses with one
+    index and tabulates ``x_e ** p`` from them. Every monomial is a row of
+    slots into that table, as many as the widest monomial has factors (at
+    least one); a monomial with fewer factors is padded with a slot holding
+    ``x_e ** 0 = 1.0``. The gradient has one such row per (term, factor):
+    the factor's derivative slot, then the term's other slots. The
+    arithmetic is that of the term-by-term evaluation: products in factor
+    order, the cost summed in term order, each gradient entry accumulated
+    in term order, so results agree with it bit for bit; a padding slot
+    only ever multiplies by exactly 1.0. Rows are taken CHUNK at a time
+    into one buffer per call, so a call's temporaries do not grow with the
+    number of terms.
+
+    Shape entries, rows, columns and powers must be integers (an integral
+    float or a numpy integer is read as one) and coefficients must be
+    finite doubles; anything else raises ``ValueError`` naming the value.
     """
 
     MAX_DEGREE = 4
     CHUNK = 384
 
     def __init__(self, shape, terms):
-        m, n = int(shape[0]), int(shape[1])
+        m, n = _integer("shape entry", shape[0]), _integer("shape entry", shape[1])
         if not (m >= 1 and n >= 1 and m * n <= np.iinfo(np.intp).max):
             raise ValueError(f"shape must be positive and fit an array, got {(m, n)}")
         self.shape = (m, n)
         coeffs, monomials = [], []
         for monomial, coeff in terms:
-            coeff = float(coeff)
-            if not np.isfinite(coeff):
+            try:
+                coeff = float(coeff)
+            except OverflowError:
+                raise ValueError(f"coefficient {coeff!r} does not fit a double") from None
+            if not math.isfinite(coeff):
                 raise ValueError("coefficients must be finite")
             merged: dict[int, int] = {}
             for row, col, power in monomial:
-                row, col, power = int(row), int(col), int(power)
+                row, col, power = _integer("row", row), _integer("col", col), _integer("power", power)
                 if not (0 <= row < m and 0 <= col < n):
                     raise ValueError(f"entry index ({row}, {col}) outside shape {(m, n)}")
                 if power < 1:
@@ -239,24 +250,27 @@ class UserPolynomialProblem(CostFunction):
     def _compile(self, coeffs: list[float], monomials: list[list[tuple[int, int]]]) -> None:
         """Index arrays for the terms, each a coefficient and its monomial's
         (flat entry, power) factors in entry order."""
-        width = self.MAX_DEGREE
         lengths = np.fromiter(map(len, monomials), np.intp, len(monomials))
+        width = max(1, int(lengths.max(initial=0)))
+        base = self.MAX_DEGREE + 1
         entry, power = np.fromiter(
             chain.from_iterable(chain.from_iterable(monomials)), np.intp, 2 * int(lengths.sum())
         ).reshape(-1, 2).T.copy()
         # One row per (term, factor), term-major with factors in order.
         term = np.repeat(np.arange(len(lengths)), lengths)
         factor = np.arange(len(term)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        # The pair (e, p) as the integer e * (width + 1) + p. Padding is the
-        # pair (0, 0), as is every derivative factor x_e ** 0: both are 1.
+        # The pair (e, p) as the integer e * base + p, with base above every
+        # power whatever the width. Padding is the pair (0, 0), as is every
+        # derivative factor x_e ** 0: both are 1.
         keys = np.zeros((len(lengths), width), np.intp)
-        keys[term, factor] = entry * (width + 1) + power
+        keys[term, factor] = entry * base + power
         derivative = np.where(power > 1, keys[term, factor] - 1, 0)
         pair_keys, inverse = np.unique(np.concatenate((keys.ravel(), derivative)), return_inverse=True)
         slots = inverse[: keys.size].reshape(keys.shape)
-        others = np.array([[j for j in range(width) if j != i] for i in range(width)])
-        self._pair_entry = (pair_keys // (width + 1)).tolist()
-        self._pair_power = (pair_keys % (width + 1)).astype(float).tolist()
+        # At width 1 each row is empty, and must still index as integers.
+        others = np.array([[j for j in range(width) if j != i] for i in range(width)], np.intp)
+        self._pair_entry = pair_keys // base
+        self._pair_power = (pair_keys % base).astype(float).tolist()
         self._coeffs = np.array(coeffs, dtype=float)
         self._slots = slots.T.copy()
         self._grad_coeffs = self._coeffs[term] * power
@@ -266,18 +280,18 @@ class UserPolynomialProblem(CostFunction):
     def _power_table(self, a: np.ndarray) -> np.ndarray:
         """``x_e ** p`` for every pair the terms use.
 
-        ``math.pow`` is the libm ``pow`` that a numpy scalar's ``**`` calls;
-        numpy's array ``**`` can differ from it in the last bit. Where the
-        power overflows, ``math.pow`` raises and the table holds the signed
-        infinity that ``**`` gives.
+        The bases are gathered with one index and handed to ``math.pow``
+        through a memoryview, which yields them as Python floats without a
+        list of them. ``math.pow`` is the libm ``pow`` that a numpy
+        scalar's ``**`` calls; numpy's array ``**`` can differ from it in
+        the last bit. Where the power overflows, ``math.pow`` raises and
+        the table holds the signed infinity that ``**`` gives.
         """
-        flat = memoryview(a.ravel())
+        bases = memoryview(a.ravel()[self._pair_entry])
         count = len(self._pair_power)
-        bases = map(flat.__getitem__, self._pair_entry)
         try:
             return np.fromiter(map(math.pow, bases, self._pair_power), float, count)
         except OverflowError:
-            bases = map(flat.__getitem__, self._pair_entry)
             return np.fromiter(map(_pow_or_inf, bases, self._pair_power), float, count)
 
     def eval(self, x) -> float:
@@ -312,6 +326,17 @@ def _products(table, coeffs, slots, start: int, out: np.ndarray) -> np.ndarray:
     for column in slots[1:, start:stop]:
         prod *= table[column]
     return prod
+
+
+def _integer(what: str, value) -> int:
+    """``value`` as an int: an int, a numpy integer or an integral float."""
+    if type(value) is int:  # the common case, without the slower ABC checks
+        return value
+    if isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _pow_or_inf(x: float, p: float) -> float:

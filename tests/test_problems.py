@@ -477,6 +477,25 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="power"):
             UserPolynomialProblem((2, 2), [([(0, 0, 0)], 1.0)])
 
+    @pytest.mark.parametrize("shape, terms, message", [
+        ((1, 1), [([(0, 0, 2.5)], 1.0)], "power must be an integer, got 2.5"),
+        ((2, 2), [([(0.9, 1.7, 1)], 1.0)], "row must be an integer, got 0.9"),
+        ((2.5, 2), [], "shape entry must be an integer, got 2.5"),
+        ((1, 1), [([(0, 0, 1)], 10**400)], f"coefficient {10**400} does not fit a double"),
+    ], ids=["power", "entry", "shape", "coefficient"])
+    def test_inexact_input_is_named(self, shape, terms, message):
+        # Not truncated by int() or float(): x00 ** 2.5 would be read as x00 ** 2.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UserPolynomialProblem(shape, terms)
+
+    def test_integral_floats_and_numpy_integers_are_read(self):
+        exact = UserPolynomialProblem((2, 3), [([(1, 2, 2), (0, 1, 1)], 3)])
+        read = UserPolynomialProblem((2.0, np.int64(3)),
+                                     [([(np.int32(1), 2.0, np.uint8(2)), (0.0, 1, 1.0)], 3)])
+        x = np.arange(6.0).reshape(2, 3)
+        assert read.shape == (2, 3) and read.eval(x) == exact.eval(x) == 3 * 25.0
+        assert np.array_equal(read.gradient(x), exact.gradient(x))
+
     def test_zero_polynomial(self):
         problem = UserPolynomialProblem((3, 3), [])
         x = np.ones((3, 3))
@@ -504,6 +523,20 @@ class TestPolynomial:
             for _ in range(5):
                 assert_matches_loop(problem, terms, random_point(rng, 4, 5))
 
+    @pytest.mark.parametrize("width", [0, 1, 2, 3, 4])
+    def test_slot_rows_are_as_wide_as_the_widest_monomial(self, width):
+        # A slot row past the widest monomial would only multiply by the
+        # padding's 1.0. Width 0 is a polynomial of constants: one row.
+        rng = np.random.default_rng(13 + width)
+        terms = [term for term in random_polynomial(rng, 4, 5, 300)
+                 if len({(row, col) for row, col, _ in term[0]}) <= width]
+        widest = [(0, 0, 1), (1, 2, 1), (3, 4, 1), (2, 0, 1)][:width]
+        terms.insert(len(terms) // 2, (widest, -1.5))
+        problem = UserPolynomialProblem((4, 5), terms)
+        assert len(problem._slots) == len(problem._grad_slots) == max(width, 1)
+        for _ in range(5):
+            assert_matches_loop(problem, terms, random_point(rng, 4, 5))
+
     def test_zero_products_sum_to_positive_zero(self):
         # Each product is -0.0; the loop's sum starts at +0.0 and stays there.
         terms = [([(0, 0, 1)], -1.0), ([(0, 0, 3), (0, 1, 1)], 2.0)]
@@ -529,11 +562,26 @@ class TestPolynomial:
         assert cubic.eval([[-1e200]]) == -np.inf
         assert cubic.gradient([[-1e200]])[0, 0] == np.inf
 
+    def test_overflow_at_a_later_pair_with_a_negative_base(self):
+        # The table's pairs in order: x00 ** 0, x00 ** 1, x00 ** 2, x01,
+        # x11 ** 2, x11 ** 3. The first overflow is at x11 ** 2, after
+        # finite pairs, and the retry gives x11 ** 3 its -inf.
+        terms = [([(0, 0, 2)], 1.0), ([(0, 1, 1)], 1.0), ([(1, 1, 3)], 1.0)]
+        problem = UserPolynomialProblem((2, 2), terms)
+        x = np.array([[3.0, 2.0], [0.0, -1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert problem.eval(x) == -np.inf
+            assert problem.gradient(x).tolist() == [[6.0, 1.0], [0.0, np.inf]]
+        with np.errstate(over="ignore"):
+            assert_matches_loop(problem, terms, x)
+
     def test_temporaries_do_not_grow_with_terms(self):
         # Rows are taken CHUNK at a time, so a call holds one CHUNK-long
         # buffer and one CHUNK-long gather at a time, the table of at most
-        # 1 + 4mn powers and numpy's fixed ufunc.at workspace (about 5 KB).
-        # One array over all 20 000 terms would alone take 160 KB.
+        # 1 + 4mn powers, the bases gathered for it (one per table entry)
+        # and numpy's fixed ufunc.at workspace (about 5 KB). One array
+        # over all 20 000 terms would alone take 160 KB.
         bound = 16_000
         rng = np.random.default_rng(12)
         problem = UserPolynomialProblem((6, 5), random_polynomial(rng, 6, 5, 20_000))

@@ -59,6 +59,8 @@ RANDOM_START = "random:7"
 # More than twice UserPolynomialProblem.CHUNK (384), and fixed, so that two
 # checkouts with different chunks digest the same polynomial.
 POLY_TERMS = 1000
+# Terms of at most two factors, each of power 1 or 2.
+NARROW_TERMS = 60
 # JSON numbers that a float64 array could read otherwise than a list of
 # them: ints, a negative zero, an int of 301 digits, exponents and a subnormal.
 EDGE_VALUES = ["3", "-7", "0", "-0.0", str(10**300), "1.5e-7", "2E+10", "-4.25e300", "1e-320"]
@@ -108,7 +110,9 @@ def api_digest(seed: int) -> str:
     small singular value, so the delta-rank and the rank-reduction search
     see a drop. A completion problem's ``gradient`` and ``evaluate`` are
     then taken where its residual holds signed zeros, and a polynomial of
-    POLY_TERMS terms has its ``eval`` and ``gradient`` taken. Last, a
+    POLY_TERMS terms has its ``eval`` and ``gradient`` taken, as does one
+    of NARROW_TERMS terms whose widest monomial has two factors, whose
+    ``eval`` is also taken where a squared entry overflows. Last, a
     completion document and a matrix document whose values start with
     EDGE_VALUES are written to a temporary directory and read back by
     ``load_problem`` (its target, mask and offset) and ``load_matrix``.
@@ -168,6 +172,21 @@ def api_digest(seed: int) -> str:
     x = rng.standard_normal((m, n))
     _feed(hasher, polynomial.eval(x))
     _feed(hasher, polynomial.gradient(x))
+    # A polynomial whose widest monomial has two factors, so its slot rows
+    # are two wide. Its first term squares the last entry, which no other
+    # term reads, so that entry at 1e200 overflows that term alone.
+    rows, cols = rng.integers(0, m - 1, (NARROW_TERMS, 2)), rng.integers(0, n, (NARROW_TERMS, 2))
+    powers, counts = rng.integers(1, 3, (NARROW_TERMS, 2)), rng.integers(1, 3, NARROW_TERMS)
+    coeffs = rng.standard_normal(NARROW_TERMS)
+    terms = [([(m - 1, n - 1, 2)], coeffs[0])] + [
+        (list(zip(rows[k], cols[k], powers[k]))[: counts[k]], coeffs[k])
+        for k in range(1, NARROW_TERMS)]
+    narrow = problems.UserPolynomialProblem((m, n), terms)
+    x = rng.standard_normal((m, n))
+    _feed(hasher, narrow.eval(x))
+    _feed(hasher, narrow.gradient(x))
+    x[m - 1, n - 1] = 1e200
+    _feed(hasher, narrow.eval(x))
 
     def document(rows, cols, values):
         """A matrix document's text, its values written as the JSON numbers given."""
