@@ -15,28 +15,22 @@ import argparse
 import dataclasses
 import json
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
 
 from .linalg import truncate_to_rank
 from .problems import PROBLEM_TYPES, CostFunction, load_problem, problem_skeleton
-from .serialize import json_number, json_object, load_matrix, read_json
+from .serialize import json_object, load_matrix, read_json
 from .solver import LineSearchParams, SolverParams, Trace, p2gd_plain, p2gdr
 
 _TERMINATION_EXIT = {"stationary": 0, "max_iters": 2, "line_search_failure": 3, "nonfinite": 5}
 
 
-def _number_fields(cls) -> dict[str, bool]:
-    """Each numeric field of a parameter class, mapped to whether it is an int."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: hints[f.name] is int for f in dataclasses.fields(cls)
-            if hints[f.name] in (int, float, float | None)}
-
-
-CONFIG_KEYS = frozenset([*_number_fields(LineSearchParams), *_number_fields(SolverParams),
-                         "problem", "x0", "out", "algorithm"])
+# The parameter classes' fields, bar the nested line search, and the run's own keys.
+CONFIG_KEYS = frozenset(
+    {f.name for cls in (LineSearchParams, SolverParams) for f in dataclasses.fields(cls)}
+    - {"line_search"} | {"problem", "x0", "out", "algorithm"})
 
 
 class ConfigError(ValueError):
@@ -95,10 +89,11 @@ class RunConfig:
 
 
 def _params(cls, doc: dict, **nested):
-    """``cls`` from the values ``doc`` gives its numeric fields. ``doc`` is the
-    config without its null keys: a null or absent key keeps the default."""
-    return cls(**{key: json_number(key, doc[key], integer=integer)
-                  for key, integer in _number_fields(cls).items() if key in doc}, **nested)
+    """``cls`` from the values ``doc`` gives its fields, which ``cls`` reads.
+    ``doc`` is the config without its null keys: a null or absent key keeps
+    the default."""
+    return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc},
+               **nested)
 
 
 def _load(config: RunConfig) -> tuple[CostFunction, np.ndarray]:

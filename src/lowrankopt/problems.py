@@ -155,8 +155,10 @@ class LowRankApproxProblem(ResidualCost):
 class MatrixCompletionProblem(ResidualCost):
     """Half squared misfit on the observed entries of a target matrix.
 
-    The cost reads two arrays built at construction: a copy of the mask,
-    one byte an entry, and ``offset = 0.0 - target * mask``, which is
+    The mask is a bool array, or one whose entries are 1 (observed) or 0;
+    any other entry (0.5, 2, NaN) raises ``ValueError`` naming it and its
+    place. The cost reads two arrays built at construction: the mask as
+    bools, one byte an entry, and ``offset = 0.0 - target * mask``, which is
     ``-target`` on the observed entries (+0.0 for a zero target) and
     +0.0 elsewhere. So a later change to the caller's mask or target
     leaves the cost as it was built. ``target`` is the caller's array as
@@ -165,7 +167,7 @@ class MatrixCompletionProblem(ResidualCost):
 
     def __init__(self, target, mask):
         self.target = as_matrix(target)
-        self.mask = np.array(mask, dtype=bool)
+        self.mask = _observed(mask)
         if self.mask.shape != self.target.shape:
             raise ValueError(
                 f"mask shape {self.mask.shape} does not match target {self.target.shape}"
@@ -210,39 +212,48 @@ class UserPolynomialProblem(CostFunction):
     into one buffer per call, so a call's temporaries do not grow with the
     number of terms.
 
-    Shape entries, rows, columns and powers must be integers (an integral
-    float or a numpy integer is read as one) and coefficients must be
-    finite doubles; anything else raises ``ValueError`` naming the value.
+    The shape must hold two entries. Shape entries, rows, columns and
+    powers must be integers (an integral float or a numpy integer is read
+    as one, a bool is not) and coefficients must be real numbers that are
+    finite as doubles; anything else raises ``ValueError`` naming the value.
     """
 
     MAX_DEGREE = 4
     CHUNK = 384
 
     def __init__(self, shape, terms):
+        if len(shape) != 2:
+            raise ValueError(f"shape must hold 2 entries, got {shape!r:.40}")
         m, n = _integer("shape entry", shape[0]), _integer("shape entry", shape[1])
         if not (m >= 1 and n >= 1 and m * n <= np.iinfo(np.intp).max):
-            raise ValueError(f"shape must be positive and fit an array, got {(m, n)}")
+            raise ValueError(
+                f"shape must be positive and fit an array, got ({_shown(m)}, {_shown(n)})")
         self.shape = (m, n)
         coeffs, monomials = [], []
         for monomial, coeff in terms:
+            if type(coeff) is not float and (
+                isinstance(coeff, bool) or not isinstance(coeff, numbers.Real)
+            ):
+                raise ValueError(f"coefficient must be a number, got {coeff!r:.40}")
             try:
                 coeff = float(coeff)
             except OverflowError:
-                raise ValueError(f"coefficient {coeff!r} does not fit a double") from None
+                raise ValueError(f"coefficient {_shown(coeff)} does not fit a double") from None
             if not math.isfinite(coeff):
                 raise ValueError("coefficients must be finite")
             merged: dict[int, int] = {}
             for row, col, power in monomial:
                 row, col, power = _integer("row", row), _integer("col", col), _integer("power", power)
                 if not (0 <= row < m and 0 <= col < n):
-                    raise ValueError(f"entry index ({row}, {col}) outside shape {(m, n)}")
+                    raise ValueError(f"entry index ({_shown(row)}, {_shown(col)}) "
+                                     f"outside shape {(m, n)}")
                 if power < 1:
                     raise ValueError("powers must be positive integers")
                 entry = row * n + col
                 merged[entry] = merged.get(entry, 0) + power
             degree = sum(merged.values())
             if degree > self.MAX_DEGREE:
-                raise ValueError(f"monomial degree {degree} exceeds {self.MAX_DEGREE}")
+                raise ValueError(f"monomial degree {_shown(degree)} exceeds {self.MAX_DEGREE}")
             coeffs.append(coeff)
             monomials.append(sorted(merged.items()))
         self._compile(coeffs, monomials)
@@ -317,6 +328,21 @@ class UserPolynomialProblem(CostFunction):
         return g
 
 
+def _observed(mask) -> np.ndarray:
+    """A fresh bool array of ``mask``: a copy of a bool array, else True where
+    an entry is 1 and False where it is 0; any other entry raises."""
+    weights = np.asarray(mask)
+    if weights.dtype == bool:
+        return weights.copy()
+    observed = weights == 1.0
+    bad = ~observed & (weights != 0.0)
+    if bad.any():
+        place = tuple(map(int, np.argwhere(bad)[0]))
+        raise ValueError(f"'mask' entries must be 0 or 1, got {weights[place].item()!r} "
+                         f"at {place}")
+    return observed
+
+
 def _products(table, coeffs, slots, start: int, out: np.ndarray) -> np.ndarray:
     """Coefficient times the tabulated factors of the rows from ``start``
     on, multiplied in slot order, written over the head of ``out`` (as many
@@ -329,14 +355,23 @@ def _products(table, coeffs, slots, start: int, out: np.ndarray) -> np.ndarray:
 
 
 def _integer(what: str, value) -> int:
-    """``value`` as an int: an int, a numpy integer or an integral float."""
+    """``value`` as an int: an int, a numpy integer or an integral float, not a bool."""
     if type(value) is int:  # the common case, without the slower ABC checks
         return value
-    if isinstance(value, numbers.Integral) or (
+    if not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and float(value).is_integer()
-    ):
+    )):
         return int(value)
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an int too long for Python to
+    print, so that a message can name any integer or coefficient given."""
+    try:
+        return repr(value)
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        return f"<int of {value.bit_length()} bits>"
 
 
 def _pow_or_inf(x: float, p: float) -> float:
@@ -442,18 +477,7 @@ def _problem_from_doc(doc) -> CostFunction:
         raise ValueError(f"target shape {target.shape} does not match {shape}")
     if kind == "lowrank_approx":
         return LowRankApproxProblem(target)
-    return MatrixCompletionProblem(target, _mask(matrix_from_json(payload["mask"])))
-
-
-def _mask(weights: np.ndarray) -> np.ndarray:
-    """A completion document's mask, whose entries are 1 (observed) or 0."""
-    observed = weights == 1.0
-    bad = ~observed & (weights != 0.0)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise ValueError(f"'mask' entries must be 0 or 1, got {float(weights[row, col])!r} "
-                         f"at ({row}, {col})")
-    return observed
+    return MatrixCompletionProblem(target, matrix_from_json(payload["mask"]))
 
 
 def problem_skeleton(kind: str) -> dict:

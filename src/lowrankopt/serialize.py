@@ -21,12 +21,14 @@ from .linalg import as_matrix
 def json_number(key: str, value, *, integer: bool = False) -> int | float:
     """The JSON number ``value`` given for ``key``.
 
-    Run configs and problem and matrix documents read every number by this
-    rule: ``null``, a bool, a string or any other value raises ValueError
-    naming ``key``, as do a fraction where ``integer`` asks for an int and
-    a number past a double. A run config drops its null keys beforehand."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        integer and isinstance(value, float) and not value.is_integer()
+    Problem and matrix documents and the solver's parameter classes (so run
+    configs too) read every number by this rule: ``null``, a bool, a string
+    or any other value raises ValueError naming ``key``, as do a fraction
+    where ``integer`` asks for an int and a number past a double. A numpy
+    integer or float, which JSON never gives, is read as an int or float
+    is. A run config drops its null keys beforehand."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or (
+        integer and not isinstance(value, (int, np.integer)) and not float(value).is_integer()
     ):
         kind = "an integer" if integer else "a number"
         raise ValueError(f"{key!r} must be {kind}, got {value!r}")

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .linalg import NonFiniteError
+from .serialize import json_number
 from .variety import (
     StationarityReport,
     VarietyPoint,
@@ -51,6 +52,7 @@ class LineSearchParams:
     the theoretical step-size floor ``min(alpha_lo, beta * (1 - c) / kappa)``.
     It is an absolute constant, unitless for the residual costs (whose step
     multiplies a gradient in the data's units) but not for a polynomial.
+    Each field is read as a run config's key is (:func:`_read_numbers`).
     """
 
     alpha_lo: float = 1e-8
@@ -60,6 +62,7 @@ class LineSearchParams:
     max_backtracks: int = 60
 
     def __post_init__(self):
+        _read_numbers(self)
         if not 0 < self.alpha_lo < self.alpha_hi < np.inf:
             raise ValueError("need 0 < alpha_lo < alpha_hi < inf")
         if not 0 < self.beta < 1:
@@ -81,7 +84,8 @@ class SolverParams:
     point. That default has no absolute floor, so scaling a residual
     cost's data and ``delta`` by a power of two scales the whole solve by
     it exactly. A zero gradient at the start still stops at once, as
-    ``s = 0 <= 0``.
+    ``s = 0 <= 0``. Each numeric field is read as a run config's key is
+    (:func:`_read_numbers`).
     """
 
     rank_bound: int
@@ -91,6 +95,7 @@ class SolverParams:
     max_iters: int = 1000
 
     def __post_init__(self):
+        _read_numbers(self)
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.rank_bound < 0:
@@ -99,6 +104,16 @@ class SolverParams:
             raise ValueError("stop_tol must be nonnegative and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+
+
+def _read_numbers(params) -> None:
+    """Read each ``int`` and ``float`` field (a ``float | None`` one may be None)
+    of a frozen parameter class by :func:`~lowrankopt.serialize.json_number`,
+    naming the field. The annotations are strings (``from __future__``)."""
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type in ("int", "float") or (f.type == "float | None" and value is not None):
+            object.__setattr__(params, f.name, json_number(f.name, value, integer=f.type == "int"))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -6,6 +7,19 @@ import pytest
 
 # Make the sibling oracles module importable regardless of invocation dir.
 sys.path.insert(0, str(Path(__file__).parent))
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def load_module(relative: str):
+    """The repository's file ``relative`` (``tools/trace_diff.py``, say), loaded
+    read-only as a module named after its stem, for the scripts and benchmark
+    files that are not part of the package."""
+    path = REPO / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -4,23 +4,16 @@ public routines' results: it repeats, and one ulp in one result moves it.
 The tool is loaded by path; its workload loader is not used here.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
+from conftest import load_module
 
 from lowrankopt import linalg, problems, serialize, solver, variety
-
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 @pytest.fixture(scope="module")
 def digest_tool():
-    spec = importlib.util.spec_from_file_location("trace_digest", TOOLS / "trace_digest.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("tools/trace_digest.py")
 
 
 def test_digest_repeats(digest_tool):

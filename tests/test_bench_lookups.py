@@ -5,26 +5,15 @@ library by name; renaming or deleting one of them breaks the benchmark.
 This loads that module read-only and installs and removes its wrappers.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
+from conftest import load_module
 
 from lowrankopt import solver
 from lowrankopt.problems import LowRankApproxProblem
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_tracer_installs_and_restores():
-    tracing = load_tracing()
+    tracing = load_module("perfbench/tracing.py")
     originals = {name: getattr(home, attr) for name, (home, attr) in tracing.FUNCTIONS.items()}
     a = np.diag([3.0, 2.0, 1.0, 0.5])
     with tracing.Tracer() as tracer:

@@ -1,30 +1,63 @@
-"""``tools/replay_leading_svd.py`` replays recorded leading-triplet SVDs.
+"""``tools/probe.py`` probes one workload: ``point`` times the evaluation
+of a solve's final point, ``faults`` times direct solves and counts their
+page faults, and ``svd`` replays recorded leading-triplet SVDs.
 
-The tool is loaded by path, as ``tests/test_trace_diff.py`` loads its
-tool, with ``tools/`` on the import path for the loader it shares with
-``tools/trace_digest.py``.
+The tool is loaded by path, with ``tools/`` on the import path for the
+loader it shares with ``tools/trace_digest.py``.
 """
 
-import importlib.util
-from pathlib import Path
+import re
 
 import numpy as np
 import pytest
+from conftest import REPO, load_module
 from test_linalg import graded
 
 from lowrankopt import linalg
 
-TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SOLVE = re.compile(r"solve workload=(\S+) size=tiny seed=101 shape=\d+x\d+ rank=\d+ "
+                   r"iters=\d+ termination=stationary")
+TIMING = re.compile(r"(matrix|evaluate|gradient\+measure|step) best_ms=(\S+)")
+FAULTS = re.compile(r"(\d+|median) wall_s=(\S+) minflt=([\d.]+) peak_mb=(\S+)")
 
 
 @pytest.fixture
-def replay_tool(monkeypatch):
-    monkeypatch.syspath_prepend(str(TOOLS))
-    path = TOOLS / "replay_leading_svd.py"
-    spec = importlib.util.spec_from_file_location("replay_leading_svd", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def probe(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "tools"))
+    return load_module("tools/probe.py")
+
+
+# A residual cost takes ResidualCost.evaluate; the polynomial the generic one.
+@pytest.mark.parametrize("workload", ["mc-dense", "poly-desk"])
+def test_point_times_a_tiny_workload(probe, capsys, workload):
+    argv = ["point", "--workload", workload, "--size", "tiny", "--repeats", "3"]
+    assert probe.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5, lines
+    solve = SOLVE.fullmatch(lines[0])
+    assert solve and solve.group(1) == workload, lines[0]
+    timings = [TIMING.fullmatch(line) for line in lines[1:]]
+    assert all(timings), lines
+    assert [t.group(1) for t in timings] == ["matrix", "evaluate", "gradient+measure", "step"]
+    assert all(float(t.group(2)) > 0 for t in timings)
+
+
+def test_faults_solves_a_tiny_workload(probe, capsys):
+    assert probe.main(["faults", "--workload", "mc-dense", "--size", "tiny", "--repeats", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    matches = [FAULTS.fullmatch(line) for line in lines]
+    assert len(lines) == 3 and all(matches), lines
+    assert [m.group(1) for m in matches] == ["0", "1", "median"]
+    for m in matches:
+        assert float(m.group(2)) > 0 and float(m.group(4)) > 0
+    # Each solve of one instance allocates the same buffers.
+    assert matches[0].group(4) == matches[1].group(4) == matches[2].group(4)
+
+
+@pytest.mark.parametrize("subcommand", ["point", "faults", "svd"])
+def test_rejects_no_repeats(probe, subcommand):
+    with pytest.raises(SystemExit):
+        probe.main([subcommand, "--size", "tiny", "--repeats", "0"])
 
 
 def sweep_widths(monkeypatch, a, k) -> tuple[list[int], list[int]]:
@@ -47,7 +80,7 @@ def sweep_widths(monkeypatch, a, k) -> tuple[list[int], list[int]]:
     return qr_widths, filter_widths
 
 
-def test_replays_a_graded_and_a_flat_block(replay_tool, monkeypatch, capsys):
+def test_svd_replays_a_graded_and_a_flat_block(probe, monkeypatch, capsys):
     graded_block = graded(np.random.default_rng(22), 200, 160, 0.7 ** np.arange(160))
     flat_block = graded(np.random.default_rng(21), 200, 170, np.linspace(1.0, 0.9, 170))
     widths, filters = sweep_widths(monkeypatch, graded_block, 4)
@@ -59,7 +92,7 @@ def test_replays_a_graded_and_a_flat_block(replay_tool, monkeypatch, capsys):
     col_products = widths[0] + 2 * sum(widths) + 2 * degree * sum(filters)
     flat_col_products = flat_widths[0] + 2 * sum(flat_widths) + 2 * degree * sum(flat_filters)
     assert widths[0] == 14 and flat_widths[0] == 13
-    replay_tool.replay([(graded_block, 4), (flat_block, 3)])
+    probe.replay([(graded_block, 4), (flat_block, 3)], 3)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith(
@@ -78,10 +111,11 @@ def test_replays_a_graded_and_a_flat_block(replay_tool, monkeypatch, capsys):
     assert all(t > 0 for t in times) and times[2] == pytest.approx(times[0] + times[1], abs=2e-6)
 
 
-def test_records_a_tiny_workload_solve(replay_tool, capsys):
+def test_svd_records_a_tiny_workload_solve(probe, capsys):
     # The zero start's SVD of G is the only call; at 60x50 it is below the
     # size cutoff, so it is dense, with no sweep and no column-product.
-    assert replay_tool.main(["--workload", "mc-dense", "--size", "tiny", "--seed", "101"]) == 0
+    argv = ["svd", "--workload", "mc-dense", "--size", "tiny", "--seed", "101"]
+    assert probe.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith(

@@ -171,6 +171,22 @@ class TestMatrixCompletion:
         with pytest.raises(ValueError):
             MatrixCompletionProblem(np.eye(3), np.ones((2, 3), dtype=bool))
 
+    @pytest.mark.parametrize("value, shown", [(0.5, "0.5"), (2, "2"), (np.nan, "nan")])
+    def test_mask_entry_other_than_0_or_1_is_named(self, value, shown):
+        # The rule a completion document's mask follows, not truthiness.
+        mask = [[1, 0], [0, 1]]
+        mask[1][0] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"'mask' entries must be 0 or 1, got {shown} at (1, 0)")):
+            MatrixCompletionProblem(np.eye(2), mask)
+
+    def test_mask_of_zeros_and_ones_is_read(self):
+        weights = np.array([[1.0, 0.0], [-0.0, 1.0]])
+        for mask in (weights, weights.astype(int), weights.tolist()):
+            problem = MatrixCompletionProblem(np.eye(2), mask)
+            assert problem.mask.dtype == bool
+            assert problem.mask.tolist() == [[True, False], [False, True]]
+
     def test_mask_is_copied_and_target_held(self):
         # The cost reads its own copies of the mask and of the observed
         # target, so later changes to the caller's arrays leave it as it
@@ -482,9 +498,24 @@ class TestPolynomial:
         ((2, 2), [([(0.9, 1.7, 1)], 1.0)], "row must be an integer, got 0.9"),
         ((2.5, 2), [], "shape entry must be an integer, got 2.5"),
         ((1, 1), [([(0, 0, 1)], 10**400)], f"coefficient {10**400} does not fit a double"),
-    ], ids=["power", "entry", "shape", "coefficient"])
+        ((2, 2, 5), [], "shape must hold 2 entries, got (2, 2, 5)"),
+        ((True, 2), [], "shape entry must be an integer, got True"),
+        ((2, 2), [([(True, 0, 1)], 1.0)], "row must be an integer, got True"),
+        ((2, 2), [([(0, False, 1)], 1.0)], "col must be an integer, got False"),
+        ((1, 1), [([(0, 0, True)], 1.0)], "power must be an integer, got True"),
+        ((1, 1), [([(0, 0, np.True_)], 1.0)], "power must be an integer, got np.True_"),
+        ((1, 1), [([(0, 0, 1)], 10**5000)],
+         f"coefficient <int of {(10**5000).bit_length()} bits> does not fit a double"),
+        ((10**5000, 2), [], "shape must be positive and fit an array, got (<int of"),
+        ((1, 1), [([(0, 0, 1)], True)], "coefficient must be a number, got True"),
+        ((1, 1), [([(0, 0, 1)], "2")], "coefficient must be a number, got '2'"),
+    ], ids=["power", "entry", "shape", "coefficient", "three-entry-shape", "bool-shape",
+            "bool-row", "bool-col", "bool-power", "numpy-bool-power", "long-coefficient",
+            "long-shape", "bool-coefficient", "string-coefficient"])
     def test_inexact_input_is_named(self, shape, terms, message):
-        # Not truncated by int() or float(): x00 ** 2.5 would be read as x00 ** 2.
+        # Not truncated by int() or float(): x00 ** 2.5 would be read as
+        # x00 ** 2, True as x00 ** 1 and (2, 2, 5) as (2, 2). An int past
+        # Python's digit limit is named by its size, not by a repr error.
         with pytest.raises(ValueError, match=re.escape(message)):
             UserPolynomialProblem(shape, terms)
 

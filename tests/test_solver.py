@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -161,6 +162,36 @@ class TestParams:
             SolverParams(rank_bound=2, delta=0.1, stop_tol=float("inf"))
         with pytest.raises(ValueError):
             SolverParams(rank_bound=2, delta=0.1, max_iters=0)
+
+    @pytest.mark.parametrize("cls, given, message", [
+        (SolverParams, {"rank_bound": 2.5}, "'rank_bound' must be an integer, got 2.5"),
+        (SolverParams, {"rank_bound": True}, "'rank_bound' must be an integer, got True"),
+        (SolverParams, {"delta": "0.1"}, "'delta' must be a number, got '0.1'"),
+        (SolverParams, {"stop_tol": False}, "'stop_tol' must be a number, got False"),
+        (SolverParams, {"delta": 10**400}, "'delta' must be a number that fits a double"),
+        (LineSearchParams, {"max_backtracks": 2.5}, "'max_backtracks' must be an integer, got 2.5"),
+        (LineSearchParams, {"max_backtracks": np.float32(2.5)},
+         "'max_backtracks' must be an integer, got np.float32(2.5)"),
+        (LineSearchParams, {"c": np.True_}, "'c' must be a number, got np.True_"),
+        (LineSearchParams, {"beta": "0.5"}, "'beta' must be a number, got '0.5'"),
+        (LineSearchParams, {"c": None}, "'c' must be a number, got None"),
+    ])
+    def test_wrongly_typed_field_is_named(self, cls, given, message):
+        # As a run config's field is: not truncated (2.5 is not rank 2, True
+        # not rank 1) and not left to fail inside the first line search.
+        base = {"rank_bound": 2, "delta": 0.1} if cls is SolverParams else {}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cls(**{**base, **given})
+
+    def test_numbers_are_read_as_declared(self):
+        params = SolverParams(rank_bound=np.int64(2), delta=1, max_iters=np.float32(30.0),
+                              line_search=LineSearchParams(alpha_hi=2, max_backtracks=5.0))
+        assert params == SolverParams(2, 1.0, max_iters=30,
+                                      line_search=LineSearchParams(alpha_hi=2.0, max_backtracks=5))
+        assert [type(v) for v in (params.rank_bound, params.delta, params.max_iters)] == [
+            int, float, int]
+        assert type(params.line_search.alpha_hi) is float
+        assert SolverParams(2, 0.1).stop_tol is None
 
 
 class TestStep:

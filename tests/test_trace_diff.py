@@ -5,21 +5,11 @@ benchmark's tracer, and run through its ``main`` on small hand-written
 traces.
 """
 
-import importlib.util
-from pathlib import Path
-
 import pytest
+from conftest import load_module
 
-TRACE_DIFF = Path(__file__).resolve().parents[1] / "tools" / "trace_diff.py"
 HEADER = "iter,f,s,rank,delta_rank,chosen_j,alpha,candidates\n"
 BEFORE = HEADER + "0,4,2,1,1,0,1,1\n1,1,0.5,2,1,1,0.5,2\n"
-
-
-def load_trace_diff():
-    spec = importlib.util.spec_from_file_location("trace_diff", TRACE_DIFF)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture
@@ -27,7 +17,7 @@ def run(tmp_path, capsys):
     """Write ``before`` and ``after`` (None: no such file) as ``t.csv``, run
     the tool on them with ``options`` and return the exit status and the
     printed report."""
-    trace_diff = load_trace_diff()
+    trace_diff = load_module("tools/trace_diff.py")
 
     def compare(before: str, after: str | None, *options: str) -> tuple[int, str]:
         for name, text in (("before", before), ("after", after)):
