@@ -200,17 +200,20 @@ class UserPolynomialProblem(CostFunction):
 
     Construction compiles the terms to index arrays. A call gathers the
     base ``x_e`` of each (entry, power) pair that some term uses with one
-    index and tabulates ``x_e ** p`` from them. Every monomial is a row of
-    slots into that table, as many as the widest monomial has factors (at
-    least one); a monomial with fewer factors is padded with a slot holding
-    ``x_e ** 0 = 1.0``. The gradient has one such row per (term, factor):
-    the factor's derivative slot, then the term's other slots. The
-    arithmetic is that of the term-by-term evaluation: products in factor
-    order, the cost summed in term order, each gradient entry accumulated
-    in term order, so results agree with it bit for bit; a padding slot
-    only ever multiplies by exactly 1.0. Rows are taken CHUNK at a time
-    into one buffer per call, so a call's temporaries do not grow with the
-    number of terms.
+    index and tabulates ``x_e ** p`` from them: 1.0 for power 0, the base
+    itself for power 1 and ``math.pow`` for the rest, each exactly
+    ``pow``'s value. Every monomial is a row of slots into that table, as
+    many as the widest monomial has factors (at least one); a monomial with
+    fewer factors is padded with a slot holding ``x_e ** 0 = 1.0``. The
+    gradient has one such row per (term, factor): the factor's derivative
+    slot, then the term's other slots. The arithmetic is that of the
+    term-by-term evaluation: products in factor order, the cost summed in
+    term order, each gradient entry accumulated in term order, so results
+    agree with it bit for bit; a padding slot only ever multiplies by
+    exactly 1.0. Rows are taken CHUNK at a time into one buffer per call,
+    so a call's temporaries do not grow with the number of terms. Each
+    chunk's coefficients, slot rows and (for the gradient) entries are
+    views cut once at construction, so a call slices no index array.
 
     The shape must hold two entries. Shape entries, rows, columns and
     powers must be integers (an integral float or a numpy integer is read
@@ -277,42 +280,61 @@ class UserPolynomialProblem(CostFunction):
         keys[term, factor] = entry * base + power
         derivative = np.where(power > 1, keys[term, factor] - 1, 0)
         pair_keys, inverse = np.unique(np.concatenate((keys.ravel(), derivative)), return_inverse=True)
+        # The table holds the pairs of power 0, then of power 1, then the
+        # rest, each in key order; slots index it in that order.
+        pair_power = pair_keys % base
+        order = np.argsort(np.minimum(pair_power, 2), kind="stable")
+        inverse = np.argsort(order)[inverse]
         slots = inverse[: keys.size].reshape(keys.shape)
         # At width 1 each row is empty, and must still index as integers.
         others = np.array([[j for j in range(width) if j != i] for i in range(width)], np.intp)
-        self._pair_entry = pair_keys // base
-        self._pair_power = (pair_keys % base).astype(float).tolist()
+        pair_power = pair_power[order]
+        self._pair_entry = pair_keys[order] // base
+        self._ones = int(np.count_nonzero(pair_power == 0))
+        self._raised = int(np.count_nonzero(pair_power <= 1))
+        self._raised_power = pair_power[self._raised :].astype(float).tolist()
         self._coeffs = np.array(coeffs, dtype=float)
         self._slots = slots.T.copy()
         self._grad_coeffs = self._coeffs[term] * power
         self._grad_entry = entry
         self._grad_slots = np.vstack((inverse[keys.size :], slots[term[:, None], others[factor]].T))
+        self._cost_chunks = _chunk_views(self.CHUNK, self._coeffs, self._slots)
+        self._grad_chunks = _chunk_views(self.CHUNK, self._grad_coeffs, self._grad_slots, entry)
 
     def _power_table(self, a: np.ndarray) -> np.ndarray:
         """``x_e ** p`` for every pair the terms use.
 
-        The bases are gathered with one index and handed to ``math.pow``
-        through a memoryview, which yields them as Python floats without a
-        list of them. ``math.pow`` is the libm ``pow`` that a numpy
-        scalar's ``**`` calls; numpy's array ``**`` can differ from it in
-        the last bit. Where the power overflows, ``math.pow`` raises and
-        the table holds the signed infinity that ``**`` gives.
+        The bases are gathered with one index into the table itself. A
+        pair of power 0 then holds 1.0 and one of power 1 its base, both
+        exactly what ``pow`` gives (``pow(x, 0)`` is 1.0 for every x, NaN
+        included, and ``pow(x, 1)`` is x). Only the pairs of power 2 and
+        more are handed to ``math.pow``, through a memoryview that yields
+        their bases as Python floats without a list of them. ``math.pow``
+        is the libm ``pow`` that a numpy scalar's ``**`` calls; numpy's
+        array ``**`` can differ from it in the last bit, as ``x * x`` could
+        from ``pow(x, 2)``. Where the power overflows, ``math.pow`` raises
+        and the table holds the signed infinity that ``**`` gives.
         """
-        bases = memoryview(a.ravel()[self._pair_entry])
-        count = len(self._pair_power)
+        table = a.ravel()[self._pair_entry]
+        table[: self._ones] = 1.0
+        raised = table[self._raised :]
+        bases, count = memoryview(raised), len(self._raised_power)
         try:
-            return np.fromiter(map(math.pow, bases, self._pair_power), float, count)
+            raised[:] = np.fromiter(map(math.pow, bases, self._raised_power), float, count)
         except OverflowError:
-            return np.fromiter(map(_pow_or_inf, bases, self._pair_power), float, count)
+            raised[:] = np.fromiter(map(_pow_or_inf, bases, self._raised_power), float, count)
+        return table
 
     def eval(self, x) -> float:
         table = self._power_table(self._check_shape(x))
         # Slot 0 holds the running total and a chunk's products follow it,
         # so one in-place accumulate adds them to it in term order.
         run = np.zeros(self.CHUNK + 1)
-        for start in range(0, len(self._coeffs), self.CHUNK):
-            prod = _products(table, self._coeffs, self._slots, start, run[1:])
-            chunk = run[: 1 + len(prod)]
+        for coeffs, first, rest in self._cost_chunks:
+            chunk = run[: 1 + len(coeffs)]
+            prod = np.multiply(coeffs, table[first], out=chunk[1:])
+            for column in rest:
+                prod *= table[column]
             np.add.accumulate(chunk, out=chunk)
             run[0] = chunk[-1]
         return float(run[0])
@@ -322,9 +344,11 @@ class UserPolynomialProblem(CostFunction):
         g = np.zeros(self.shape)
         flat = g.reshape(-1)
         buffer = np.empty(self.CHUNK)
-        for start in range(0, len(self._grad_coeffs), self.CHUNK):
-            prod = _products(table, self._grad_coeffs, self._grad_slots, start, buffer)
-            np.add.at(flat, self._grad_entry[start : start + len(prod)], prod)
+        for coeffs, first, rest, entry in self._grad_chunks:
+            prod = np.multiply(coeffs, table[first], out=buffer[: len(coeffs)])
+            for column in rest:
+                prod *= table[column]
+            np.add.at(flat, entry, prod)
         return g
 
 
@@ -343,15 +367,16 @@ def _observed(mask) -> np.ndarray:
     return observed
 
 
-def _products(table, coeffs, slots, start: int, out: np.ndarray) -> np.ndarray:
-    """Coefficient times the tabulated factors of the rows from ``start``
-    on, multiplied in slot order, written over the head of ``out`` (as many
-    rows as it holds); returns that head."""
-    stop = min(start + len(out), len(coeffs))
-    prod = np.multiply(coeffs[start:stop], table[slots[0, start:stop]], out=out[: stop - start])
-    for column in slots[1:, start:stop]:
-        prod *= table[column]
-    return prod
+def _chunk_views(chunk: int, coeffs: np.ndarray, slots: np.ndarray, entry=None) -> list[tuple]:
+    """Views of each ``chunk`` rows of a compiled polynomial: the rows'
+    coefficients, their first slot, a list of their further slots and, when
+    ``entry`` is given, the rows' entries."""
+    views = []
+    for start in range(0, len(coeffs), chunk):
+        rows = slice(start, start + chunk)
+        view = (coeffs[rows], slots[0, rows], list(slots[1:, rows]))
+        views.append(view if entry is None else (*view, entry[rows]))
+    return views
 
 
 def _integer(what: str, value) -> int:

@@ -96,6 +96,9 @@ class SolverParams:
 
     def __post_init__(self):
         _read_numbers(self)
+        if not isinstance(self.line_search, LineSearchParams):
+            raise ValueError(
+                f"'line_search' must be a LineSearchParams, got {self.line_search!r:.40}")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.rank_bound < 0:

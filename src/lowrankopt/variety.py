@@ -11,6 +11,8 @@ factors instead.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +47,15 @@ class VarietyPoint(SvdFactorization):
     """A matrix of rank at most ``rank_bound``: a thin SVD plus the bound.
 
     ``u`` (m-by-k) and ``v`` (n-by-k) have orthonormal columns, ``sigma``
-    holds k strictly positive nonincreasing values, and k is the exact
-    rank of the represented matrix ``u @ diag(sigma) @ v.T``. The zero
-    matrix is represented with k = 0.
+    holds k finite, strictly positive, nonincreasing values, and k is the
+    exact rank of the represented matrix ``u @ diag(sigma) @ v.T``. The
+    zero matrix is represented with k = 0.
+
+    Construction checks all of this and raises ``ValueError`` otherwise
+    (:class:`InfeasiblePointError` for k above the bound): a NaN or Inf in
+    ``sigma`` fails the sigma check, and a NaN or Inf in ``u`` or ``v``
+    fails the orthonormality check, whose error is the largest entry of
+    ``|Q^T Q - I|`` and must be at most ``ORTHONORMALITY_TOL``.
     """
 
     rank_bound: int
@@ -65,11 +73,17 @@ class VarietyPoint(SvdFactorization):
         if k > self.rank_bound:
             raise InfeasiblePointError(f"factored rank {k} exceeds rank bound {self.rank_bound}")
         if k > 0:
-            if np.any(self.sigma <= 0) or np.any(np.diff(self.sigma) > 0):
-                raise ValueError("sigma must be positive and nonincreasing")
+            # Every comparison with a NaN is false, so a NaN anywhere fails
+            # one of these; a first value below Inf bounds all the rest.
+            values = self.sigma.tolist()
+            if not (values[0] < math.inf and values[-1] > 0
+                    and all(map(operator.ge, values, values[1:]))):
+                raise ValueError("sigma must be finite, positive and nonincreasing")
             for name, q in (("u", self.u), ("v", self.v)):
-                err = np.abs(q.T @ q - np.eye(k)).max()
-                if err > ORTHONORMALITY_TOL:
+                gram = q.T @ q
+                gram.flat[:: k + 1] -= 1.0
+                err = np.abs(gram, out=gram).max()
+                if not err <= ORTHONORMALITY_TOL:
                     raise ValueError(f"columns of {name} are not orthonormal (error {err:.2e})")
         super().__post_init__()
 
@@ -252,10 +266,10 @@ def step_frame(point: VarietyPoint, tangent: TangentDecomposition) -> StepFrame:
     """
     d = tangent.d_truncated
     k = point.rank
-    tall = np.hstack([tangent.c_rows, d.u * d.sigma])
+    tall = np.concatenate((tangent.c_rows, d.u * d.sigma), axis=1)
     try:
         left, r_left = _complement_qr(point.u, tall)
-        right, r_right = _complement_qr(point.v, np.hstack([tangent.b_cols.T, d.v]))
+        right, r_right = _complement_qr(point.v, np.concatenate((tangent.b_cols.T, d.v), axis=1))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
     core = np.empty((k + r_left.shape[0], k + r_right.shape[0]))
@@ -288,7 +302,7 @@ def project_step_factored(point: VarietyPoint, frame: StepFrame, alpha: float) -
     k = point.rank
     # An overflow is reported by the checks below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(alpha * frame.peak):
+        if not math.isfinite(alpha * frame.peak):
             raise NonFiniteError(f"the step's factors at alpha {alpha:.3e} are not finite")
         core = alpha * frame.core
         core[:k, :k] += np.diag(point.sigma)

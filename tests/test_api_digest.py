@@ -67,6 +67,21 @@ def test_one_ulp_of_two_wide_slots_moves_the_digest(digest_tool, monkeypatch, na
     assert digest_tool.api_digest(101) != before
 
 
+@pytest.mark.parametrize("name", ["eval", "gradient"])
+def test_one_ulp_at_edge_entries_moves_the_digest(digest_tool, monkeypatch, name):
+    # Only the polynomial taken at -0.0, a subnormal and 1e300 is nudged.
+    cls = problems.UserPolynomialProblem
+    before = digest_tool.api_digest(101)
+    routine = getattr(cls, name)
+
+    def nudged(self, x):
+        value = routine(self, x)
+        return np.nextafter(value, np.inf) if len(self._coeffs) == digest_tool.EDGE_TERMS else value
+
+    monkeypatch.setattr(cls, name, nudged)
+    assert digest_tool.api_digest(101) != before
+
+
 @pytest.mark.parametrize("name", ["target", "mask", "_offset"])
 def test_one_entry_of_a_loaded_problem_moves_the_digest(digest_tool, monkeypatch, name):
     # One ulp up in a float array, or one flipped observation in the mask.

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import struct
 import tracemalloc
@@ -594,9 +595,9 @@ class TestPolynomial:
         assert cubic.gradient([[-1e200]])[0, 0] == np.inf
 
     def test_overflow_at_a_later_pair_with_a_negative_base(self):
-        # The table's pairs in order: x00 ** 0, x00 ** 1, x00 ** 2, x01,
-        # x11 ** 2, x11 ** 3. The first overflow is at x11 ** 2, after
-        # finite pairs, and the retry gives x11 ** 3 its -inf.
+        # The pairs that math.pow takes, in order: x00 ** 2, x11 ** 2,
+        # x11 ** 3. The first overflow is at x11 ** 2, after a finite pair,
+        # and the retry gives x11 ** 3 its -inf.
         terms = [([(0, 0, 2)], 1.0), ([(0, 1, 1)], 1.0), ([(1, 1, 3)], 1.0)]
         problem = UserPolynomialProblem((2, 2), terms)
         x = np.array([[3.0, 2.0], [0.0, -1e200]])
@@ -606,6 +607,42 @@ class TestPolynomial:
             assert problem.gradient(x).tolist() == [[6.0, 1.0], [0.0, np.inf]]
         with np.errstate(over="ignore"):
             assert_matches_loop(problem, terms, x)
+
+    def test_power_table_is_pow_bit_for_bit(self):
+        # Powers 0 to 4 of signed zeros, a subnormal, both infinities, NaN
+        # and 1e300, whose square overflows, so that the retry runs with the
+        # power-0 and power-1 pairs taken without math.pow. Every slot, the
+        # padding and the derivative slots included, must read math.pow's
+        # value (the signed infinity where it overflows), NaN for NaN.
+        bases = [-0.0, 0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300]
+        x = np.array([bases])
+        terms = [([(0, e, p)], 1.0) for e in range(len(bases)) for p in range(1, 5)]
+        terms.append(([(0, 0, 1), (0, 2, 1)], 1.0))  # two slots a row: padding
+        problem = UserPolynomialProblem(x.shape, terms)
+        table = problem._power_table(x)
+
+        def pow_of(base, power):
+            try:
+                return math.pow(base, power)
+            except OverflowError:
+                return math.copysign(math.inf, base) ** power
+
+        expected, got = [], []
+        for k, (monomial, _) in enumerate(terms):
+            factors = [(e, p) for _, e, p in monomial]
+            factors += [(0, 0)] * (len(problem._slots) - len(factors))
+            for (e, p), slot in zip(factors, problem._slots[:, k]):
+                expected.append(pow_of(bases[e], p))
+                got.append(table[slot])
+        for row, (e, p) in enumerate(
+                (e, p) for monomial, _ in terms for _, e, p in monomial):
+            expected.append(pow_of(bases[e], p - 1))
+            got.append(table[problem._grad_slots[0, row]])
+        assert np.inf in expected and 1.0 in expected
+        expected, got = np.array(expected), np.array(got)
+        assert np.array_equal(np.isnan(got), np.isnan(expected))
+        finite = ~np.isnan(expected)
+        assert np.array_equal(got[finite].view(np.int64), expected[finite].view(np.int64))
 
     def test_temporaries_do_not_grow_with_terms(self):
         # Rows are taken CHUNK at a time, so a call holds one CHUNK-long

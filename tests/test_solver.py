@@ -1,3 +1,4 @@
+import copy
 import re
 import tracemalloc
 import warnings
@@ -175,6 +176,9 @@ class TestParams:
         (LineSearchParams, {"c": np.True_}, "'c' must be a number, got np.True_"),
         (LineSearchParams, {"beta": "0.5"}, "'beta' must be a number, got '0.5'"),
         (LineSearchParams, {"c": None}, "'c' must be a number, got None"),
+        (SolverParams, {"line_search": None}, "'line_search' must be a LineSearchParams, got None"),
+        (SolverParams, {"line_search": {"alpha_hi": 2.0}},
+         "'line_search' must be a LineSearchParams, got {'alpha_hi': 2.0}"),
     ])
     def test_wrongly_typed_field_is_named(self, cls, given, message):
         # As a run config's field is: not truncated (2.5 is not rank 2, True
@@ -663,8 +667,10 @@ class TestOuterLoop:
         step = solver.project_step_factored
 
         def overflowing_step(point, frame, alpha):
-            y = step(point, frame, alpha)
-            return VarietyPoint(y.u, np.full(y.rank, np.inf), y.v, y.rank_bound)
+            # A copy takes the Inf past VarietyPoint's checks, which reject it.
+            y = copy.copy(step(point, frame, alpha))
+            object.__setattr__(y, "sigma", np.full(y.rank, np.inf))
+            return y
 
         monkeypatch.setattr(solver, "project_step_factored", overflowing_step)
         with np.errstate(invalid="ignore"):

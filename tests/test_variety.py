@@ -694,6 +694,18 @@ def test_point_validation():
         VarietyPoint(u, sigma, v, 1)
     with pytest.raises(ValueError):
         VarietyPoint(u, sigma, v, 4)  # bound not below min(m, n)
+    # A NaN fails every comparison, so it must fail the checks rather than
+    # slip past them, and an Inf is no singular value.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite, positive and nonincreasing"):
+            VarietyPoint(np.eye(4)[:, :1], np.array([bad]), np.eye(3)[:, :1], 1)
+    with pytest.raises(ValueError, match="finite, positive"):
+        VarietyPoint(u, np.array([sigma[0], np.nan]), v, 3)
+    for name in ("u", "v"):
+        factors = {"u": u.copy(), "v": v.copy()}
+        factors[name][1, 1] = np.nan
+        with pytest.raises(ValueError, match=f"columns of {name} are not orthonormal"):
+            VarietyPoint(factors["u"], sigma, factors["v"], 3)
 
 
 def test_point_arrays_are_read_only():

@@ -61,6 +61,10 @@ RANDOM_START = "random:7"
 POLY_TERMS = 1000
 # Terms of at most two factors, each of power 1 or 2.
 NARROW_TERMS = 60
+# Terms of the polynomial taken at a point whose first row starts with
+# EDGE_ENTRIES: six fixed terms read those entries, and the rest are drawn.
+EDGE_TERMS = 36
+EDGE_ENTRIES = (-0.0, 5e-324, 1e300)
 # JSON numbers that a float64 array could read otherwise than a list of
 # them: ints, a negative zero, an int of 301 digits, exponents and a subnormal.
 EDGE_VALUES = ["3", "-7", "0", "-0.0", str(10**300), "1.5e-7", "2E+10", "-4.25e300", "1e-320"]
@@ -112,7 +116,9 @@ def api_digest(seed: int) -> str:
     then taken where its residual holds signed zeros, and a polynomial of
     POLY_TERMS terms has its ``eval`` and ``gradient`` taken, as does one
     of NARROW_TERMS terms whose widest monomial has two factors, whose
-    ``eval`` is also taken where a squared entry overflows. Last, a
+    ``eval`` is also taken where a squared entry overflows, and one of
+    EDGE_TERMS terms at a point holding EDGE_ENTRIES, where a power that
+    is not ``pow``'s own would show. Last, a
     completion document and a matrix document whose values start with
     EDGE_VALUES are written to a temporary directory and read back by
     ``load_problem`` (its target, mask and offset) and ``load_matrix``.
@@ -187,6 +193,24 @@ def api_digest(seed: int) -> str:
     _feed(hasher, narrow.gradient(x))
     x[m - 1, n - 1] = 1e200
     _feed(hasher, narrow.eval(x))
+    # -0.0 and a subnormal to powers 1 to 3, and 1e300 to power 1 only,
+    # each times an entry of row 1 that no other term reads, so that the
+    # gradient there is the coefficient times that power. The drawn terms
+    # read rows 2 on, to powers 1 and 2.
+    edge = [([(0, 0, 1), (1, 0, 1)], 1.5), ([(0, 0, 3)], -0.5),
+            ([(0, 1, 1), (1, 1, 1)], -2.5), ([(0, 1, 2), (1, 2, 2)], 0.25),
+            ([(0, 2, 1), (1, 3, 1)], 1.25), ([(0, 2, 1), (1, 4, 3)], -0.75)]
+    drawn = EDGE_TERMS - len(edge)
+    rows, cols = rng.integers(2, m, (drawn, 2)), rng.integers(0, n, (drawn, 2))
+    powers, counts = rng.integers(1, 3, (drawn, 2)), rng.integers(1, 3, drawn)
+    coeffs = rng.standard_normal(drawn)
+    terms = edge + [(list(zip(rows[k], cols[k], powers[k]))[: counts[k]], coeffs[k])
+                    for k in range(drawn)]
+    edges = problems.UserPolynomialProblem((m, n), terms)
+    x = rng.standard_normal((m, n))
+    x[0, : len(EDGE_ENTRIES)] = EDGE_ENTRIES
+    _feed(hasher, edges.eval(x))
+    _feed(hasher, edges.gradient(x))
 
     def document(rows, cols, values):
         """A matrix document's text, its values written as the JSON numbers given."""
