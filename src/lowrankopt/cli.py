@@ -25,6 +25,10 @@ from .serialize import json_object, load_matrix, read_json
 from .solver import LineSearchParams, SolverParams, Trace, p2gd_plain, p2gdr
 
 _TERMINATION_EXIT = {"stationary": 0, "max_iters": 2, "line_search_failure": 3, "nonfinite": 5}
+# The algorithms a config may name, in the order that ``compare`` runs them.
+# Each solver is looked up by its module name when called, so that a wrapper
+# set on ``cli.p2gdr`` (perfbench's CLI workload sets one) sees the call.
+SOLVERS = {"p2gd": lambda *args: p2gd_plain(*args), "p2gdr": lambda *args: p2gdr(*args)}
 
 
 # The parameter classes' fields, bar the nested line search, and the run's own keys.
@@ -67,7 +71,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid config field: {exc}") from exc
         algorithm = doc.get("algorithm", "p2gdr")
-        if algorithm not in ("p2gdr", "p2gd"):
+        if not (isinstance(algorithm, str) and algorithm in SOLVERS):
             raise ConfigError(f"'algorithm' must be 'p2gdr' or 'p2gd', got {algorithm!r:.40}")
 
         def resolve(key: str, value) -> Path:
@@ -106,11 +110,6 @@ def _load(config: RunConfig) -> tuple[CostFunction, np.ndarray]:
     return problem, truncate_to_rank(x0, config.params.rank_bound)[0]
 
 
-def _solve(problem, x0, params: SolverParams, algorithm: str) -> Trace:
-    solve = p2gdr if algorithm == "p2gdr" else p2gd_plain
-    return solve(problem, x0, params)
-
-
 def _write_outputs(config: RunConfig, algorithm: str, trace: Trace) -> None:
     config.out_dir.mkdir(parents=True, exist_ok=True)
     (config.out_dir / f"trace_{algorithm}.csv").write_text(trace.to_csv(), encoding="utf-8")
@@ -122,7 +121,7 @@ def _write_outputs(config: RunConfig, algorithm: str, trace: Trace) -> None:
 def cmd_run(args) -> int:
     config = RunConfig.load(args.config, vars(args))
     problem, x0 = _load(config)
-    trace = _solve(problem, x0, config.params, config.algorithm)
+    trace = SOLVERS[config.algorithm](problem, x0, config.params)
     _write_outputs(config, config.algorithm, trace)
     return _TERMINATION_EXIT[trace.termination]
 
@@ -131,8 +130,8 @@ def cmd_compare(args) -> int:
     config = RunConfig.load(args.config, vars(args))
     problem, x0 = _load(config)
     traces, verdict = {}, {}
-    for algorithm in ("p2gd", "p2gdr"):
-        traces[algorithm] = trace = _solve(problem, x0, config.params, algorithm)
+    for algorithm, solve in SOLVERS.items():
+        traces[algorithm] = trace = solve(problem, x0, config.params)
         _write_outputs(config, algorithm, trace)
         summary = trace.summary()
         verdict[algorithm] = {key: summary[key] for key in ("final_s", "final_f", "final_rank")}

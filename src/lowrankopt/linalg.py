@@ -60,13 +60,37 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
+def json_number(key: str, value, *, integer: bool = False) -> int | float:
+    """The number ``value`` given for ``key``: an int if ``integer``, else a float.
+
+    Every number a caller or a JSON document gives is read by this rule
+    (ranks, shapes, the solver's parameters, matrix and problem documents,
+    run configs): ``null``, a bool, a string or any other value raises
+    ValueError naming ``key``, as do a fraction where ``integer`` asks for
+    an int and a number past a double. An integral float, or a numpy
+    integer or float, is read as the int or float it equals. A run config
+    drops its null keys beforehand."""
+    if type(value) is (int if integer else float):  # the common case, before the slower checks
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or (
+        integer and not isinstance(value, (int, np.integer)) and not float(value).is_integer()
+    ):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{key!r} must be {kind}, got {value!r}")
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError:
+        raise ValueError(f"{key!r} must be a number that fits a double") from None
+
+
 def rank_threshold(sigma_max: float, shape: tuple[int, int]) -> float:
     """Numerical-rank cutoff: singular values at or below it count as zero.
 
     Scale-invariant rule ``sigma_max * max(m, n) * eps``, the standard
-    surrogate for exact rank in floating point.
+    surrogate for exact rank in floating point. The exact ``max(m, n) * eps``
+    is taken first, so that no finite ``sigma_max`` gives an infinite cutoff.
     """
-    return sigma_max * max(shape) * EPS
+    return max(shape) * EPS * sigma_max
 
 
 def numerical_rank(sigma: np.ndarray, shape: tuple[int, int]) -> int:
@@ -105,8 +129,10 @@ class SvdFactorization:
         return (self.u * self.sigma) @ self.v.T
 
     def leading(self, k: int) -> "SvdFactorization":
-        """Factorization restricted to the first ``k`` singular triplets."""
-        k = int(k)
+        """The first ``k`` singular triplets, for k in ``[0, len(sigma)]``."""
+        k = json_number("k", k, integer=True)
+        if not 0 <= k <= len(self.sigma):
+            raise ValueError(f"k {k} out of range for {len(self.sigma)} triplets")
         return SvdFactorization(self.u[:, :k].copy(), self.sigma[:k].copy(), self.v[:, :k].copy())
 
 
@@ -336,7 +362,7 @@ def truncate_to_rank(x, target: int) -> tuple[np.ndarray, float]:
         The truncated matrix and the Frobenius distance to it.
     """
     a = as_matrix(x)
-    target = int(target)
+    target = json_number("target", target, integer=True)
     if target < 0 or target > min(a.shape):
         raise ValueError(f"target rank {target} out of range for shape {a.shape}")
     fact = compute_svd(a)
@@ -349,7 +375,7 @@ def truncate_to_rank(x, target: int) -> tuple[np.ndarray, float]:
 def distance_to_bounded_rank(x, target: int) -> float:
     """Frobenius distance from ``x`` to the matrices of rank at most ``target``."""
     a = as_matrix(x)
-    target = int(target)
+    target = json_number("target", target, integer=True)
     if target < 0 or target > min(a.shape):
         raise ValueError(f"target rank {target} out of range for shape {a.shape}")
     return tail_norm(singular_values(a), target)

@@ -8,16 +8,14 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from abc import ABC, abstractmethod
 from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
 
-from .linalg import as_matrix
-from .serialize import (json_array, json_number, json_object, matrix_from_json, matrix_to_json,
-                        read_json)
+from .linalg import as_matrix, json_number
+from .serialize import json_array, json_object, matrix_from_json, matrix_to_json, read_json
 from .variety import NormedGradient
 
 
@@ -216,9 +214,10 @@ class UserPolynomialProblem(CostFunction):
     views cut once at construction, so a call slices no index array.
 
     The shape must hold two entries. Shape entries, rows, columns and
-    powers must be integers (an integral float or a numpy integer is read
-    as one, a bool is not) and coefficients must be real numbers that are
-    finite as doubles; anything else raises ``ValueError`` naming the value.
+    powers are read as integers and coefficients as numbers by
+    :func:`~lowrankopt.linalg.json_number` (an integral float or a numpy
+    integer is an integer, a bool is neither), and coefficients must be
+    finite; anything else raises ``ValueError`` naming the value.
     """
 
     MAX_DEGREE = 4
@@ -227,26 +226,21 @@ class UserPolynomialProblem(CostFunction):
     def __init__(self, shape, terms):
         if len(shape) != 2:
             raise ValueError(f"shape must hold 2 entries, got {shape!r:.40}")
-        m, n = _integer("shape entry", shape[0]), _integer("shape entry", shape[1])
+        m, n = (json_number("shape", size, integer=True) for size in shape)
         if not (m >= 1 and n >= 1 and m * n <= np.iinfo(np.intp).max):
             raise ValueError(
                 f"shape must be positive and fit an array, got ({_shown(m)}, {_shown(n)})")
         self.shape = (m, n)
         coeffs, monomials = [], []
         for monomial, coeff in terms:
-            if type(coeff) is not float and (
-                isinstance(coeff, bool) or not isinstance(coeff, numbers.Real)
-            ):
-                raise ValueError(f"coefficient must be a number, got {coeff!r:.40}")
-            try:
-                coeff = float(coeff)
-            except OverflowError:
-                raise ValueError(f"coefficient {_shown(coeff)} does not fit a double") from None
+            coeff = json_number("coeff", coeff)
             if not math.isfinite(coeff):
                 raise ValueError("coefficients must be finite")
             merged: dict[int, int] = {}
             for row, col, power in monomial:
-                row, col, power = _integer("row", row), _integer("col", col), _integer("power", power)
+                row = json_number("row", row, integer=True)
+                col = json_number("col", col, integer=True)
+                power = json_number("power", power, integer=True)
                 if not (0 <= row < m and 0 <= col < n):
                     raise ValueError(f"entry index ({_shown(row)}, {_shown(col)}) "
                                      f"outside shape {(m, n)}")
@@ -379,20 +373,9 @@ def _chunk_views(chunk: int, coeffs: np.ndarray, slots: np.ndarray, entry=None) 
     return views
 
 
-def _integer(what: str, value) -> int:
-    """``value`` as an int: an int, a numpy integer or an integral float, not a bool."""
-    if type(value) is int:  # the common case, without the slower ABC checks
-        return value
-    if not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and float(value).is_integer()
-    )):
-        return int(value)
-    raise ValueError(f"{what} must be an integer, got {value!r}")
-
-
 def _shown(value) -> str:
     """``repr(value)``, or the bit length of an int too long for Python to
-    print, so that a message can name any integer or coefficient given."""
+    print, so that a message can name any integer given."""
     try:
         return repr(value)
     except ValueError:  # past the interpreter's limit on int-to-str digits

@@ -3,7 +3,7 @@
 files use. Floats are printed with 17 significant digits, which
 round-trips every finite double exactly. Every JSON document the program
 reads takes its objects, arrays and numbers through :func:`json_object`,
-:func:`json_array` and :func:`json_number`. :func:`read_json` turns each
+:func:`json_array` and :func:`~lowrankopt.linalg.json_number`. :func:`read_json` turns each
 ``entries`` array of numbers into a float64 array as its object closes, so
 a document load holds the Python floats of one matrix at a time.
 """
@@ -15,27 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_matrix
-
-
-def json_number(key: str, value, *, integer: bool = False) -> int | float:
-    """The JSON number ``value`` given for ``key``.
-
-    Problem and matrix documents and the solver's parameter classes (so run
-    configs too) read every number by this rule: ``null``, a bool, a string
-    or any other value raises ValueError naming ``key``, as do a fraction
-    where ``integer`` asks for an int and a number past a double. A numpy
-    integer or float, which JSON never gives, is read as an int or float
-    is. A run config drops its null keys beforehand."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)) or (
-        integer and not isinstance(value, (int, np.integer)) and not float(value).is_integer()
-    ):
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{key!r} must be {kind}, got {value!r}")
-    try:
-        return int(value) if integer else float(value)
-    except OverflowError:
-        raise ValueError(f"{key!r} must be a number that fits a double") from None
+from .linalg import as_matrix, json_number
 
 
 def json_object(where: str, value, keys, required) -> dict:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .linalg import NonFiniteError
-from .serialize import json_number
+from .linalg import NonFiniteError, json_number
 from .variety import (
     StationarityReport,
     VarietyPoint,
@@ -111,8 +110,9 @@ class SolverParams:
 
 def _read_numbers(params) -> None:
     """Read each ``int`` and ``float`` field (a ``float | None`` one may be None)
-    of a frozen parameter class by :func:`~lowrankopt.serialize.json_number`,
-    naming the field. The annotations are strings (``from __future__``)."""
+    of a frozen parameter class by :func:`~lowrankopt.linalg.json_number`, the
+    rule for every number a caller or a document gives, naming the field.
+    The annotations are strings (``from __future__``)."""
     for f in fields(params):
         value = getattr(params, f.name)
         if f.type in ("int", "float") or (f.type == "float | None" and value is not None):

@@ -25,6 +25,7 @@ from .linalg import (
     as_matrix,
     compute_svd,  # noqa: F401  not called here; perfbench's tracer test reads variety.compute_svd
     frobenius,
+    json_number,
     numerical_rank,
 )
 
@@ -51,7 +52,9 @@ class VarietyPoint(SvdFactorization):
     exact rank of the represented matrix ``u @ diag(sigma) @ v.T``. The
     zero matrix is represented with k = 0.
 
-    Construction checks all of this and raises ``ValueError`` otherwise
+    ``rank_bound`` is an integer in ``[0, min(m, n))``, read by
+    :func:`~lowrankopt.linalg.json_number`. Construction checks all of
+    this and raises ``ValueError`` otherwise
     (:class:`InfeasiblePointError` for k above the bound): a NaN or Inf in
     ``sigma`` fails the sigma check, and a NaN or Inf in ``u`` or ``v``
     fails the orthonormality check, whose error is the largest entry of
@@ -61,6 +64,8 @@ class VarietyPoint(SvdFactorization):
     rank_bound: int
 
     def __post_init__(self):
+        object.__setattr__(self, "rank_bound",
+                           json_number("rank_bound", self.rank_bound, integer=True))
         m, ku = self.u.shape
         n, kv = self.v.shape
         k = self.sigma.shape[0]
@@ -120,7 +125,7 @@ class VarietyPoint(SvdFactorization):
 
     def truncated(self, new_rank: int) -> "VarietyPoint":
         """Closest point of rank ``new_rank``, by dropping trailing triplets."""
-        new_rank = int(new_rank)
+        new_rank = json_number("new_rank", new_rank, integer=True)
         if not 0 <= new_rank <= self.rank:
             raise ValueError(f"cannot truncate rank {self.rank} to {new_rank}")
         if new_rank == self.rank:
@@ -181,7 +186,7 @@ class StationarityReport:
 def _matrix_and_bound(x, rank_bound) -> tuple[np.ndarray, int]:
     """``x`` as a checked matrix and ``rank_bound`` as an int in ``[0, min(m, n))``."""
     a = as_matrix(x)
-    rank_bound = int(rank_bound)
+    rank_bound = json_number("rank_bound", rank_bound, integer=True)
     if not 0 <= rank_bound < min(a.shape):
         raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
     return a, rank_bound
@@ -294,8 +299,9 @@ def project_step_factored(point: VarietyPoint, frame: StepFrame, alpha: float) -
     Raises
     ------
     NonFiniteError
-        If an ``alpha``-scaled factor of the step or the core overflows
-        (a large ``alpha`` times a large direction).
+        If an ``alpha``-scaled factor of the step, the core or the core's
+        singular values overflow (a large ``alpha`` times a large
+        direction).
     NumericalFailure
         If the core's SVD does not converge.
     """
@@ -313,6 +319,9 @@ def project_step_factored(point: VarietyPoint, frame: StepFrame, alpha: float) -
         uu, ss, vvh = np.linalg.svd(core, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
+    # A finite core's norm can pass a double, and the rank cutoff with it.
+    if ss.size and not ss[0] < math.inf:
+        raise NonFiniteError(f"the step's singular values at alpha {alpha:.3e} are not finite")
     keep = min(point.rank_bound, numerical_rank(ss, point.shape))
     u = point.u @ uu[:k, :keep] + frame.left @ uu[k:, :keep]
     v = point.v @ vvh[:keep, :k].T + frame.right @ vvh[:keep, k:].T
@@ -504,7 +513,7 @@ def tightness_instance(
     singular value makes the quadratic bound's constant blow up, so no
     bound of this form can drop the ``1/sigma_min`` factor.
     """
-    r, m, n = int(r), int(m), int(n)
+    r, m, n = (json_number(key, value, integer=True) for key, value in zip("rmn", (r, m, n)))
     if r < 1:
         raise ValueError("r must be at least 1")
     if m < r + 1 or n < r + 1:

@@ -176,6 +176,44 @@ class TestLeadingSvd:
             kept.append(_narrowed_width(s, 1, 0.5, 1e-12, 1e-14))
         assert kept[0] == kept[1] == kept[2] != 4, kept
 
+    @pytest.mark.parametrize("k, width", [(1, 11), (2, 12)])
+    def test_flat_ritz_values_keep_the_width(self, k, width):
+        # rho = (s_{w'+1} / s_k)^2 / T_3(1) = 1 at every width: none is a candidate.
+        assert _narrowed_width(np.ones(width), k, 0.5, 1e-12, 1e-14) == width
+
+    def test_next_value_at_the_threshold_is_not_a_candidate(self):
+        # Widths 3 and 4 have the next value 1e-20. Below the threshold,
+        # width 3 predicts the least work, but not 1.5 times less than width
+        # 4's, so 4 stays; at it, 2 is the only candidate and 4 counts as
+        # unbounded work.
+        s = np.array([4.0, 2.0, 1.0, 1e-20])
+        assert _narrowed_width(s, 1, 1e-3, 1e-12, 1e-21) == 4
+        assert _narrowed_width(s, 1, 1e-3, 1e-12, 1e-20) == 2
+
+    def test_no_candidate_left_keeps_the_width(self):
+        # Every next value at or below the threshold.
+        assert _narrowed_width(np.array([4.0, 2.0, 1.0, 1e-20]), 1, 1e-3, 1e-12, 1.0) == 4
+        assert _narrowed_width(np.array([1.0, 1e-20, 1e-20]), 1, 0.5, 1e-12, 1e-14) == 3
+
+    def test_residual_that_does_not_shrink_falls_back_to_dense(self, monkeypatch,
+                                                               dense_svd_calls):
+        # Every sweep factors the first sweep's block again, so the second
+        # residual equals the first: a rate of 1 predicts no end, and the
+        # dense SVD runs.
+        a = graded(np.random.default_rng(30), 200, 160, 0.8 ** np.arange(160))
+        qr, results = np.linalg.qr, []
+
+        def first_qr(x, *args, **kwargs):
+            results.append(results[0] if results else qr(x, *args, **kwargs))
+            return results[0]
+
+        monkeypatch.setattr(np.linalg, "qr", first_qr)
+        fact = _leading_svd(a, 4)
+        assert len(results) == 2 and dense_svd_calls == [(200, 160)]
+        dense = compute_svd(a)
+        for name in ("u", "sigma", "v"):
+            assert getattr(fact, name).tobytes() == getattr(dense, name).tobytes()
+
     @pytest.mark.parametrize("k", [2, 5])
     def test_rank_inside_the_block(self, dense_svd_calls, k):
         # Rank 8 with a block of k + 10 columns: the trailing Ritz values sit
@@ -342,6 +380,16 @@ class TestTruncation:
             y, dist = truncate_to_rank(x, target)
             lhs = frobenius(y) ** 2 + dist**2
             assert lhs == pytest.approx(frobenius(x) ** 2, rel=1e-9)
+
+    def test_rank_of_a_matrix_near_overflow(self):
+        # sigma_1 * max(m, n) passes a double; the rank cutoff stays finite,
+        # where an infinite one would zero every triplet.
+        x = np.random.default_rng(8).standard_normal((6, 5))
+        x *= 1e308 / np.abs(x).max()
+        fact = compute_svd(x)
+        assert float(fact.sigma[0]) * 6 == float("inf") and fact.numerical_rank == 5
+        point = project_to_variety(x, 2)
+        assert point.rank == 2 and np.array_equal(point.sigma, fact.sigma[:2])
 
 
 class TestDistance:

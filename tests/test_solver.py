@@ -298,6 +298,23 @@ class TestStep:
             with pytest.raises(NonFiniteError, match="core"):
                 project_step_factored(zero, frame, 2.3 * (1e308 / sigma_1))
 
+    def test_factored_projection_near_overflow_keeps_its_rank(self):
+        # A finite core whose sigma_1 times max(m, n) passes a double: the
+        # step keeps its rank. One whose sigma_1 itself overflows is named;
+        # a rank cutoff of Inf would have made both the zero point.
+        rng = np.random.default_rng(0)
+        point = point_from_matrix(truncate_to_rank(rng.standard_normal((6, 5)), 2)[0], 2)
+        problem = LowRankApproxProblem(rng.standard_normal((6, 5)))
+        tangent, _, _ = project_to_tangent_cone(point, -problem.gradient(point.matrix()))
+        frame = step_frame(point, tangent)
+        peak = np.abs(frame.core).max()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            near = project_step_factored(point, frame, 1.5e308 / peak)
+            assert near.rank == 2 and 1e308 < near.sigma[0] < np.inf
+            with pytest.raises(NonFiniteError, match="singular values"):
+                project_step_factored(point, frame, 1.7e308 / peak)
+
     def test_factored_projection_failure_is_numerical_failure(self, monkeypatch):
         rng = np.random.default_rng(29)
         point = make_point(rng, 6, 5, 2, 1)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -788,3 +789,62 @@ class TestFrameProducts:
         _, dense, norm = project_to_tangent_cone(point, g)
         assert norm == report.s_value
         assert_close_normwise(-dense, projected, 1e-12)
+
+
+
+INT_A = graded(np.random.default_rng(90), 6, 5, [3.0, 2.0, 1.0, 0.5, 0.25])
+INT_POINT = project_to_variety(INT_A, 3)
+# Each entry that reads an integer argument, called with the value 2 for it.
+INTEGER_ENTRIES = {
+    "leading": ("k", lambda v: compute_svd(INT_A).leading(v)),
+    "truncate_to_rank": ("target", lambda v: truncate_to_rank(INT_A, v)),
+    "distance_to_bounded_rank": ("target", lambda v: distance_to_bounded_rank(INT_A, v)),
+    "point_from_matrix": (
+        "rank_bound", lambda v: point_from_matrix(INT_POINT.truncated(2).matrix(), v)),
+    "project_to_variety": ("rank_bound", lambda v: project_to_variety(INT_A, v)),
+    "truncated": ("new_rank", lambda v: INT_POINT.truncated(v)),
+    "VarietyPoint": ("rank_bound", lambda v: VarietyPoint(
+        INT_POINT.u[:, :2], INT_POINT.sigma[:2], INT_POINT.v[:, :2], v)),
+    "tightness_instance-r": ("r", lambda v: tightness_instance(v, 4, 5, 0.1)),
+    "tightness_instance-m": ("m", lambda v: tightness_instance(1, v, 3, 0.1)),
+    "tightness_instance-n": ("n", lambda v: tightness_instance(1, 3, v, 0.1)),
+}
+
+
+def result_parts(result) -> list:
+    """``result``'s arrays and numbers, flattened, with a point's bound."""
+    if isinstance(result, tuple):
+        return [part for item in result for part in result_parts(item)]
+    if isinstance(result, VarietyPoint):
+        return [result.u, result.sigma, result.v, result.rank_bound]
+    if isinstance(result, variety.SvdFactorization):
+        return [result.u, result.sigma, result.v]
+    return [result]
+
+
+class TestIntegerArguments:
+    """Every rank, size and bound a caller passes is read by ``json_number``:
+    a fraction, a bool or a string is named, never truncated or coerced."""
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["fraction", "bool", "string"])
+    def test_inexact_value_is_named(self, entry, value):
+        name, call = INTEGER_ENTRIES[entry]
+        message = f"'{name}' must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", INTEGER_ENTRIES)
+    @pytest.mark.parametrize("value", [2.0, np.int64(2)], ids=["float", "numpy"])
+    def test_integral_value_is_read_as_int(self, entry, value):
+        _, call = INTEGER_ENTRIES[entry]
+        exact, read = result_parts(call(2)), result_parts(call(value))
+        assert len(exact) == len(read)
+        for a, b in zip(exact, read):
+            assert type(a) is type(b) and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [-1, 6, 9])
+    def test_leading_outside_its_width_is_named(self, k):
+        # Slicing would drop the last triplet at -1 and keep all five at 6 and 9.
+        with pytest.raises(ValueError, match=f"^k {k} out of range for 5 triplets$"):
+            compute_svd(INT_A).leading(k)
