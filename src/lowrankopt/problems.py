@@ -213,18 +213,21 @@ class UserPolynomialProblem(CostFunction):
     chunk's coefficients, slot rows and (for the gradient) entries are
     views cut once at construction, so a call slices no index array.
 
-    The shape must hold two entries. Shape entries, rows, columns and
-    powers are read as integers and coefficients as numbers by
+    The shape must be a list or tuple of two entries, the terms a list or
+    tuple of (monomial, coefficient) pairs, each monomial a list or tuple
+    and each factor a list or tuple of three entries. Shape entries, rows,
+    columns and powers are read as integers and coefficients as numbers by
     :func:`~lowrankopt.linalg.json_number` (an integral float or a numpy
     integer is an integer, a bool is neither), and coefficients must be
-    finite; anything else raises ``ValueError`` naming the value.
+    finite; anything else raises ``ValueError`` naming the value. A problem
+    document's terms are read by these same checks.
     """
 
     MAX_DEGREE = 4
     CHUNK = 384
 
     def __init__(self, shape, terms):
-        if len(shape) != 2:
+        if not (isinstance(shape, (list, tuple)) and len(shape) == 2):
             raise ValueError(f"shape must hold 2 entries, got {shape!r:.40}")
         m, n = (json_number("shape", size, integer=True) for size in shape)
         if not (m >= 1 and n >= 1 and m * n <= np.iinfo(np.intp).max):
@@ -232,12 +235,19 @@ class UserPolynomialProblem(CostFunction):
                 f"shape must be positive and fit an array, got ({_shown(m)}, {_shown(n)})")
         self.shape = (m, n)
         coeffs, monomials = [], []
-        for monomial, coeff in terms:
+        for term in json_array("terms", terms):
+            if not (isinstance(term, (list, tuple)) and len(term) == 2):
+                raise ValueError(f"'polynomial term' must be a (monomial, coeff) pair, "
+                                 f"got {term!r:.40}")
+            monomial, coeff = term
             coeff = json_number("coeff", coeff)
             if not math.isfinite(coeff):
                 raise ValueError("coefficients must be finite")
             merged: dict[int, int] = {}
-            for row, col, power in monomial:
+            for factor in json_array("monomial", monomial):
+                if not (isinstance(factor, (list, tuple)) and len(factor) == 3):
+                    raise ValueError(f"'monomial factor' must hold 3 integers, got {factor!r:.40}")
+                row, col, power = factor
                 row = json_number("row", row, integer=True)
                 col = json_number("col", col, integer=True)
                 power = json_number("power", power, integer=True)
@@ -356,7 +366,7 @@ def _observed(mask) -> np.ndarray:
     bad = ~observed & (weights != 0.0)
     if bad.any():
         place = tuple(map(int, np.argwhere(bad)[0]))
-        raise ValueError(f"'mask' entries must be 0 or 1, got {weights[place].item()!r} "
+        raise ValueError(f"'mask' entries must be 0 or 1, got {weights.item(*place)!r} "
                          f"at {place}")
     return observed
 
@@ -475,11 +485,7 @@ def _problem_from_doc(doc) -> CostFunction:
         term_keys = ("monomial", "coeff")
         terms = [json_object("polynomial term", term, term_keys, term_keys)
                  for term in json_array("terms", payload["terms"])]
-        return UserPolynomialProblem(shape, [
-            ([_integers("monomial factor", f, 3) for f in json_array("monomial", term["monomial"])],
-             json_number("coeff", term["coeff"]))
-            for term in terms
-        ])
+        return UserPolynomialProblem(shape, [(term["monomial"], term["coeff"]) for term in terms])
     target = matrix_from_json(payload["target"])
     if target.shape != shape:
         raise ValueError(f"target shape {target.shape} does not match {shape}")

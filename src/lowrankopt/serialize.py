@@ -37,9 +37,10 @@ def json_object(where: str, value, keys, required) -> dict:
     return value
 
 
-def json_array(key: str, value) -> list:
-    """``value``, given for ``key``, which must be a JSON array."""
-    if not isinstance(value, list):
+def json_array(key: str, value) -> list | tuple:
+    """``value``, given for ``key``, which must be an array: a JSON array,
+    or a list or tuple from Python."""
+    if not isinstance(value, (list, tuple)):
         raise ValueError(f"{key!r} must be an array, got {value!r:.40}")
     return value
 

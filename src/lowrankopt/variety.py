@@ -19,9 +19,10 @@ import numpy as np
 
 from .linalg import (
     NonFiniteError,
-    NumericalFailure,
     SvdFactorization,
+    _lapack,
     _leading_svd,
+    _rank_argument,
     as_matrix,
     compute_svd,  # noqa: F401  not called here; perfbench's tracer test reads variety.compute_svd
     frobenius,
@@ -52,8 +53,8 @@ class VarietyPoint(SvdFactorization):
     exact rank of the represented matrix ``u @ diag(sigma) @ v.T``. The
     zero matrix is represented with k = 0.
 
-    ``rank_bound`` is an integer in ``[0, min(m, n))``, read by
-    :func:`~lowrankopt.linalg.json_number`. Construction checks all of
+    ``rank_bound`` is an integer in ``[0, min(m, n) - 1]``, read by
+    the rank rule of :mod:`~lowrankopt.linalg`. Construction checks all of
     this and raises ``ValueError`` otherwise
     (:class:`InfeasiblePointError` for k above the bound): a NaN or Inf in
     ``sigma`` fails the sigma check, and a NaN or Inf in ``u`` or ``v``
@@ -64,17 +65,13 @@ class VarietyPoint(SvdFactorization):
     rank_bound: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rank_bound",
-                           json_number("rank_bound", self.rank_bound, integer=True))
         m, ku = self.u.shape
         n, kv = self.v.shape
+        object.__setattr__(self, "rank_bound",
+                           _rank_argument("rank_bound", self.rank_bound, min(m, n) - 1))
         k = self.sigma.shape[0]
         if not (ku == kv == k):
             raise ValueError(f"factor ranks disagree: u has {ku}, v has {kv}, sigma has {k}")
-        if not 0 <= self.rank_bound < min(m, n):
-            raise ValueError(
-                f"rank bound {self.rank_bound} must lie in [0, min{m, n}) for shape {(m, n)}"
-            )
         if k > self.rank_bound:
             raise InfeasiblePointError(f"factored rank {k} exceeds rank bound {self.rank_bound}")
         if k > 0:
@@ -125,9 +122,7 @@ class VarietyPoint(SvdFactorization):
 
     def truncated(self, new_rank: int) -> "VarietyPoint":
         """Closest point of rank ``new_rank``, by dropping trailing triplets."""
-        new_rank = json_number("new_rank", new_rank, integer=True)
-        if not 0 <= new_rank <= self.rank:
-            raise ValueError(f"cannot truncate rank {self.rank} to {new_rank}")
+        new_rank = _rank_argument("new_rank", new_rank, self.rank)
         if new_rank == self.rank:
             return self
         lead = self.leading(new_rank)
@@ -183,15 +178,6 @@ class StationarityReport:
     tangent: TangentDecomposition
 
 
-def _matrix_and_bound(x, rank_bound) -> tuple[np.ndarray, int]:
-    """``x`` as a checked matrix and ``rank_bound`` as an int in ``[0, min(m, n))``."""
-    a = as_matrix(x)
-    rank_bound = json_number("rank_bound", rank_bound, integer=True)
-    if not 0 <= rank_bound < min(a.shape):
-        raise ValueError(f"rank bound {rank_bound} out of range for shape {a.shape}")
-    return a, rank_bound
-
-
 def point_from_matrix(x, rank_bound: int) -> VarietyPoint:
     """Factor a feasible matrix into a :class:`VarietyPoint`.
 
@@ -200,7 +186,8 @@ def point_from_matrix(x, rank_bound: int) -> VarietyPoint:
     when the last of them is above the numerical-rank threshold. A matrix
     with no nonzero entry is the zero point and needs no SVD.
     """
-    a, rank_bound = _matrix_and_bound(x, rank_bound)
+    a = as_matrix(x)
+    rank_bound = _rank_argument("rank_bound", rank_bound, min(a.shape) - 1)
     if not a.any():
         return VarietyPoint.zero(a.shape, rank_bound)
     fact = _leading_svd(a, rank_bound + 1)
@@ -216,7 +203,8 @@ def project_to_variety(x, rank_bound: int) -> VarietyPoint:
     runs. Otherwise the triplets come from ``linalg._leading_svd``, which
     agrees with the dense SVD to its residual tolerance.
     """
-    a, rank_bound = _matrix_and_bound(x, rank_bound)
+    a = as_matrix(x)
+    rank_bound = _rank_argument("rank_bound", rank_bound, min(a.shape) - 1)
     if rank_bound == 0:
         return VarietyPoint.zero(a.shape, 0)
     return VarietyPoint.from_svd(_leading_svd(a, rank_bound), rank_bound)
@@ -252,10 +240,10 @@ def _complement_qr(u: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, np.nda
     of ``u^T q`` is above ``ORTHONORMALITY_TOL``, the QR of ``[u, q]``
     takes them out.
     """
-    q, r = np.linalg.qr(block)
+    q, r = _lapack("qr", block)
     k = u.shape[1]
     if k and q.size and np.abs(u.T @ q).max() > ORTHONORMALITY_TOL:
-        q_both, r_both = np.linalg.qr(np.hstack([u, q]))
+        q_both, r_both = _lapack("qr", np.hstack([u, q]))
         q, r = q_both[:, k:], r_both[k:, k:] @ r
     return q, r
 
@@ -272,11 +260,8 @@ def step_frame(point: VarietyPoint, tangent: TangentDecomposition) -> StepFrame:
     d = tangent.d_truncated
     k = point.rank
     tall = np.concatenate((tangent.c_rows, d.u * d.sigma), axis=1)
-    try:
-        left, r_left = _complement_qr(point.u, tall)
-        right, r_right = _complement_qr(point.v, np.concatenate((tangent.b_cols.T, d.v), axis=1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(str(exc)) from exc
+    left, r_left = _complement_qr(point.u, tall)
+    right, r_right = _complement_qr(point.v, np.concatenate((tangent.b_cols.T, d.v), axis=1))
     core = np.empty((k + r_left.shape[0], k + r_right.shape[0]))
     core[:k, :k] = tangent.a
     core[:k, k:] = r_right[:, :k].T
@@ -314,11 +299,8 @@ def project_step_factored(point: VarietyPoint, frame: StepFrame, alpha: float) -
         core[:k, :k] += np.diag(point.sigma)
     if not np.all(np.isfinite(core)):
         raise NonFiniteError(f"the step's core at alpha {alpha:.3e} is not finite")
-    try:
-        # At rank 0 with a zero direction the core is 0-by-0: the zero point.
-        uu, ss, vvh = np.linalg.svd(core, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(str(exc)) from exc
+    # At rank 0 with a zero direction the core is 0-by-0: the zero point.
+    uu, ss, vvh = _lapack("svd", core)
     # A finite core's norm can pass a double, and the rank cutoff with it.
     if ss.size and not ss[0] < math.inf:
         raise NonFiniteError(f"the step's singular values at alpha {alpha:.3e} are not finite")

@@ -47,17 +47,18 @@ def _polynomial(shape=(3, 3), factor=(0, 0, 2), coeff=1.0) -> str:
     })
 
 
-def failing_svd(caller=None):
-    """``np.linalg.svd`` that does not converge when called from the function
-    named ``caller``, or from anywhere when ``caller`` is None."""
-    svd = np.linalg.svd
+def failing(name, caller=None):
+    """``np.linalg.<name>`` that does not converge when ``linalg._lapack``,
+    the package's one caller of it, is called from the function named
+    ``caller``, or from anywhere when ``caller`` is None."""
+    routine = getattr(np.linalg, name)
 
-    def svd_or_fail(*args, **kwargs):
-        if caller in (None, sys._getframe(1).f_code.co_name):
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return svd(*args, **kwargs)
+    def routine_or_fail(*args, **kwargs):
+        if caller in (None, sys._getframe(2).f_code.co_name):
+            raise np.linalg.LinAlgError(f"{name.upper()} did not converge")
+        return routine(*args, **kwargs)
 
-    return svd_or_fail
+    return routine_or_fail
 
 
 @pytest.fixture
@@ -216,7 +217,7 @@ class TestRun:
         ("lowrank_approx", lambda doc: doc["payload"]["target"].update(rows=None),
          "'rows' must be an integer, got None"),
         ("polynomial", lambda doc: doc["payload"]["terms"][0]["monomial"][0].__setitem__(1, None),
-         "'monomial factor' must be an integer, got None"),
+         "'col' must be an integer, got None"),
         ("lowrank_approx", lambda doc: doc["payload"]["target"].update(
             rows=-1, cols=-2, entries=[1.0, 2.0]),
          "'rows' and 'cols' must be positive, got -1 and -2"),
@@ -415,7 +416,7 @@ class TestRun:
         a = np.random.default_rng(4).standard_normal((6, 5))
         config = write_lowrank_setup(tmp_path, a, 2, 0.1, x0=x0)
         save_matrix(a[:, :2] @ a[:2, :], tmp_path / "x0.csv")
-        monkeypatch.setattr(np.linalg, "svd", failing_svd())
+        monkeypatch.setattr(np.linalg, "svd", failing("svd"))
         assert cli.main(["run", str(config)]) == 1
         assert capsys.readouterr().err == "error: SVD did not converge for shape (6, 5)\n"
         assert not (tmp_path / "results").exists()
@@ -423,9 +424,17 @@ class TestRun:
     def test_failed_step_svd_exits_1(self, tmp_path, monkeypatch, capsys):
         a = np.random.default_rng(4).standard_normal((6, 5))
         config = write_lowrank_setup(tmp_path, a, 2, 0.1)
-        monkeypatch.setattr(np.linalg, "svd", failing_svd("project_step_factored"))
+        monkeypatch.setattr(np.linalg, "svd", failing("svd", "project_step_factored"))
         assert cli.main(["run", str(config)]) == 1
-        assert capsys.readouterr().err == "error: SVD did not converge\n"
+        assert capsys.readouterr().err == "error: SVD did not converge for shape (2, 2)\n"
+        assert not (tmp_path / "results").exists()
+
+    def test_failed_step_qr_exits_1(self, tmp_path, monkeypatch, capsys):
+        a = np.random.default_rng(4).standard_normal((6, 5))
+        config = write_lowrank_setup(tmp_path, a, 2, 0.1)
+        monkeypatch.setattr(np.linalg, "qr", failing("qr", "_complement_qr"))
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err == "error: QR did not converge for shape (6, 2)\n"
         assert not (tmp_path / "results").exists()
 
     def test_override_flags(self, lowrank_config):

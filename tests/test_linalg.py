@@ -1,9 +1,12 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import lowrankopt
 from lowrankopt.linalg import (
     LEADING_RES_TOL,
     _leading_svd,
@@ -78,6 +81,18 @@ class TestLeadingSvd:
         assert fact.numerical_rank == dense.numerical_rank == k
         assert np.abs(fact.u.T @ fact.u - np.eye(k)).max() <= 1e-12
         assert np.abs(fact.v.T @ fact.v - np.eye(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e156, 1e-200])
+    def test_residuals_far_from_one_are_scaled(self, dense_svd_calls, scale):
+        # Squared as they are, the residuals overflow at 1e156 (a math domain
+        # error follows) and underflow to 0 at 1e-200 (the first sweep passes).
+        a = graded(np.random.default_rng(26), 100, 100, 0.8 ** np.arange(100)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fact = _leading_svd(a, 1)
+        assert dense_svd_calls == []
+        dense = compute_svd(a).sigma[0]
+        assert abs(fact.sigma[0] - dense) <= 1e-13 * dense
 
     @pytest.mark.parametrize("shape", [(200, 160), (160, 200)])
     def test_sweeps_factor_the_tall_side(self, monkeypatch, dense_svd_calls, shape):
@@ -381,6 +396,20 @@ class TestTruncation:
             lhs = frobenius(y) ** 2 + dist**2
             assert lhs == pytest.approx(frobenius(x) ** 2, rel=1e-9)
 
+    @pytest.mark.parametrize("peak", [1e308, 1e-300])
+    def test_distance_far_from_one(self, peak):
+        # Squared as they are, the dropped values overflow to an Inf distance
+        # at 1e308 and underflow to a zero one at 1e-300.
+        x = np.random.default_rng(8).standard_normal((6, 5))
+        x *= peak / np.abs(x).max()
+        tail = compute_svd(x).sigma[2:] / peak
+        expected = float(np.sqrt(np.dot(tail, tail))) * peak
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, dist = truncate_to_rank(x, 2)
+            assert dist == pytest.approx(expected, rel=1e-15, abs=0)
+            assert distance_to_bounded_rank(x, 2) == pytest.approx(expected, rel=1e-14, abs=0)
+
     def test_rank_of_a_matrix_near_overflow(self):
         # sigma_1 * max(m, n) passes a double; the rank cutoff stays finite,
         # where an infinite one would zero every triplet.
@@ -441,3 +470,37 @@ def test_local_delta_rank():
         assert compute_svd(y).numerical_rank >= rank
         y_tr, _ = truncate_to_rank(y, rank)
         assert frobenius(y_tr - x) <= 2 * eps + 1e-12
+
+
+def _lapack_names(path: Path) -> list[tuple[str, str]]:
+    """(file, enclosing function) of each place in ``path`` that names
+    ``np.linalg.svd`` or ``qr``, imports from ``numpy.linalg`` or looks a
+    routine up on it by ``getattr``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        names_routine = (
+            isinstance(node, ast.Attribute) and node.attr in ("svd", "qr")
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+        ) or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and node.args
+            and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "linalg"
+        ) or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg")
+        if names_routine:
+            found.append((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_lapack_is_called_only_through_one_function():
+    # linalg._lapack is the package's one door to np.linalg.svd and qr: one
+    # failure rule, and one place a tracer or a prescale hooks.
+    package = Path(lowrankopt.__file__).parent
+    found = [name for path in sorted(package.glob("*.py")) for name in _lapack_names(path)]
+    assert found == [("linalg.py", "_lapack")]

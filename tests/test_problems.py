@@ -172,7 +172,8 @@ class TestMatrixCompletion:
         with pytest.raises(ValueError):
             MatrixCompletionProblem(np.eye(3), np.ones((2, 3), dtype=bool))
 
-    @pytest.mark.parametrize("value, shown", [(0.5, "0.5"), (2, "2"), (np.nan, "nan")])
+    @pytest.mark.parametrize("value, shown", [(0.5, "0.5"), (2, "2"), (np.nan, "nan"),
+                                              (None, "None")])
     def test_mask_entry_other_than_0_or_1_is_named(self, value, shown):
         # The rule a completion document's mask follows, not truthiness.
         mask = [[1, 0], [0, 1]]
@@ -509,13 +510,22 @@ class TestPolynomial:
         ((10**5000, 2), [], "shape must be positive and fit an array, got (<int of"),
         ((1, 1), [([(0, 0, 1)], True)], "'coeff' must be a number, got True"),
         ((1, 1), [([(0, 0, 1)], "2")], "'coeff' must be a number, got '2'"),
+        (5, [], "shape must hold 2 entries, got 5"),
+        ((3, 3), 5, "'terms' must be an array, got 5"),
+        ((3, 3), [5], "'polynomial term' must be a (monomial, coeff) pair, got 5"),
+        ((3, 3), [(5, 1.0)], "'monomial' must be an array, got 5"),
+        ((3, 3), [([5], 1.0)], "'monomial factor' must hold 3 integers, got 5"),
+        ((3, 3), [([(0, 0)], 1.0)], "'monomial factor' must hold 3 integers, got (0, 0)"),
     ], ids=["power", "entry", "shape", "coefficient", "three-entry-shape", "bool-shape",
             "bool-row", "bool-col", "bool-power", "numpy-bool-power", "long-coefficient",
-            "long-shape", "bool-coefficient", "string-coefficient"])
+            "long-shape", "bool-coefficient", "string-coefficient", "int-shape", "int-terms",
+            "int-term", "int-monomial", "int-factor", "two-entry-factor"])
     def test_inexact_input_is_named(self, shape, terms, message):
         # Not truncated by int() or float(): x00 ** 2.5 would be read as
         # x00 ** 2, True as x00 ** 1 and (2, 2, 5) as (2, 2). An int past
         # Python's digit limit is named by its size, not by a repr error.
+        # Malformed structure is named as a document's would be, not left to
+        # a TypeError or an unpacking error.
         with pytest.raises(ValueError, match=re.escape(message)):
             UserPolynomialProblem(shape, terms)
 
@@ -810,7 +820,7 @@ class TestLoading:
         ("completion", lambda doc: doc["payload"]["mask"].update(cols=None),
          "'cols' must be an integer, got None"),
         ("polynomial", lambda doc: doc["payload"]["terms"][0]["monomial"][0].__setitem__(1, None),
-         "'monomial factor' must be an integer, got None"),
+         "'col' must be an integer, got None"),
         ("lowrank_approx", lambda doc: doc["payload"]["target"].update(
             rows=-1, cols=-2, entries=[1.0, 2.0]),
          "'rows' and 'cols' must be positive, got -1 and -2"),

@@ -325,7 +325,7 @@ class TestStep:
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        with pytest.raises(NumericalFailure, match="^SVD did not converge$"):
+        with pytest.raises(NumericalFailure, match=r"^SVD did not converge for shape \(3, 3\)$"):
             project_step_factored(point, frame, 0.5)
 
     def test_factored_projection_path_in_step(self):

@@ -809,6 +809,9 @@ INTEGER_ENTRIES = {
     "tightness_instance-m": ("m", lambda v: tightness_instance(1, v, 3, 0.1)),
     "tightness_instance-n": ("n", lambda v: tightness_instance(1, 3, v, 0.1)),
 }
+# The largest rank each rank-taking entry accepts at INT_A's 6x5 shape.
+RANK_TOPS = {"leading": 5, "truncate_to_rank": 5, "distance_to_bounded_rank": 5,
+             "point_from_matrix": 4, "project_to_variety": 4, "truncated": 3, "VarietyPoint": 4}
 
 
 def result_parts(result) -> list:
@@ -846,5 +849,18 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("k", [-1, 6, 9])
     def test_leading_outside_its_width_is_named(self, k):
         # Slicing would drop the last triplet at -1 and keep all five at 6 and 9.
-        with pytest.raises(ValueError, match=f"^k {k} out of range for 5 triplets$"):
+        message = f"'k' must lie in [0, 5], got {k}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             compute_svd(INT_A).leading(k)
+
+    @pytest.mark.parametrize("entry", RANK_TOPS)
+    @pytest.mark.parametrize("case", ["below", "above", "fraction"])
+    def test_rank_outside_its_range_is_named(self, entry, case):
+        # One rule reads every rank: -1 and top + 1 in one message, 2.5 in json_number's.
+        name, call = INTEGER_ENTRIES[entry]
+        top = RANK_TOPS[entry]
+        value = {"below": -1, "above": top + 1, "fraction": 2.5}[case]
+        message = (f"'{name}' must be an integer, got 2.5" if case == "fraction"
+                   else f"'{name}' must lie in [0, {top}], got {value}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
