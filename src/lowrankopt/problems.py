@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import as_matrix, json_number
+from .linalg import SvdFactorization, as_matrix, json_number
 from .serialize import json_array, json_object, matrix_from_json, matrix_to_json, read_json
 from .variety import NormedGradient
 
@@ -89,48 +89,56 @@ class ResidualCost(CostFunction):
     """
 
     @abstractmethod
-    def _residual(self, x: np.ndarray, out=None) -> np.ndarray:
-        """The residual at ``x``, written into ``out`` when it is given.
-        ``x`` is not checked."""
+    def _residual(self, x: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
+        """The residual at ``x``, the rows ``rows`` of a matrix of the cost's
+        shape, written into ``out`` when it is given. ``x`` is not checked."""
 
     def eval(self, x) -> float:
         return _half_squared_norm(self._residual(self._check_shape(x)))
 
     def gradient(self, x, out=None) -> np.ndarray:
-        """The residual, written into ``out`` when it is given.
+        """The residual at ``x``, an m-by-n array or a thin SVD of one (a
+        :class:`~lowrankopt.linalg.SvdFactorization`, which a
+        :class:`~lowrankopt.variety.VarietyPoint` is).
 
-        Written over ``x`` itself (``out is x``), as :meth:`evaluate` writes
-        it, ``x`` is an array of the cost's shape whose entries are not
-        checked: a NaN or Inf among them leaves the residual non-finite.
+        An array's residual is written into ``out`` when it is given. A
+        thin SVD's is a fresh array: each row block of X is formed by
+        :meth:`~lowrankopt.linalg.SvdFactorization.reconstruct` and turned
+        into the residual while it is in cache, so the result is bit for
+        bit the residual at ``x.matrix()``. Its factors are not checked: an
+        X that overflows, or a NaN in a factor, leaves the residual
+        non-finite.
         """
-        if out is not x or np.shape(x) != self.shape:
-            x = self._check_shape(x)
-        return self._residual(x, out)
+        if not isinstance(x, SvdFactorization):
+            return self._residual(self._check_shape(x), out)
+        if out is not None:
+            raise ValueError("out is taken only with an array x")
+        if x.shape != self.shape:
+            raise ValueError(f"expected shape {self.shape}, got {x.shape}")
+        return x.reconstruct(lambda block, rows: self._residual(block, block, rows))
 
     def evaluate(self, point) -> tuple[float, NormedGradient]:
-        """:meth:`CostFunction.evaluate` in one dense matrix, which the
-        residual overwrites.
+        """:meth:`CostFunction.evaluate` in one dense matrix, the residual
+        that :meth:`gradient` forms from the point's factors.
 
-        ``point.matrix()`` is a fresh array that nothing else holds, so the
-        gradient is written over it. The cost is ``eval``'s single dot of
-        the residual bit for bit, and ``||G||`` the root of that dot.
+        The cost is ``eval``'s single dot of the residual at
+        ``point.matrix()``, bit for bit, and ``||G||`` the root of that dot.
 
         X is checked for NaN and Inf only when that dot is not finite: any
         such entry of X, observed or not, makes the residual non-finite
         (``Inf * 0`` is NaN), so a finite dot proves X finite. A
         non-finite X then raises :class:`~lowrankopt.linalg.NonFiniteError`
-        from ``point.matrix()`` formed again; a finite X whose squares
-        overflow gives a cost of Inf.
+        from X formed again; a finite X whose squares overflow gives a cost
+        of Inf.
         """
         # A NaN or Inf in X, an X that overflows, or squares that overflow,
         # show in the cost and the check, not as numpy warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            x = point.matrix()
-            g = self.gradient(x, out=x)
+            g = self.gradient(point)
             flat = g.ravel()
             squares = float(flat @ flat)
             if not math.isfinite(squares):
-                as_matrix(point.matrix())
+                as_matrix(point.reconstruct())
         return 0.5 * squares, NormedGradient(g, math.sqrt(squares))
 
 
@@ -145,9 +153,9 @@ class LowRankApproxProblem(ResidualCost):
         self.target = as_matrix(target)
         self.shape = self.target.shape
 
-    def _residual(self, x, out=None) -> np.ndarray:
+    def _residual(self, x, out=None, rows=slice(None)) -> np.ndarray:
         """``x - target``."""
-        return np.subtract(x, self.target, out=out)
+        return np.subtract(x, self.target[rows], out=out)
 
 
 class MatrixCompletionProblem(ResidualCost):
@@ -174,7 +182,7 @@ class MatrixCompletionProblem(ResidualCost):
         self._offset = np.multiply(self.target, self.mask)
         np.subtract(0.0, self._offset, out=self._offset)
 
-    def _residual(self, x, out=None) -> np.ndarray:
+    def _residual(self, x, out=None, rows=slice(None)) -> np.ndarray:
         """``x - target`` on the observed entries and +0.0 elsewhere.
 
         ``x * mask + offset``, with the mask read as 0/1 weights: an
@@ -183,8 +191,8 @@ class MatrixCompletionProblem(ResidualCost):
         is ``±0.0 + 0.0``, which is +0.0. So for a finite ``x`` the
         residual is bit for bit ``(x - target) * mask + 0.0``.
         """
-        d = np.multiply(x, self.mask, out=out)
-        d += self._offset
+        d = np.multiply(x, self.mask[rows], out=out)
+        d += self._offset[rows]
         return d
 
 

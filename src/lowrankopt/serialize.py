@@ -54,9 +54,18 @@ def matrix_to_csv(x) -> str:
     return "\n".join(",".join(_fmt(v) for v in row) for row in a) + "\n"
 
 
+def _csv_cell(cell: str) -> float:
+    """A CSV cell as ``float()`` reads an ASCII one without digit-group
+    underscores: a decimal number, or a NaN or Inf for ``as_matrix`` to
+    refuse. Anything else raises ``float()``'s own ValueError."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(f"could not convert string to float: {cell!r}")
+    return float(cell)
+
+
 def matrix_from_csv(text: str) -> np.ndarray:
     rows = [
-        [float(cell) for cell in line.split(",")]
+        [_csv_cell(cell) for cell in line.split(",")]
         for line in text.strip().splitlines()
         if line.strip()
     ]

@@ -23,6 +23,7 @@ from .linalg import (
     _lapack,
     _leading_svd,
     _rank_argument,
+    _row_blocks,
     as_matrix,
     compute_svd,  # noqa: F401  not called here; perfbench's tracer test reads variety.compute_svd
     frobenius,
@@ -31,13 +32,6 @@ from .linalg import (
 )
 
 ORTHONORMALITY_TOL = 1e-10
-# U^T G and G V are taken in one pass over row blocks of G of about this
-# many bytes, so that each block is read from memory once for both
-# products; a G that fits in two blocks is multiplied whole. On a host with
-# 2 MiB of L2 cache per core, 1000-by-800 G took the pair fastest with
-# blocks of 256 KiB to 512 KiB, ~38% faster than whole (BENCH_15.json),
-# while a 300-by-250 G (1.5 blocks) took it fastest whole (BENCH_16.json).
-PRODUCT_BLOCK_BYTES = 384 * 1024
 
 
 class InfeasiblePointError(ValueError):
@@ -311,21 +305,20 @@ def project_step_factored(point: VarietyPoint, frame: StepFrame, alpha: float) -
 
 
 def _frame_products(g: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``U^T g`` and ``g V``, in one pass over row blocks of ``g`` of about
-    ``PRODUCT_BLOCK_BYTES``.
+    """``U^T g`` and ``g V``, in one pass over the row blocks of ``g`` that
+    ``linalg._row_blocks`` gives.
 
-    A ``g`` of at most two blocks is multiplied whole, bit for bit the two
-    products; over more, ``U^T g`` is summed block by block and may differ
-    from the whole product in the last bits.
+    A ``g`` of one block is multiplied whole, bit for bit the two products;
+    over more, ``U^T g`` is summed block by block and may differ from the
+    whole product in the last bits.
     """
     m, n = g.shape
-    step = max(1, PRODUCT_BLOCK_BYTES // (g.itemsize * n))
-    if m <= 2 * step:
+    blocks = _row_blocks(m, n)
+    if len(blocks) == 1:
         return u.T @ g, g @ v
     utg = np.zeros((u.shape[1], n))
     gv = np.empty((m, v.shape[1]))
-    for start in range(0, m, step):
-        rows = slice(start, start + step)
+    for rows in blocks:
         np.matmul(g[rows], v, out=gv[rows])
         utg += u[rows].T @ g[rows]
     return utg, gv

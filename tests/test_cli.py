@@ -258,11 +258,14 @@ class TestRun:
 
     @pytest.mark.parametrize("text, message", [
         ("1,0,0\n0,abc,0\n0,0,0\n", "could not convert string to float: 'abc'"),
+        ("1,0,0\n0,1_5,0\n0,0,0\n", "could not convert string to float: '1_5'"),
+        ("1,0,0\n0,\u0661\u0662,0\n0,0,0\n",
+         "could not convert string to float: '\u0661\u0662'"),
         ("1,0,0\n0,0\n", "ragged CSV matrix: row widths [2, 3]"),
-    ], ids=["word", "ragged"])
+    ], ids=["word", "underscore", "arabic-indic-digits", "ragged"])
     def test_bad_csv_x0_names_its_file(self, tmp_path, capsys, text, message):
         config = write_lowrank_setup(tmp_path, np.eye(3), 2, 0.1, x0="x0.csv")
-        (tmp_path / "x0.csv").write_text(text)
+        (tmp_path / "x0.csv").write_text(text, encoding="utf-8")
         assert cli.main(["run", str(config)]) == 1
         assert capsys.readouterr().err == f"error: malformed CSV in {tmp_path / 'x0.csv'}: {message}\n"
         assert not (tmp_path / "results").exists()

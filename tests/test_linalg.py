@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import random_point_factors
+
 import lowrankopt
+from lowrankopt import linalg
 from lowrankopt.linalg import (
     LEADING_RES_TOL,
+    SvdFactorization,
     _leading_svd,
     _narrowed_width,
     compute_svd,
@@ -57,6 +61,43 @@ class TestComputeSvd:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError, match="2-D"):
             compute_svd(np.ones(3))
+
+
+class TestRowBlocks:
+    """The one block rule: rows of about ``PRODUCT_BLOCK_BYTES``, and a
+    matrix of at most two blocks taken whole."""
+
+    def test_blocks_cover_the_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", 3 * 8 * 6)
+        assert linalg._row_blocks(6, 6) == [slice(0, 6)]
+        assert linalg._row_blocks(7, 6) == [slice(0, 3), slice(3, 6), slice(6, 9)]
+        assert linalg._row_blocks(11, 6) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12)]
+        # a row wider than a block is a block of its own
+        assert len(linalg._row_blocks(5, 100)) == 5
+
+    def test_default_blocks_at_the_workload_shapes(self):
+        # 1000-by-800 takes 61-row blocks; 300-by-250 is 1.5 blocks, so whole.
+        assert len(linalg._row_blocks(1000, 800)) == 17
+        assert linalg._row_blocks(300, 250) == [slice(0, 300)]
+
+    @pytest.mark.parametrize("rank", [0, 1, 4])
+    def test_reconstruct_over_blocks(self, monkeypatch, rank):
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", 3 * 8 * 6)
+        rng = np.random.default_rng(80 + rank)
+        u, sigma, v = random_point_factors(rng, 11, 6, rank)
+        fact = SvdFactorization(u, sigma, v)
+        seen = []
+
+        def each(block, rows):
+            assert block.tobytes() == x[rows].tobytes()
+            seen.append(rows)
+            block *= 2.0
+
+        x = fact.reconstruct()
+        assert_allclose(x, (u * sigma) @ v.T, rtol=0, atol=1e-15)
+        doubled = fact.reconstruct(each)
+        assert seen == linalg._row_blocks(11, 6)
+        assert np.array_equal(doubled, 2.0 * x)
 
 
 class TestLeadingSvd:

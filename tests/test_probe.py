@@ -17,7 +17,7 @@ from lowrankopt import linalg
 
 SOLVE = re.compile(r"solve workload=(\S+) size=tiny seed=101 shape=\d+x\d+ rank=\d+ "
                    r"iters=\d+ termination=stationary")
-TIMING = re.compile(r"(matrix|evaluate|gradient\+measure|step) best_ms=(\S+)")
+TIMING = re.compile(r"(matrix|gradient|evaluate|gradient\+measure|step) best_ms=(\S+)")
 FAULTS = re.compile(r"(\d+|median) wall_s=(\S+) minflt=([\d.]+) peak_mb=(\S+)")
 
 
@@ -27,18 +27,22 @@ def probe(monkeypatch):
     return load_module("tools/probe.py")
 
 
-# A residual cost takes ResidualCost.evaluate; the polynomial the generic one.
-@pytest.mark.parametrize("workload", ["mc-dense", "poly-desk"])
-def test_point_times_a_tiny_workload(probe, capsys, workload):
+# A residual cost takes ResidualCost.evaluate, and its gradient of the point
+# is timed; the polynomial takes the generic evaluate.
+@pytest.mark.parametrize("workload, names", [
+    ("mc-dense", ["matrix", "gradient", "evaluate", "gradient+measure", "step"]),
+    ("poly-desk", ["matrix", "evaluate", "gradient+measure", "step"]),
+], ids=["mc-dense", "poly-desk"])
+def test_point_times_a_tiny_workload(probe, capsys, workload, names):
     argv = ["point", "--workload", workload, "--size", "tiny", "--repeats", "3"]
     assert probe.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 5, lines
+    assert len(lines) == 1 + len(names), lines
     solve = SOLVE.fullmatch(lines[0])
     assert solve and solve.group(1) == workload, lines[0]
     timings = [TIMING.fullmatch(line) for line in lines[1:]]
     assert all(timings), lines
-    assert [t.group(1) for t in timings] == ["matrix", "evaluate", "gradient+measure", "step"]
+    assert [t.group(1) for t in timings] == names
     assert all(float(t.group(2)) > 0 for t in timings)
 
 

@@ -5,7 +5,6 @@ import re
 import struct
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,8 +12,14 @@ from numpy.testing import assert_allclose
 
 from oracles import random_point_factors
 
-from lowrankopt import solver
-from lowrankopt.linalg import NonFiniteError, frobenius, singular_values, truncate_to_rank
+from lowrankopt import linalg, solver
+from lowrankopt.linalg import (
+    NonFiniteError,
+    SvdFactorization,
+    frobenius,
+    singular_values,
+    truncate_to_rank,
+)
 from lowrankopt.problems import (
     CostFunction,
     LowRankApproxProblem,
@@ -212,12 +217,6 @@ def three_pass_residual(x, target, mask):
     return d
 
 
-def dense_point(x):
-    """Stands in for a :class:`VarietyPoint`: ``matrix()`` returns a fresh
-    copy of ``x``, as a point's reconstruction is a fresh array."""
-    return SimpleNamespace(matrix=x.copy)
-
-
 class TestCompletionResidual:
     def instance(self, seed):
         """x and target with every pairing of +0.0, -0.0 and 1.5 at an
@@ -242,9 +241,6 @@ class TestCompletionResidual:
         assert np.any((x - target)[~mask] < 0.0)
         assert problem.gradient(x).tobytes() == ref.tobytes()
         assert struct.pack("<d", problem.eval(x)) == struct.pack("<d", f_ref)
-        f, gradient = problem.evaluate(dense_point(x))
-        assert gradient().tobytes() == ref.tobytes()
-        assert struct.pack("<d", f) == struct.pack("<d", f_ref)
         buffer = x.copy()
         assert problem.gradient(buffer, out=buffer).tobytes() == ref.tobytes()
 
@@ -407,63 +403,135 @@ class TestResidualBuffer:
             assert outcome.f_after < outcome.f_before
 
 
-def overflowing_point(m, n):
-    """A rank-2 point whose X overflows to Inf at (0, 0) and (1, 1) only.
+def overflowing_point(m, n, row=0):
+    """A rank-2 point whose X overflows to Inf at (row, 0) and (row + 1, 1) only.
 
     Its factors are finite; fl(sqrt(1/2))^2 exceeds 1/2, so the two terms
     of those entries sum past the largest double.
     """
     c = np.sqrt(0.5)
     u, v = np.zeros((m, 2)), np.zeros((n, 2))
-    u[:2] = v[:2] = [[c, c], [c, -c]]
+    u[row : row + 2] = v[:2] = [[c, c], [c, -c]]
     top = np.finfo(np.float64).max
     return VarietyPoint(u, np.array([top, top]), v, 2)
+
+
+def small_blocks(monkeypatch, rows, n):
+    """Row blocks of ``rows`` rows for matrices of ``n`` columns."""
+    monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", rows * 8 * n)
 
 
 class TestNonFiniteX:
     """A NaN or Inf in X, even at an unobserved entry, raises; a trial with
     one ends the solve ``nonfinite``."""
 
-    def problem(self):
-        m, n = 6, 5
-        mask = np.ones((m, n), dtype=bool)
-        mask[0, 0] = mask[1, 1] = False
-        return MatrixCompletionProblem(np.ones((m, n)), mask)
+    # shape, the first row that overflows and the rows of a block: X whole,
+    # and X over three blocks of three rows and a remainder of two, with the
+    # overflow in the third block.
+    LAYOUTS = {"whole": ((6, 5), 0, None), "blocked": ((11, 6), 7, 3)}
 
-    def test_overflow_at_unobserved_entries_raises(self):
-        problem = self.problem()
-        point = overflowing_point(*problem.shape)
+    @pytest.fixture(params=list(LAYOUTS))
+    def layout(self, request, monkeypatch):
+        shape, row, block_rows = self.LAYOUTS[request.param]
+        if block_rows is not None:
+            small_blocks(monkeypatch, block_rows, shape[1])
+        return shape, row
+
+    def problem(self, shape=(6, 5), row=0):
+        mask = np.ones(shape, dtype=bool)
+        mask[row, 0] = mask[row + 1, 1] = False
+        return MatrixCompletionProblem(np.ones(shape), mask)
+
+    def test_overflow_at_unobserved_entries_raises(self, layout):
+        shape, row = layout
+        problem = self.problem(shape, row)
+        point = overflowing_point(*shape, row)
         with np.errstate(over="ignore", invalid="ignore"):
             x = point.matrix()
-            assert np.array_equal(np.argwhere(~np.isfinite(x)), [[0, 0], [1, 1]])
+            assert np.array_equal(np.argwhere(~np.isfinite(x)), [[row, 0], [row + 1, 1]])
             assert not np.any(problem.mask & ~np.isfinite(x))
             with pytest.raises(NonFiniteError):
                 problem.evaluate(point)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("kind, entry", [
-        ("completion", (0, 0)), ("completion", (0, 1)), ("lowrank", (0, 0)),
-    ], ids=["completion-unobserved", "completion-observed", "lowrank"])
-    def test_evaluate_raises(self, kind, entry, bad):
+    @pytest.mark.parametrize("factor", ["u", "sigma", "v"])
+    @pytest.mark.parametrize("kind", ["completion", "lowrank"])
+    def test_evaluate_raises(self, kind, factor, bad):
+        # A thin SVD is not checked as a VarietyPoint is, so its X can hold
+        # any NaN or Inf that a factor does.
         problem = self.problem() if kind == "completion" else LowRankApproxProblem(np.ones((6, 5)))
-        x = np.zeros(problem.shape)
-        x[entry] = bad
+        factors = dict(zip(("u", "sigma", "v"),
+                           random_point_factors(np.random.default_rng(64), 6, 5, 2)))
+        factors[factor][0] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError):
-                problem.evaluate(dense_point(x))
+                problem.evaluate(SvdFactorization(**factors))
 
-    def test_trial_that_overflows_at_unobserved_entries_ends_nonfinite(self, monkeypatch):
+    def test_trial_that_overflows_at_unobserved_entries_ends_nonfinite(self, monkeypatch, layout):
         """Without a numpy warning, for a residual cost and for a polynomial
         whose terms read neither overflowing entry."""
-        point = overflowing_point(6, 5)
+        shape, row = layout
+        point = overflowing_point(*shape, row)
         monkeypatch.setattr(solver, "project_step_factored", lambda _point, _frame, _alpha: point)
-        polynomial = UserPolynomialProblem((6, 5), [([(2, 2, 1)], 1.0), ([(3, 1, 2)], 1.0)])
-        for problem in (self.problem(), polynomial):
+        polynomial = UserPolynomialProblem(shape, [([(2, 2, 1)], 1.0), ([(3, 1, 2)], 1.0)])
+        for problem in (self.problem(shape, row), polynomial):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 trace = p2gdr(problem, np.zeros(problem.shape), SolverParams(rank_bound=2, delta=0.1))
             assert trace.termination == "nonfinite" and trace.records == []
+
+
+class TestFactoredResidual:
+    """A residual cost's ``gradient`` of a point forms X and the residual
+    one row block at a time. With blocks of three rows an 11-row point
+    spans three blocks and a remainder of two."""
+
+    M, N, BLOCK_ROWS = 11, 6, 3
+
+    @pytest.fixture(autouse=True)
+    def blocks(self, monkeypatch):
+        small_blocks(monkeypatch, self.BLOCK_ROWS, self.N)
+        assert len(linalg._row_blocks(self.M, self.N)) == 4
+
+    def problems(self, rng, point):
+        """Both residual costs, their target above X everywhere, so that the
+        unobserved residuals would be -0.0 without the +0.0 rule, and equal
+        to X at some entries, so that some observed residuals are +0.0."""
+        x = point.matrix()
+        target = x + np.abs(rng.standard_normal(x.shape)) + 0.1
+        equal = rng.random(x.shape) < 0.2
+        target[equal] = x[equal]
+        return [MatrixCompletionProblem(target, rng.random(x.shape) < 0.4),
+                LowRankApproxProblem(target)]
+
+    @pytest.mark.parametrize("rank", [0, 1, 4])
+    def test_matches_the_residual_of_the_matrix_bitwise(self, rank):
+        rng = np.random.default_rng(90 + rank)
+        point = VarietyPoint(*random_point_factors(rng, self.M, self.N, rank), 4)
+        x = point.matrix()
+        for problem in self.problems(rng, point):
+            reference = problem.gradient(x)
+            assert_bitwise_equal(problem.gradient(point), reference)
+            f, gradient = problem.evaluate(point)
+            assert_bitwise_equal(f, problem.eval(x))
+            assert_bitwise_equal(gradient(), reference)
+            assert gradient.norm == frobenius(reference)
+
+    def test_point_of_another_shape_raises_as_an_array_does(self):
+        rng = np.random.default_rng(94)
+        point = VarietyPoint(*random_point_factors(rng, self.N, self.M, 2), 2)
+        for problem in self.problems(rng, VarietyPoint.zero((self.M, self.N), 1)):
+            with pytest.raises(ValueError) as from_array:
+                problem.gradient(point.matrix())
+            for call in (problem.gradient, problem.evaluate):
+                with pytest.raises(ValueError, match=f"^{re.escape(str(from_array.value))}$"):
+                    call(point)
+
+    def test_out_is_taken_only_with_an_array(self):
+        problem = LowRankApproxProblem(np.ones((self.M, self.N)))
+        with pytest.raises(ValueError, match="^out is taken only with an array x$"):
+            problem.gradient(VarietyPoint.zero((self.M, self.N), 1), out=np.empty((self.M, self.N)))
 
 
 class TestPolynomial:

@@ -110,12 +110,14 @@ def test_unparsable_json_file_is_named(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("1,abc\n", "could not convert string to float: 'abc'"),
+    ("1,1_5\n", "could not convert string to float: '1_5'"),
+    ("1,\u0661\u0662\n", "could not convert string to float: '\u0661\u0662'"),
     ("1,2\n3\n", r"ragged CSV matrix: row widths \[1, 2\]"),
     ("\n", "empty CSV matrix"),
-], ids=["word", "ragged", "empty"])
+], ids=["word", "underscore", "arabic-indic-digits", "ragged", "empty"])
 def test_bad_csv_file_is_named(tmp_path, text, message):
     path = tmp_path / "m.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match=f"^malformed CSV in {path}: {message}$"):
         load_matrix(path)
 

@@ -22,6 +22,7 @@ from lowrankopt.problems import (
     CostFunction,
     LowRankApproxProblem,
     MatrixCompletionProblem,
+    ResidualCost,
     UserPolynomialProblem,
 )
 from lowrankopt.solver import (
@@ -925,12 +926,19 @@ class TestEvaluationContract:
             assert len(calls) >= len(trace.records) + 1
 
     def test_matrix_formed_once_per_trial_and_at_start(self, monkeypatch):
-        formed = []
+        # X is formed inside the residual, from the point's factors, and
+        # never through point.matrix().
+        formed, matrices = [], []
         backtracks = []
-        matrix, step = VarietyPoint.matrix, solver.p2gd_step
+        gradient, matrix, step = ResidualCost.gradient, VarietyPoint.matrix, solver.p2gd_step
+
+        def counted_gradient(problem, x, out=None):
+            if isinstance(x, VarietyPoint):
+                formed.append(x.rank)
+            return gradient(problem, x, out)
 
         def counted_matrix(point):
-            formed.append(point.rank)
+            matrices.append(point.rank)
             return matrix(point)
 
         def counted_step(*args, **kwargs):
@@ -938,12 +946,14 @@ class TestEvaluationContract:
             backtracks.append(out.backtrack_count)
             return out
 
+        monkeypatch.setattr(ResidualCost, "gradient", counted_gradient)
         monkeypatch.setattr(VarietyPoint, "matrix", counted_matrix)
         monkeypatch.setattr(solver, "p2gd_step", counted_step)
         trace = p2gdr(self.completion(), np.zeros((40, 30)), self.PARAMS)
         assert trace.termination == "stationary"
         assert all(rec.candidates_evaluated == 1 for rec in trace.records)
         assert len(formed) == 1 + len(trace.records) + sum(backtracks)
+        assert matrices == []
 
     def test_gradients_reach_the_measure_only_at_their_own_point(self, monkeypatch):
         # Truncated candidates and rejected trials are evaluated too; the

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from oracles import complement, random_point_factors, reference_tangent_projection
 
-from lowrankopt import variety
+from lowrankopt import linalg, variety
 from lowrankopt.linalg import (
     NonFiniteError,
     compute_svd,
@@ -741,7 +741,7 @@ class TestFrameProducts:
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
         # three whole blocks of three rows and a remainder of two
-        monkeypatch.setattr(variety, "PRODUCT_BLOCK_BYTES", self.BLOCK_ROWS * 8 * self.N)
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", self.BLOCK_ROWS * 8 * self.N)
 
     @pytest.mark.parametrize("rank", [0, 1, 4])
     def test_blocked_products_match_the_whole_ones(self, rank):
@@ -755,7 +755,7 @@ class TestFrameProducts:
             assert_close_normwise(gv, g @ point.v, 1e-13)
 
     def test_one_block_is_the_whole_product(self, monkeypatch):
-        monkeypatch.setattr(variety, "PRODUCT_BLOCK_BYTES", self.M * 8 * self.N)
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", self.M * 8 * self.N)
         rng = np.random.default_rng(74)
         point = make_point(rng, self.M, self.N, 4, 3)
         g = rng.standard_normal((self.M, self.N))
@@ -765,7 +765,7 @@ class TestFrameProducts:
 
     def test_two_blocks_are_the_whole_product(self, monkeypatch):
         # six rows a block: an 11-row G spans a block and a remainder of five
-        monkeypatch.setattr(variety, "PRODUCT_BLOCK_BYTES", 6 * 8 * self.N)
+        monkeypatch.setattr(linalg, "PRODUCT_BLOCK_BYTES", 6 * 8 * self.N)
         rng = np.random.default_rng(78)
         point = make_point(rng, self.M, self.N, 4, 3)
         g = rng.standard_normal((self.M, self.N))

@@ -5,8 +5,12 @@ Builds one perfbench workload at one seed, solves it directly with
 --trace 1`` cannot, best of (or over) ``--repeats``:
 
 - ``point`` (mc-dense, 50): at the final point, the milliseconds of
-  ``point.matrix()``; of ``problem.evaluate(point)``, as every line-search
-  trial takes it; of its deferred gradient plus ``stationarity_measure``,
+  ``point.matrix()``; for a residual cost, of ``problem.gradient(point)``,
+  the residual formed from the point's factors (where the library's
+  gradient takes a point); of
+  ``problem.evaluate(point)``, as every line-search trial takes it (for a
+  residual cost that gradient and its dot, for a polynomial ``eval`` at
+  ``point.matrix()``); of its deferred gradient plus ``stationarity_measure``,
   handed over as the solver hands over an accepted point's
   (``solver._evaluate``); and of ``variety.step_frame`` of that direction
   then ``variety.project_step_factored`` at ``alpha_hi`` (the step's two
@@ -53,7 +57,7 @@ from unittest.mock import patch  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from lowrankopt import linalg, solver, variety  # noqa: E402
+from lowrankopt import linalg, problems, solver, variety  # noqa: E402
 from trace_digest import load_workloads  # noqa: E402
 
 
@@ -79,8 +83,14 @@ def point(inst, args) -> None:
     evaluation = problem.evaluate(final)
     tangent = solver._evaluate(problem, final)[0].tangent
     alpha = inst.params.line_search.alpha_hi
-    timings = {
-        "matrix": final.matrix,
+    timings = {"matrix": final.matrix}
+    if isinstance(problem, problems.ResidualCost):
+        try:
+            problem.gradient(final)
+            timings["gradient"] = lambda: problem.gradient(final)
+        except TypeError:  # a library whose residual gradient takes arrays only
+            pass
+    timings |= {
         "evaluate": lambda: problem.evaluate(final),
         "gradient+measure": lambda: solver._evaluate(problem, final, evaluation),
         "step": lambda: variety.project_step_factored(

@@ -45,7 +45,6 @@ import json  # noqa: E402
 import struct  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
-import types  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -112,8 +111,9 @@ def api_digest(seed: int) -> str:
     A 7x5 target with rank bound 3 is paired with a point of each rank 0
     to 3: spare budget below the bound, none at it. Each point has one
     small singular value, so the delta-rank and the rank-reduction search
-    see a drop. A completion problem's ``gradient`` and ``evaluate`` are
-    then taken where its residual holds signed zeros, and a polynomial of
+    see a drop. A completion problem's ``gradient`` is then taken where
+    its residual holds signed zeros, and its ``evaluate`` at the point of
+    rank 3, whose X it forms from the factors. A polynomial of
     POLY_TERMS terms has its ``eval`` and ``gradient`` taken, as does one
     of NARROW_TERMS terms whose widest monomial has two factors, whose
     ``eval`` is also taken where a squared entry overflows, and one of
@@ -158,8 +158,8 @@ def api_digest(seed: int) -> str:
         _feed(hasher, problems.finite_difference_check(cost, rng.standard_normal((m, n)), 1e-5))
     # The completion residual where its signed zeros are decided: x below
     # the target, so every unobserved residual is negative, then +0.0 and
-    # -0.0 entries in both, observed and not. ``evaluate`` reads only the
-    # point's ``matrix()``, a fresh copy of x here.
+    # -0.0 entries in both, observed and not. ``evaluate`` reads a point's
+    # factors, so it is taken at the last point above.
     t = target.copy()
     x = t - np.abs(rng.standard_normal((m, n)))
     for a in (x, t):
@@ -167,7 +167,7 @@ def api_digest(seed: int) -> str:
         a[rng.random((m, n)) < 0.2] = -0.0
     completion = problems.MatrixCompletionProblem(t, mask)
     _feed(hasher, completion.gradient(x))
-    _feed(hasher, completion.evaluate(types.SimpleNamespace(matrix=x.copy)))
+    _feed(hasher, completion.evaluate(point))
     # A polynomial of more terms than two of its chunks, so that the cost's
     # running total and the gradient's sums cross chunk edges.
     rows, cols = rng.integers(0, m, (POLY_TERMS, 4)), rng.integers(0, n, (POLY_TERMS, 4))
