@@ -187,6 +187,18 @@ class SvdFactorization:
                 each(block, rows)
         return x
 
+    def entry_bound(self) -> float:
+        """``||sigma|| ||U||_F ||V||_F``, a bound on the magnitude of every
+        entry of X and of every term and partial sum of its product.
+
+        It is taken from the three sums of squares, so it is Inf or NaN
+        when a factor holds Inf or NaN or its squares overflow; squares
+        that underflow can make it read low, but only for entries far below
+        the largest double.
+        """
+        return math.sqrt(float(np.vdot(self.sigma, self.sigma)) * float(np.vdot(self.u, self.u))
+                         * float(np.vdot(self.v, self.v)))
+
     def leading(self, k: int) -> "SvdFactorization":
         """The first ``k`` singular triplets, for k in ``[0, len(sigma)]``."""
         k = _rank_argument("k", k, len(self.sigma))

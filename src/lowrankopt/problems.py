@@ -73,6 +73,11 @@ class CostFunction(ABC):
         return a
 
 
+# A thin SVD whose entry bound is below this forms a finite X: rounding in
+# its product cannot take an entry past the largest double.
+_FINITE_ENTRY_BOUND = 2.0**1000
+
+
 def _half_squared_norm(d: np.ndarray) -> float:
     """Half the squared Frobenius norm, as one dot of the flattened entries."""
     flat = d.ravel()
@@ -83,9 +88,8 @@ class ResidualCost(CostFunction):
     """Half the squared Frobenius norm of a residual of ``x``, whose
     gradient is that residual. A subclass forms it in ``_residual``.
 
-    ``eval(x)`` and ``gradient(x)`` check ``x`` like every public entry;
-    :meth:`evaluate` checks the matrix it forms only when the cost is not
-    finite.
+    ``eval(x)`` and ``gradient(x)`` check ``x``, an array or the matrix of
+    a thin SVD, like every public entry.
     """
 
     @abstractmethod
@@ -96,49 +100,45 @@ class ResidualCost(CostFunction):
     def eval(self, x) -> float:
         return _half_squared_norm(self._residual(self._check_shape(x)))
 
-    def gradient(self, x, out=None) -> np.ndarray:
+    def gradient(self, x) -> np.ndarray:
         """The residual at ``x``, an m-by-n array or a thin SVD of one (a
         :class:`~lowrankopt.linalg.SvdFactorization`, which a
         :class:`~lowrankopt.variety.VarietyPoint` is).
 
-        An array's residual is written into ``out`` when it is given. A
-        thin SVD's is a fresh array: each row block of X is formed by
+        A thin SVD's residual is bit for bit the residual at its matrix
+        ``x.reconstruct()``, and a NaN or Inf in X raises
+        :class:`~lowrankopt.linalg.NonFiniteError` as it does for that
+        array. When the factors' entry bound shows X finite, each row block
+        of X is formed by
         :meth:`~lowrankopt.linalg.SvdFactorization.reconstruct` and turned
-        into the residual while it is in cache, so the result is bit for
-        bit the residual at ``x.matrix()``. Its factors are not checked: an
-        X that overflows, or a NaN in a factor, leaves the residual
-        non-finite.
+        into the residual while it is in cache; otherwise X is formed whole
+        and checked first.
         """
         if not isinstance(x, SvdFactorization):
-            return self._residual(self._check_shape(x), out)
-        if out is not None:
-            raise ValueError("out is taken only with an array x")
+            return self._residual(self._check_shape(x))
         if x.shape != self.shape:
             raise ValueError(f"expected shape {self.shape}, got {x.shape}")
-        return x.reconstruct(lambda block, rows: self._residual(block, block, rows))
+        if x.entry_bound() < _FINITE_ENTRY_BOUND:
+            return x.reconstruct(lambda block, rows: self._residual(block, block, rows))
+        # An X that overflows is named by the check, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = x.reconstruct()
+        return self._residual(as_matrix(matrix), matrix)
 
     def evaluate(self, point) -> tuple[float, NormedGradient]:
         """:meth:`CostFunction.evaluate` in one dense matrix, the residual
-        that :meth:`gradient` forms from the point's factors.
+        that :meth:`gradient` forms from the point's factors, which also
+        checks X.
 
         The cost is ``eval``'s single dot of the residual at
-        ``point.matrix()``, bit for bit, and ``||G||`` the root of that dot.
-
-        X is checked for NaN and Inf only when that dot is not finite: any
-        such entry of X, observed or not, makes the residual non-finite
-        (``Inf * 0`` is NaN), so a finite dot proves X finite. A
-        non-finite X then raises :class:`~lowrankopt.linalg.NonFiniteError`
-        from X formed again; a finite X whose squares overflow gives a cost
-        of Inf.
+        ``point.matrix()``, bit for bit, and ``||G||`` the root of that dot;
+        a finite X whose residual or squares overflow gives a cost of Inf.
         """
-        # A NaN or Inf in X, an X that overflows, or squares that overflow,
-        # show in the cost and the check, not as numpy warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Overflow shows in the cost, not as numpy warnings.
+        with np.errstate(over="ignore"):
             g = self.gradient(point)
             flat = g.ravel()
             squares = float(flat @ flat)
-            if not math.isfinite(squares):
-                as_matrix(point.reconstruct())
         return 0.5 * squares, NormedGradient(g, math.sqrt(squares))
 
 

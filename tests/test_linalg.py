@@ -1,4 +1,5 @@
 import ast
+import math
 import warnings
 from pathlib import Path
 
@@ -98,6 +99,21 @@ class TestRowBlocks:
         doubled = fact.reconstruct(each)
         assert seen == linalg._row_blocks(11, 6)
         assert np.array_equal(doubled, 2.0 * x)
+
+    def test_entry_bound(self):
+        rng = np.random.default_rng(84)
+        u, sigma, v = random_point_factors(rng, 11, 6, 3)
+        bound = SvdFactorization(u, sigma, v).entry_bound()
+        assert bound == pytest.approx(np.linalg.norm(sigma) * 3.0, rel=1e-15)  # orthonormal U, V
+        assert bound >= np.abs(np.abs(u) * sigma @ np.abs(v).T).max()
+        assert SvdFactorization(u[:, :0], sigma[:0], v[:, :0]).entry_bound() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = np.full(3, np.finfo(np.float64).max)
+            assert SvdFactorization(u, top, v).entry_bound() == np.inf
+            u = u.copy()
+            u[2, 1] = np.nan
+            assert math.isnan(SvdFactorization(u, sigma, v).entry_bound())
 
 
 class TestLeadingSvd:

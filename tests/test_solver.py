@@ -932,10 +932,10 @@ class TestEvaluationContract:
         backtracks = []
         gradient, matrix, step = ResidualCost.gradient, VarietyPoint.matrix, solver.p2gd_step
 
-        def counted_gradient(problem, x, out=None):
+        def counted_gradient(problem, x):
             if isinstance(x, VarietyPoint):
                 formed.append(x.rank)
-            return gradient(problem, x, out)
+            return gradient(problem, x)
 
         def counted_matrix(point):
             matrices.append(point.rank)

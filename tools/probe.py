@@ -6,8 +6,7 @@ Builds one perfbench workload at one seed, solves it directly with
 
 - ``point`` (mc-dense, 50): at the final point, the milliseconds of
   ``point.matrix()``; for a residual cost, of ``problem.gradient(point)``,
-  the residual formed from the point's factors (where the library's
-  gradient takes a point); of
+  the residual formed from the point's factors; of
   ``problem.evaluate(point)``, as every line-search trial takes it (for a
   residual cost that gradient and its dot, for a polynomial ``eval`` at
   ``point.matrix()``); of its deferred gradient plus ``stationarity_measure``,
@@ -85,11 +84,7 @@ def point(inst, args) -> None:
     alpha = inst.params.line_search.alpha_hi
     timings = {"matrix": final.matrix}
     if isinstance(problem, problems.ResidualCost):
-        try:
-            problem.gradient(final)
-            timings["gradient"] = lambda: problem.gradient(final)
-        except TypeError:  # a library whose residual gradient takes arrays only
-            pass
+        timings["gradient"] = lambda: problem.gradient(final)
     timings |= {
         "evaluate": lambda: problem.evaluate(final),
         "gradient+measure": lambda: solver._evaluate(problem, final, evaluation),
