@@ -242,16 +242,17 @@ def p2gd_step(
 ) -> StepOutcome:
     """One projected steepest-descent step with backtracking line search.
 
-    Projects the negative gradient onto the cone of feasible directions at
-    ``point``, then shrinks the step size geometrically until
-    ``f(Y) <= f(X) - c * alpha * s**2`` where Y is the projection of
-    ``X + alpha G`` back to the feasible set and s the direction norm. The
-    direction's :func:`~lowrankopt.variety.step_frame` (the QRs of its
-    tall factors) is taken once per step; each trial projects through
-    :func:`project_step_factored` in that frame, so only the small core
-    SVD is recomputed per trial alpha. Each trial is evaluated by
-    ``problem.evaluate``, and the accepted one's gradient rides along in
-    the outcome.
+    Walks along -P, the steepest feasible descent: P is the report's
+    projection of the gradient onto the cone of feasible directions at
+    ``point``. Shrinks the step size geometrically until
+    ``f(Y) <= f(X) - c * alpha * s**2``, where Y is the projection of
+    ``X - alpha P`` back to the feasible set and s the norm of P. P's
+    :func:`~lowrankopt.variety.step_frame` (the QRs of its tall factors)
+    is taken once per step; each trial projects through
+    :func:`project_step_factored` in that frame at ``-alpha``, so only
+    the small core SVD is recomputed per trial alpha. Each trial is
+    evaluated by ``problem.evaluate``, and the accepted one's gradient
+    rides along in the outcome.
 
     ``report`` (the stationarity report at ``point``) and ``f_value``
     (the cost there) are both computed here unless both are supplied; a
@@ -283,7 +284,7 @@ def p2gd_step(
     frame = step_frame(point, report.tangent)
     alpha = params.alpha_hi
     for backtracks in range(params.max_backtracks + 1):
-        y = project_step_factored(point, frame, alpha)
+        y = project_step_factored(point, frame, -alpha)
         fy, gradient = problem.evaluate(y)
         if fy <= f_value - params.c * alpha * s * s:
             return StepOutcome(y, alpha, backtracks, f_value, fy, s, gradient)

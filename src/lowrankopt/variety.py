@@ -161,10 +161,10 @@ class NormedGradient:
 class StationarityReport:
     """Norms attached to one first-order stationarity evaluation.
 
-    ``s_value`` is the norm of the projection of the negative gradient onto
-    the cone of feasible directions, at most ``gradient_norm``.
-    ``tangent`` holds the blocks of the negative gradient behind it, so a
-    descent step from the same point can reuse them.
+    ``s_value`` is the norm of the projection of the gradient G onto the
+    cone of feasible directions, at most ``gradient_norm``. ``tangent``
+    holds the blocks of G's projection behind it, so a descent step from
+    the same point, which walks along their negation, can reuse them.
     """
 
     s_value: float
@@ -394,18 +394,17 @@ def project_to_tangent_cone(
 def stationarity_measure(problem, point: VarietyPoint, gradient=None) -> StationarityReport:
     """First-order stationarity of ``problem`` at ``point``.
 
-    Projects the negative of ``gradient``, the gradient at the point,
-    onto the cone of feasible directions. The cone is closed under
-    negation, so that projection is the negation of G's: the blocks of
-    G's projection come back negated, and its D block ``U_d diag(sigma_d)
-    V_d^T`` as ``(U_d, sigma_d, -V_d)``. ``gradient`` is an array, or a
-    zero-argument callable that returns it (the deferred gradient of
-    ``problem.evaluate(point)``); when None it is evaluated at the
-    materialized point. A :class:`NormedGradient` lends its norm. The
-    measure is computed at the point's declared factored rank, never by
-    re-thresholding the dense matrix. A NaN or Inf gradient entry, or a
-    norm that overflows to Inf, raises
-    :class:`~lowrankopt.linalg.NonFiniteError`.
+    Projects ``gradient``, the gradient G at the point, onto the cone of
+    feasible directions: the report's blocks are those that
+    :func:`project_to_tangent_cone` returns, bit for bit. The cone is
+    closed under negation, so -G's projection is their negation, of the
+    same norm. ``gradient`` is an array, or a zero-argument callable that
+    returns it (the deferred gradient of ``problem.evaluate(point)``);
+    when None it is evaluated at the materialized point. A
+    :class:`NormedGradient` lends its norm. The measure is computed at the
+    point's declared factored rank, never by re-thresholding the dense
+    matrix. A NaN or Inf gradient entry, or a norm that overflows to Inf,
+    raises :class:`~lowrankopt.linalg.NonFiniteError`.
     """
     if gradient is None:
         gradient = problem.gradient(point.matrix())
@@ -419,10 +418,7 @@ def stationarity_measure(problem, point: VarietyPoint, gradient=None) -> Station
         decomp, s = _cone_blocks(point, g)
     if not np.isfinite(s):
         raise NonFiniteError(f"measure {s} is not finite")
-    d = decomp.d_truncated
-    d_negated = VarietyPoint(d.u, d.sigma, -d.v, d.rank_bound)
-    tangent = TangentDecomposition(-decomp.a, -decomp.b_cols, -decomp.c_rows, d_negated)
-    return StationarityReport(s_value=s, gradient_norm=gradient_norm, tangent=tangent)
+    return StationarityReport(s_value=s, gradient_norm=gradient_norm, tangent=decomp)
 
 
 def stationarity_sandwich_check(point: VarietyPoint, report: StationarityReport) -> bool:

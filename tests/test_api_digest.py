@@ -1,7 +1,9 @@
 """The ``api sha256=`` line of ``tools/trace_digest.py`` fingerprints the
 public routines' results: it repeats, and one ulp in one result moves it.
 
-The tool is loaded by path; its workload loader is not used here.
+The tool is loaded by path; its workload loader is not used here. Its
+``--dense`` switch, which makes every leading-triplet SVD dense, is checked
+on one matrix.
 """
 
 import numpy as np
@@ -97,3 +99,16 @@ def test_one_entry_of_a_loaded_problem_moves_the_digest(digest_tool, monkeypatch
 
     monkeypatch.setattr(problems, "load_problem", nudged)
     assert digest_tool.api_digest(101) != before
+
+
+def test_dense_switch_takes_every_triplet(digest_tool):
+    # 300x250 at k = 1 is past the size cutoff: the iteration gives one triplet.
+    a = np.random.default_rng(0).standard_normal((300, 250))
+    ratio = linalg.LEADING_MIN_RATIO
+    assert linalg._leading_svd(a, 1).sigma.shape == (1,)
+    with digest_tool.dense_svd():
+        assert linalg.LEADING_MIN_RATIO == digest_tool.DENSE_MIN_RATIO
+        fact = linalg._leading_svd(a, 1)
+    assert linalg.LEADING_MIN_RATIO == ratio
+    assert fact.sigma.shape == (250,)
+    assert np.array_equal(fact.sigma, linalg.compute_svd(a).sigma)

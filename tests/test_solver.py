@@ -375,12 +375,13 @@ class TestStepFrame:
             assert q.shape[1] == k + tangent.d_truncated.rank
             assert np.abs(side.T @ q).max(initial=0.0) <= 1e-14
             assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=ORTHONORMALITY_TOL)
-        _, direction, _ = project_to_tangent_cone(point, -problem.gradient(point.matrix()))
+        # The tangent is G's projection; the step walks against it.
+        _, direction, _ = project_to_tangent_cone(point, problem.gradient(point.matrix()))
         for alpha in (2.0, 1.0, 0.5, 0.25):
-            y = project_step_factored(point, frame, alpha)
+            y = project_step_factored(point, frame, -alpha)
             for q in (y.u, y.v):
                 assert_allclose(q.T @ q, np.eye(y.rank), atol=ORTHONORMALITY_TOL)
-            dense = project_to_variety(point.matrix() + alpha * direction, rank_bound)
+            dense = project_to_variety(point.matrix() - alpha * direction, rank_bound)
             assert frobenius(y.matrix() - dense.matrix()) <= 1e-10 * (
                 1.0 + frobenius(dense.matrix())
             )

@@ -339,23 +339,36 @@ class TestStationarity:
                 problem = LowRankApproxProblem(rng.standard_normal((9, 7)))
                 report = stationarity_measure(problem, point)
                 g = problem.gradient(point.matrix())
-                decomp, _, norm = project_to_tangent_cone(point, -g)
+                # The report is G's own projection, bit for bit, signed zeros included.
+                decomp, _, norm = project_to_tangent_cone(point, g)
                 assert report.s_value == norm
                 for name in ("a", "b_cols", "c_rows"):
-                    assert np.array_equal(getattr(report.tangent, name), getattr(decomp, name))
+                    assert_bitwise_equal(getattr(report.tangent, name), getattr(decomp, name))
                 for name in ("u", "sigma", "v"):
-                    assert np.array_equal(
+                    assert_bitwise_equal(
                         getattr(report.tangent.d_truncated, name), getattr(decomp.d_truncated, name)
                     )
-                # The report is the negation of G's own projection, bit for bit.
-                of_g, _, norm_g = project_to_tangent_cone(point, g)
-                assert report.s_value == norm_g
-                for name in ("a", "b_cols", "c_rows"):
-                    assert_bitwise_equal(getattr(report.tangent, name), -getattr(of_g, name))
-                d, d_of_g = report.tangent.d_truncated, of_g.d_truncated
-                assert_bitwise_equal(d.u, d_of_g.u)
-                assert_bitwise_equal(d.sigma, d_of_g.sigma)
-                assert_bitwise_equal(d.v, -d_of_g.v)
+                # -G's projection has the same norm: the cone is closed under negation.
+                assert project_to_tangent_cone(point, -g)[2] == norm
+
+    @pytest.mark.parametrize("rank", [0, 2, 3], ids=["zero", "spare-rank", "full-rank"])
+    def test_builds_one_point(self, rank, monkeypatch):
+        # D's point at spare budget, or VarietyPoint.zero at full rank: no
+        # second, negated copy of it.
+        rng = np.random.default_rng(14)
+        point = make_point(rng, 9, 7, 3, rank)
+        problem = LowRankApproxProblem(rng.standard_normal((9, 7)))
+        g = problem.gradient(point.matrix())
+        built = []
+        post_init = VarietyPoint.__post_init__
+
+        def counting_post_init(self):
+            built.append(self.rank)
+            post_init(self)
+
+        monkeypatch.setattr(VarietyPoint, "__post_init__", counting_post_init)
+        report = stationarity_measure(problem, point, g)
+        assert built == [report.tangent.d_truncated.rank] == [3 - rank]
 
     def test_tiny_gap_in_d_matches_dense_measure(self, dense_svd_calls):
         # D's 4th and 5th singular values differ by 5e-4 relative; budget 4 is
@@ -440,7 +453,7 @@ class TestSuppliedGradient:
         rng = np.random.default_rng(50)
         m, n, bound = 40, 30, 4
         point = make_point(rng, m, n, bound, rank)
-        # Every residual is negative, so the unobserved entries of -G are -0.0.
+        # Every residual is negative, so the unobserved entries of G are +0.0.
         target = point.matrix() + np.abs(rng.standard_normal((m, n))) + 0.1
         problem = MatrixCompletionProblem(target, rng.random((m, n)) < 0.3)
         _, gradient = problem.evaluate(point)
@@ -448,8 +461,8 @@ class TestSuppliedGradient:
         computed = stationarity_measure(problem, point)
         # The deferred gradient itself, which lends its norm.
         normed = stationarity_measure(problem, point, gradient)
-        # The dense route: project -G, formed as a whole, onto the cone.
-        decomp, _, norm = project_to_tangent_cone(point, -problem.gradient(point.matrix()))
+        # The dense route: project G, formed as a whole, onto the cone.
+        decomp, _, norm = project_to_tangent_cone(point, problem.gradient(point.matrix()))
         assert supplied.s_value == computed.s_value == normed.s_value == norm
         assert supplied.gradient_norm == computed.gradient_norm == normed.gradient_norm
         for name in ("a", "b_cols", "c_rows"):

@@ -11,9 +11,10 @@ Builds one perfbench workload at one seed, solves it directly with
   residual cost that gradient and its dot, for a polynomial ``eval`` at
   ``point.matrix()``); of its deferred gradient plus ``stationarity_measure``,
   handed over as the solver hands over an accepted point's
-  (``solver._evaluate``); and of ``variety.step_frame`` of that direction
-  then ``variety.project_step_factored`` at ``alpha_hi`` (the step's two
-  tall QRs plus one trial). One line for the solve, then one per timing.
+  (``solver._evaluate``); and of ``variety.step_frame`` of the report's
+  tangent then ``variety.project_step_factored`` at ``-alpha_hi``, the
+  step's two tall QRs plus its first trial as ``solver.p2gd_step`` takes
+  them. One line for the solve, then one per timing.
 - ``faults`` (mc-dense, 5): per solve, its wall seconds and minor page
   faults (the change in ``resource.getrusage(RUSAGE_SELF).ru_minflt``),
   and the ``tracemalloc`` peak of a repeat; then a line of medians. A
@@ -89,7 +90,7 @@ def point(inst, args) -> None:
         "evaluate": lambda: problem.evaluate(final),
         "gradient+measure": lambda: solver._evaluate(problem, final, evaluation),
         "step": lambda: variety.project_step_factored(
-            final, variety.step_frame(final, tangent), alpha),
+            final, variety.step_frame(final, tangent), -alpha),
     }
     for name, work in timings.items():
         print(f"{name} best_ms={best_s(work, args.repeats) * 1e3:.4f}", flush=True)

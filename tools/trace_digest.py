@@ -19,12 +19,15 @@ seeded instances (:func:`api_digest`), which covers the library paths that
 the sixteen solves do not reach, the reader of problem and matrix
 documents included.
 
-    PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] [--save DIR] > digest.txt
+    PYTHONPATH=src python3 tools/trace_digest.py [--seed 101] [--save DIR] [--dense] > digest.txt
 
 Point PYTHONPATH at another checkout's ``src`` to digest that library with
 the same workloads, then ``diff`` the two outputs. ``--save DIR`` also
 writes each trace CSV to ``DIR/<workload>-<size>-<algorithm>.csv``, for
 ``tools/trace_diff.py`` to compare two such directories by tolerance.
+``--dense`` solves with every leading-triplet SVD routed to the dense
+``linalg.compute_svd`` (:func:`dense_svd`): the oracle that a change to
+the SVD paths measures each line's distance to, as well as its parent's.
 ``perfbench/workloads.py`` is loaded read-only from this checkout. BLAS
 runs on one thread, as in the benchmark, so the low bits of every product
 are reproducible.
@@ -38,6 +41,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
@@ -67,6 +71,8 @@ EDGE_ENTRIES = (-0.0, 5e-324, 1e300)
 # JSON numbers that a float64 array could read otherwise than a list of
 # them: ints, a negative zero, an int of 301 digits, exponents and a subnormal.
 EDGE_VALUES = ["3", "-7", "0", "-0.0", str(10**300), "1.5e-7", "2E+10", "-4.25e300", "1e-320"]
+# A size cutoff that no matrix's smaller side reaches.
+DENSE_MIN_RATIO = 10**9
 
 
 def load_workloads():
@@ -76,6 +82,18 @@ def load_workloads():
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def dense_svd():
+    """Within the block, ``linalg._leading_svd`` is the dense SVD of every
+    matrix: its size cutoff is raised past any shape, then restored."""
+    ratio = linalg.LEADING_MIN_RATIO
+    linalg.LEADING_MIN_RATIO = DENSE_MIN_RATIO
+    try:
+        yield
+    finally:
+        linalg.LEADING_MIN_RATIO = ratio
 
 
 def random_start(inst):
@@ -236,7 +254,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--save", type=Path, help="directory that receives each trace CSV")
+    parser.add_argument("--dense", action="store_true",
+                        help="take every leading-triplet SVD densely (the oracle)")
     args = parser.parse_args(argv)
+    with dense_svd() if args.dense else contextlib.nullcontext():
+        return digest_all(args)
+
+
+def digest_all(args) -> int:
+    """Solve, print and save as ``main``'s parsed ``args`` say."""
     if args.save is not None:
         args.save.mkdir(parents=True, exist_ok=True)
     workloads = load_workloads()
