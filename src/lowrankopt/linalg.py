@@ -120,6 +120,17 @@ def _rank_argument(key: str, value, top: int) -> int:
     return value
 
 
+def _real_argument(key: str, value, *, positive: bool = True, finite: bool = True) -> float:
+    """The real ``value`` given for ``key``: a float read by :func:`json_number`
+    that is positive (else nonnegative) and, if ``finite``, below Inf; else
+    ValueError naming it. A NaN is neither."""
+    value = json_number(key, value)
+    if not ((value > 0 if positive else value >= 0) and (value < np.inf or not finite)):
+        bound = ("positive" if positive else "nonnegative") + (" and finite" if finite else "")
+        raise ValueError(f"{key!r} must be {bound}, got {value}")
+    return value
+
+
 def rank_threshold(sigma_max: float, shape: tuple[int, int]) -> float:
     """Numerical-rank cutoff: singular values at or below it count as zero.
 
@@ -404,8 +415,7 @@ def delta_rank(x, delta: float) -> int:
     numerical rank count: a ``delta`` below the noise floor cannot inflate
     the result past the rank itself.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    delta = _real_argument("delta", delta, finite=False)
     fact = compute_svd(x)
     return int(np.count_nonzero(fact.sigma[: fact.numerical_rank] > delta))
 

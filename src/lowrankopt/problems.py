@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import SvdFactorization, as_matrix, json_number
+from .linalg import SvdFactorization, _real_argument, as_matrix, json_number
 from .serialize import json_array, json_object, matrix_from_json, matrix_to_json, read_json
 from .variety import NormedGradient
 
@@ -420,8 +420,7 @@ def finite_difference_check(problem: CostFunction, x, h: float) -> float:
     float
         ``max_d |(f(x + h d) - f(x - h d)) / (2h) - <grad f(x), d>|``.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
+    h = _real_argument("h", h)
     a = as_matrix(x)
     m, n = problem.shape
     if a.shape != (m, n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .linalg import NonFiniteError, json_number
+from .linalg import NonFiniteError, _real_argument, json_number
 from .variety import (
     StationarityReport,
     VarietyPoint,
@@ -124,7 +124,9 @@ class StepOutcome:
     """Result of one accepted line-search step.
 
     ``gradient`` gives the gradient at ``next_point``: the zero-argument
-    callable that the trial's ``problem.evaluate`` returned.
+    callable that the trial's ``problem.evaluate`` returned. A truncated
+    copy that is already stationary takes the zero step: ``next_point`` is
+    the copy, ``accepted_alpha`` is 0 and ``f_after`` is ``f_before``.
     """
 
     next_point: VarietyPoint
@@ -138,16 +140,10 @@ class StepOutcome:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The winning candidate of :func:`p2gdr_search`, its record and cost.
+    """The record of one :func:`p2gdr_search` and its winning candidate's step."""
 
-    ``gradient`` is the winning step's :attr:`StepOutcome.gradient`, or
-    None when the winner is a truncated copy that took no step.
-    """
-
-    point: VarietyPoint
     record: IterationRecord
-    f_value: float
-    gradient: Callable[[], np.ndarray] | None
+    step: StepOutcome
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,8 +301,8 @@ def kappa_bound(problem, point: VarietyPoint, alpha_hi: float, lipschitz: float)
     ``(1 - c) / kappa`` passes the sufficient-decrease test, so backtracking
     accepts at least ``min(alpha_lo, beta * (1 - c) / kappa)``.
     """
-    if not lipschitz > 0:
-        raise ValueError("lipschitz must be positive")
+    alpha_hi = _real_argument("alpha_hi", alpha_hi)
+    lipschitz = _real_argument("lipschitz", lipschitz)
     if point.rank == 0:
         return 0.5 * lipschitz
     report = stationarity_measure(problem, point)
@@ -331,11 +327,11 @@ def p2gdr_search(
 
     Runs the descent step from the iterate itself (depth 0) and, when the
     delta-rank sits below the rank, from each truncation of the iterate
-    down to the delta-rank. Returns the candidate with the smallest cost,
-    its record and that cost, with the candidate's gradient attached (see
-    :class:`SearchResult`); ties go to the smallest truncation depth. A
-    truncated copy that is already stationary within ``params.stop_tol``
-    stands as its own candidate without stepping. ``report`` and
+    down to the delta-rank. Returns the iteration's record and the step
+    of the candidate with the smallest cost; ties go to the smallest
+    truncation depth. A truncated copy that is already stationary within
+    ``params.stop_tol`` stands as its own candidate with the zero step
+    (see :class:`StepOutcome`). ``report`` and
     ``f_value`` at ``point`` are computed unless both are supplied. A NaN or Inf
     gradient or cost at ``point`` or at a truncated copy raises
     :class:`~lowrankopt.linalg.NonFiniteError`.
@@ -356,27 +352,24 @@ def p2gdr_search(
     rdelta = point.delta_rank(params.delta)
     depth = rank - rdelta if reduce else 0
 
-    best_point = None
-    best_f = np.inf
-    best_j = 0
-    best_alpha = 0.0
-    best_gradient = None
     for j in range(depth + 1):
-        hat = point if j == 0 else point.truncated(rank - j)
-        rep, f_hat = (report, f_value) if j == 0 else _evaluate(problem, hat)
+        hat, rep, f_hat, gradient = point, report, f_value, None
+        if j > 0:
+            hat = point.truncated(rank - j)
+            f_hat, gradient = problem.evaluate(hat)
+            rep, f_hat = _evaluate(problem, hat, (f_hat, gradient))
         if rep.s_value <= stop_tol:
-            cand_point, cand_f, cand_alpha, cand_gradient = hat, f_hat, 0.0, None
+            out = StepOutcome(hat, 0.0, 0, f_hat, f_hat, rep.s_value, gradient)
         else:
+            del gradient  # a copy's gradient is not held through its line search
             try:
                 out = p2gd_step(problem, hat, params.line_search, rep, f_hat)
             except LineSearchFailure as exc:
                 exc.reduction_depth = j
                 raise
-            cand_point, cand_f, cand_alpha = out.next_point, out.f_after, out.accepted_alpha
-            cand_gradient = out.gradient
-        if cand_f < best_f:
-            best_point, best_f, best_j, best_alpha = cand_point, cand_f, j, cand_alpha
-            best_gradient = cand_gradient
+        if j == 0 or out.f_after < best.f_after:
+            best, best_j = out, j
+        del out  # only the best candidate is held through the next one
 
     record = IterationRecord(
         index=index,
@@ -385,10 +378,10 @@ def p2gdr_search(
         rank=rank,
         delta_rank=rdelta,
         chosen_j=best_j,
-        accepted_alpha=best_alpha,
+        accepted_alpha=best.accepted_alpha,
         candidates_evaluated=depth + 1,
     )
-    return SearchResult(best_point, record, best_f, best_gradient)
+    return SearchResult(record, best)
 
 
 def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
@@ -397,12 +390,14 @@ def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
     start = time.perf_counter()
     point = point_from_matrix(x0, params.rank_bound)
     records: list[IterationRecord] = []
-    f_value = np.nan
+    f_value, evaluation = np.nan, None
     try:
-        report, f_value = _evaluate(problem, point)
-        if params.stop_tol is None:
-            params = replace(params, stop_tol=1e-8 * report.gradient_norm)
         while True:
+            report, f_value = _evaluate(problem, point, evaluation)
+            # The gradient is spent: do not hold it through the next iteration.
+            evaluation = None
+            if params.stop_tol is None:
+                params = replace(params, stop_tol=1e-8 * report.gradient_norm)
             if report.s_value <= params.stop_tol:
                 termination = "stationary"
                 break
@@ -417,13 +412,9 @@ def _solve(problem, x0, params: SolverParams, reduce: bool) -> Trace:
             except LineSearchFailure:
                 termination = "line_search_failure"
                 break
-            point, f_value = found.point, found.f_value
             records.append(found.record)
-            # A truncated winner that took no step has no gradient to hand over.
-            report, f_value = _evaluate(
-                problem, point, None if found.gradient is None else (f_value, found.gradient)
-            )
-            # The gradient is spent: do not hold it through the next iteration.
+            point, f_value = found.step.next_point, found.step.f_after
+            evaluation = (f_value, found.step.gradient)
             del found
         final_s = report.s_value
     except NonFiniteError:

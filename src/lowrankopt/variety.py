@@ -23,6 +23,7 @@ from .linalg import (
     _lapack,
     _leading_svd,
     _rank_argument,
+    _real_argument,
     _row_blocks,
     as_matrix,
     compute_svd,  # noqa: F401  not called here; perfbench's tracer test reads variety.compute_svd
@@ -110,8 +111,7 @@ class VarietyPoint(SvdFactorization):
 
     def delta_rank(self, delta: float) -> int:
         """Number of singular values strictly greater than ``delta``."""
-        if not delta > 0:
-            raise ValueError("delta must be positive")
+        delta = _real_argument("delta", delta, finite=False)
         return int(np.count_nonzero(self.sigma > delta))
 
     def truncated(self, new_rank: int) -> "VarietyPoint":
@@ -449,8 +449,7 @@ def tangent_curve(point: VarietyPoint, tangent: TangentDecomposition, t: float) 
     """
     if point.rank == 0:
         raise ValueError("the curve is undefined at the zero matrix")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    t = _real_argument("t", t, positive=False)
     u, s, v = point.u, point.sigma, point.v
     left = u + t * ((tangent.c_rows + 0.5 * u @ tangent.a) / s)
     right = v + t * ((tangent.b_cols.T + 0.5 * v @ tangent.a.T) / s)
@@ -467,8 +466,7 @@ def tangent_line_distance_bound(point: VarietyPoint, tangent_norm: float) -> flo
     """
     if point.rank == 0:
         raise ValueError("the bound is undefined at the zero matrix")
-    if tangent_norm < 0:
-        raise ValueError("tangent_norm must be nonnegative")
+    tangent_norm = _real_argument("tangent_norm", tangent_norm, positive=False)
     return float(np.sqrt(point.rank) / (2.0 * point.sigma_min) * tangent_norm**2)
 
 
@@ -489,8 +487,7 @@ def tightness_instance(
         raise ValueError("r must be at least 1")
     if m < r + 1 or n < r + 1:
         raise ValueError(f"shape {(m, n)} too small: need m, n >= r + 1 = {r + 1}")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    epsilon = _real_argument("epsilon", epsilon)
     scale = 1.0 / (4.0 * epsilon)
     x = np.zeros((m, n))
     for i in range(r - 1):

@@ -1,9 +1,9 @@
 """The ``api sha256=`` line of ``tools/trace_digest.py`` fingerprints the
 public routines' results: it repeats, and one ulp in one result moves it.
 
-The tool is loaded by path; its workload loader is not used here. Its
-``--dense`` switch, which makes every leading-triplet SVD dense, is checked
-on one matrix.
+The tool is loaded by path. Its ``--dense`` switch, which makes every
+leading-triplet SVD dense, is checked on one matrix, and the
+``evaluations=`` count of its solve lines on one tiny workload solve.
 """
 
 import numpy as np
@@ -112,3 +112,15 @@ def test_dense_switch_takes_every_triplet(digest_tool):
     assert linalg.LEADING_MIN_RATIO == ratio
     assert fact.sigma.shape == (250,)
     assert np.array_equal(fact.sigma, linalg.compute_svd(a).sigma)
+
+
+def test_evaluations_count_one_tiny_solve(digest_tool, tmp_path):
+    # poly-desk's polynomial takes the generic evaluate: the start and one
+    # accepted trial per iteration, with no backtracks at seed 101.
+    workload = digest_tool.load_workloads().WORKLOADS["poly-desk"]
+    inst = workload.build(101, tmp_path, "tiny")
+    evaluate = problems.UserPolynomialProblem.evaluate
+    with digest_tool.counted_evaluations() as calls:
+        trace = solver.p2gdr(inst.problem, inst.x0, inst.params)
+    assert (len(trace.records), calls[0]) == (55, 56)
+    assert problems.UserPolynomialProblem.evaluate is evaluate

@@ -394,9 +394,14 @@ class TestDeltaRank:
     def test_all_below_nonzero_matrix(self):
         assert delta_rank(np.diag([0.3, 0.2, 0.1]), 0.5) == 0
 
-    def test_requires_positive_delta(self):
-        with pytest.raises(ValueError):
-            delta_rank(np.eye(2), 0.0)
+    # Inf is allowed, as SolverParams.delta allows it.
+    @pytest.mark.parametrize("delta", [0.0, "0.1", True])
+    def test_requires_positive_delta(self, delta):
+        with pytest.raises(ValueError, match="^'delta' must be"):
+            delta_rank(np.eye(2), delta)
+
+    def test_infinite_delta_counts_nothing(self):
+        assert delta_rank(np.eye(2), np.inf) == 0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(1)

@@ -770,10 +770,11 @@ class TestFiniteDifferences:
                 x = rng.standard_normal((3, 3))
                 assert finite_difference_check(problem, x, 1e-5) <= 1e-6
 
-    def test_rejects_bad_h(self):
+    @pytest.mark.parametrize("h", [0.0, "1e-5", True, np.inf])
+    def test_rejects_bad_h(self, h):
         problem = LowRankApproxProblem(np.eye(2))
-        with pytest.raises(ValueError):
-            finite_difference_check(problem, np.eye(2), 0.0)
+        with pytest.raises(ValueError, match="^'h' must be"):
+            finite_difference_check(problem, np.eye(2), h)
 
 
 class TestLoading:

@@ -427,11 +427,21 @@ class TestKappaBound:
         got = kappa_bound(problem, point, 1.0, 1.0)
         assert got == pytest.approx(t * report.gradient_norm + 0.5, rel=1e-6)
 
-    def test_rejects_bad_lipschitz(self):
+    @pytest.mark.parametrize("lipschitz", [0.0, "1.0", True, np.inf])
+    def test_rejects_bad_lipschitz(self, lipschitz):
         problem = LowRankApproxProblem(np.eye(3))
         point = point_from_matrix(np.zeros((3, 3)), 2)
-        with pytest.raises(ValueError):
-            kappa_bound(problem, point, 1.0, 0.0)
+        with pytest.raises(ValueError, match="^'lipschitz' must be"):
+            kappa_bound(problem, point, 1.0, lipschitz)
+
+    # Positive and finite, as LineSearchParams has it; the zero point's
+    # bound does not read alpha_hi, yet it is checked there too.
+    @pytest.mark.parametrize("alpha_hi", [0.0, -1.0, np.nan, np.inf, "1.0", True])
+    def test_rejects_bad_alpha_hi(self, alpha_hi):
+        problem = LowRankApproxProblem(np.eye(3))
+        point = point_from_matrix(np.zeros((3, 3)), 2)
+        with pytest.raises(ValueError, match="^'alpha_hi' must be"):
+            kappa_bound(problem, point, alpha_hi, 1.0)
 
     def test_step_floor(self):
         # guaranteed lower bound on the accepted step size, quadratic cost
@@ -463,7 +473,7 @@ class TestSearch:
         assert point.delta_rank(0.1) == point.rank
         step = p2gd_step(problem, point, params.line_search)
         found = p2gdr_search(problem, point, params)
-        best, record = found.point, found.record
+        best, record = found.step.next_point, found.record
         assert record.candidates_evaluated == 1
         assert record.chosen_j == 0
         assert record.delta_rank == record.rank == 3
@@ -519,7 +529,7 @@ class TestSearch:
                 rank_bound=3, delta=float(rng.uniform(0.4, 2.5)), stop_tol=1e-12
             )
             plain = p2gd_step(problem, point, params.line_search)
-            best = p2gdr_search(problem, point, params).point
+            best = p2gdr_search(problem, point, params).step.next_point
             assert problem.eval(best.matrix()) <= plain.f_after + 1e-12
 
     def test_requires_nonstationary(self):
@@ -1007,18 +1017,42 @@ class TestEvaluationContract:
         problem = MatrixCompletionProblem(rng.standard_normal((8, 6)), rng.random((8, 6)) < 0.6)
         point = make_point(rng, 8, 6, 3, 3)
         found = p2gdr_search(problem, point, SolverParams(rank_bound=3, delta=0.1, stop_tol=0.0))
-        best = found.point
-        assert found.f_value == problem.eval(best.matrix())
-        assert np.array_equal(found.gradient(), problem.gradient(best.matrix()))
+        best = found.step.next_point
+        assert found.step.f_after == problem.eval(best.matrix())
+        assert np.array_equal(found.step.gradient(), problem.gradient(best.matrix()))
 
-    def test_stationary_truncation_hands_over_no_gradient(self):
+    def test_stationary_truncation_hands_over_its_zero_step(self):
+        # The stationary copy wins with the zero step and the gradient its
+        # own evaluate returned.
         problem = LowRankApproxProblem(np.diag([1.0, 0.0, 0.0]))
         point = point_from_matrix(np.diag([1.0, 0.05, 0.0]), 2)
         params = SolverParams(rank_bound=2, delta=0.1, stop_tol=1e-12,
                               line_search=LineSearchParams(alpha_hi=0.5))
         found = p2gdr_search(problem, point, params)
+        step, best = found.step, found.step.next_point
         assert (found.record.chosen_j, found.record.accepted_alpha) == (1, 0.0)
-        assert found.gradient is None
+        assert (best.rank, step.accepted_alpha, step.backtrack_count) == (1, 0.0, 0)
+        assert step.f_after == step.f_before == problem.eval(best.matrix())
+        assert np.array_equal(step.gradient(), problem.gradient(best.matrix()))
+
+    def test_stationary_truncation_is_evaluated_once(self, monkeypatch):
+        # The start, the iterate's one trial and the stationary copy: each
+        # point is evaluated once, the copy that the solve stands on too.
+        problem = LowRankApproxProblem(np.diag([1.0, 0.0, 0.0]))
+        params = SolverParams(rank_bound=2, delta=0.1, stop_tol=1e-12,
+                              line_search=LineSearchParams(alpha_hi=0.5))
+        evaluated = []
+        evaluate = problem.evaluate
+
+        def counted_evaluate(point):
+            evaluated.append(point)
+            return evaluate(point)
+
+        monkeypatch.setattr(problem, "evaluate", counted_evaluate)
+        trace = p2gdr(problem, np.diag([1.0, 0.05, 0.0]), params)
+        assert [r.chosen_j for r in trace.records] == [1]
+        assert len(evaluated) == 3
+        assert evaluated[-1] is trace.final_point
 
     def test_solve_holds_no_gradient_across_iterations(self):
         # From zero, D is G itself and each accepted gradient is let go once
@@ -1049,7 +1083,7 @@ def test_search_agrees_with_bruteforce_candidates():
         point = point_from_matrix(x0, 2)
         params = SolverParams(rank_bound=2, delta=0.25, stop_tol=1e-12)
         found = p2gdr_search(problem, point, params)
-        best, record = found.point, found.record
+        best, record = found.step.next_point, found.record
         fs = []
         for j in range(record.candidates_evaluated):
             x_hat = np.diag([1.0, 0.1, 0.0, 0.0])[:4, :4] if j == 0 else np.diag(

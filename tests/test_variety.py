@@ -616,6 +616,14 @@ class TestTangentCurve:
         with pytest.raises(ValueError):
             tangent_curve(point, tangent, 1.0)
 
+    @pytest.mark.parametrize("t", ["1.0", True, np.nan, np.inf])
+    def test_rejects_bad_t(self, t):
+        rng = np.random.default_rng(17)
+        point = make_point(rng, 4, 4, 2, 2)
+        tangent, _, _ = project_to_tangent_cone(point, rng.standard_normal((4, 4)))
+        with pytest.raises(ValueError, match="^'t' must be"):
+            tangent_curve(point, tangent, t)
+
 
 class TestDistanceBound:
     def test_property(self):
@@ -639,6 +647,12 @@ class TestDistanceBound:
         point = point_from_matrix(np.zeros((3, 3)), 2)
         with pytest.raises(ValueError):
             tangent_line_distance_bound(point, 1.0)
+
+    @pytest.mark.parametrize("tangent_norm", ["1.0", True, np.nan, np.inf])
+    def test_rejects_bad_tangent_norm(self, tangent_norm):
+        point = make_point(np.random.default_rng(19), 5, 5, 2, 2)
+        with pytest.raises(ValueError, match="^'tangent_norm' must be"):
+            tangent_line_distance_bound(point, tangent_norm)
 
     def test_formula(self):
         rng = np.random.default_rng(20)
@@ -675,6 +689,11 @@ class TestTightnessInstance:
     def test_shape_too_small(self):
         with pytest.raises(ValueError):
             tightness_instance(2, 2, 3, 0.25)
+
+    @pytest.mark.parametrize("epsilon", ["0.25", True, np.inf])
+    def test_rejects_bad_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="^'epsilon' must be"):
+            tightness_instance(2, 3, 3, epsilon)
 
 
 def test_continuity_of_measure_on_fixed_rank():
@@ -729,6 +748,13 @@ def test_point_arrays_are_read_only():
         point.u[0, 0] = 7.0
     with pytest.raises(ValueError):
         point.sigma[0] = 7.0
+
+
+@pytest.mark.parametrize("delta", [0.0, "0.1", True])
+def test_point_delta_rank_requires_positive_delta(delta):
+    point = point_from_matrix(np.diag([3.0, 1.0, 0.0]), 2)
+    with pytest.raises(ValueError, match="^'delta' must be"):
+        point.delta_rank(delta)
 
 
 def test_truncated_keeps_leading_triplets():

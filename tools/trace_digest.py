@@ -2,8 +2,11 @@
 
 Solves each perfbench workload at both sizes (tiny, full) with both
 algorithms (p2gdr, p2gd_plain) directly on the workload's instance, and
-prints one line per solve: workload, size, algorithm, iterations,
-termination, the sha256 of the trace CSV, and the final report
+prints one line per solve: workload, size, algorithm, iterations, the
+number of ``problem.evaluate`` calls inside the solve (``evaluations=``,
+counted on every class of ``lowrankopt.problems`` that defines
+``evaluate``, :func:`counted_evaluations`), termination, the sha256 of
+the trace CSV, and the final report
 (``final_f`` and ``final_s`` to 17 significant digits, ``final_rank``),
 which the CSV does not hold. A workload that runs through ``lowrankopt
 run`` (rankdrop-cli) is also solved at both sizes by its own ``solve``
@@ -43,6 +46,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
+import functools  # noqa: E402
 import hashlib  # noqa: E402
 import importlib.util  # noqa: E402
 import json  # noqa: E402
@@ -94,6 +98,31 @@ def dense_svd():
         yield
     finally:
         linalg.LEADING_MIN_RATIO = ratio
+
+
+@contextlib.contextmanager
+def counted_evaluations():
+    """Within the block, each call of an ``evaluate`` that a class of
+    ``lowrankopt.problems`` defines adds one to the yielded list's one
+    entry; the originals are put back on exit."""
+    calls = [0]
+    saved = [(cls, vars(cls)["evaluate"]) for cls in vars(problems).values()
+             if isinstance(cls, type) and "evaluate" in vars(cls)]
+
+    def counted(evaluate):
+        @functools.wraps(evaluate)
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return evaluate(*args, **kwargs)
+        return wrapper
+
+    for cls, evaluate in saved:
+        cls.evaluate = counted(evaluate)
+    try:
+        yield calls
+    finally:
+        for cls, evaluate in saved:
+            cls.evaluate = evaluate
 
 
 def random_start(inst):
@@ -267,9 +296,9 @@ def digest_all(args) -> int:
         args.save.mkdir(parents=True, exist_ok=True)
     workloads = load_workloads()
 
-    def report(name, size, algorithm, trace, csv):
+    def report(name, size, algorithm, evaluations, trace, csv):
         digest = hashlib.sha256(csv.encode("utf-8")).hexdigest()
-        print(f"{name} {size} {algorithm} iters={len(trace.records)} "
+        print(f"{name} {size} {algorithm} iters={len(trace.records)} evaluations={evaluations} "
               f"termination={trace.termination} sha256={digest} final_f={trace.final_f:.17g} "
               f"final_s={trace.final_s:.17g} final_rank={trace.final_rank}", flush=True)
         if args.save is not None:
@@ -280,13 +309,16 @@ def digest_all(args) -> int:
             for size in SIZES:
                 inst = workload.build(args.seed, Path(tmp) / f"{name}-{size}", size)
                 for algorithm in ALGORITHMS:
-                    trace = getattr(solver, algorithm)(inst.problem, inst.x0, inst.params)
-                    report(name, size, algorithm, trace, trace.to_csv())
+                    with counted_evaluations() as calls:
+                        trace = getattr(solver, algorithm)(inst.problem, inst.x0, inst.params)
+                    report(name, size, algorithm, calls[0], trace, trace.to_csv())
                 if inst.config_path is not None:
-                    report(name, size, "cli", *workload.finish(inst, workload.solve(inst)))
-                    random = random_start(inst)
-                    report(name, size, "cli-" + RANDOM_START.replace(":", ""),
-                           *workload.finish(random, workload.solve(random)))
+                    runs = [("cli", inst),
+                            ("cli-" + RANDOM_START.replace(":", ""), random_start(inst))]
+                    for algorithm, run in runs:
+                        with counted_evaluations() as calls:
+                            result = workload.solve(run)
+                        report(name, size, algorithm, calls[0], *workload.finish(run, result))
     print(f"api sha256={api_digest(args.seed)}")
     return 0
 
