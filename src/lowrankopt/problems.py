@@ -228,16 +228,14 @@ class UserPolynomialProblem(CostFunction):
     :func:`~lowrankopt.linalg.json_number` (an integral float or a numpy
     integer is an integer, a bool is neither), and coefficients must be
     finite; anything else raises ``ValueError`` naming the value. A problem
-    document's terms are read by these same checks.
+    document's shape and terms are read by these same checks.
     """
 
     MAX_DEGREE = 4
     CHUNK = 384
 
     def __init__(self, shape, terms):
-        if not (isinstance(shape, (list, tuple)) and len(shape) == 2):
-            raise ValueError(f"shape must hold 2 entries, got {shape!r:.40}")
-        m, n = (json_number("shape", size, integer=True) for size in shape)
+        m, n = _integers("shape", shape, 2)
         if not (m >= 1 and n >= 1 and m * n <= np.iinfo(np.intp).max):
             raise ValueError(
                 f"shape must be positive and fit an array, got ({_shown(m)}, {_shown(n)})")

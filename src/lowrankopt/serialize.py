@@ -95,24 +95,22 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def _entries(values) -> np.ndarray:
-    """The ``entries`` of a matrix document: a JSON array of numbers that fit a
-    double, or the 1-D float64 array that :func:`read_json` makes of one (an
-    array is taken as given, not copied; any other array is refused)."""
-    if type(values) is np.ndarray and values.ndim == 1 and values.dtype == np.float64:
-        return values
-    array = _float_array(json_array("entries", values))
+    """The ``entries`` of a matrix document: an array of numbers, each read by
+    :func:`json_number`, or the 1-D float64 array that :func:`read_json` makes
+    of one (taken as given, not copied; any other array is refused)."""
+    array = _float_array(values)
     if array is not None:
         return array
-    for value in values:
-        if type(value) not in (int, float):
-            raise ValueError(f"'entries' must be an array of numbers, got {value!r:.40}")
-    raise ValueError("'entries' must be numbers that fit a double")
+    return np.array([json_number("entries", value) for value in json_array("entries", values)])
 
 
 def _float_array(values) -> np.ndarray | None:
-    """The float64 array of ``values``, a list of numbers that fit a double, or None."""
-    # Exact types: a bool is an int subclass, and JSON gives no other number types.
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+    """The float64 array of ``values``, or None: a 1-D float64 array as
+    given, or a list or tuple of ints and floats that fit a double."""
+    if type(values) is np.ndarray and values.ndim == 1 and values.dtype == np.float64:
+        return values
+    # Exact types: a bool is an int subclass, and a numpy number is left to json_number.
+    if not isinstance(values, (list, tuple)) or not set(map(type, values)) <= {int, float}:
         return None
     try:
         return np.asarray(values, dtype=np.float64)

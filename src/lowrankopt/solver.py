@@ -299,18 +299,20 @@ def kappa_bound(problem, point: VarietyPoint, alpha_hi: float, lipschitz: float)
     For a gradient with Lipschitz constant ``lipschitz`` on a ball large
     enough to contain every projected trial point, any step size up to
     ``(1 - c) / kappa`` passes the sufficient-decrease test, so backtracking
-    accepts at least ``min(alpha_lo, beta * (1 - c) / kappa)``.
+    accepts at least ``min(alpha_lo, beta * (1 - c) / kappa)``. A bound
+    past the largest double is returned as Inf, with no warning.
     """
     alpha_hi = _real_argument("alpha_hi", alpha_hi)
     lipschitz = _real_argument("lipschitz", lipschitz)
     if point.rank == 0:
         return 0.5 * lipschitz
     report = stationarity_measure(problem, point)
-    t = np.sqrt(point.rank) / (2.0 * point.sigma_min)
-    return float(
-        t * report.gradient_norm
-        + 0.5 * lipschitz * (t * alpha_hi * report.s_value + 1.0) ** 2
-    )
+    with np.errstate(over="ignore"):
+        t = np.sqrt(point.rank) / (2.0 * point.sigma_min)
+        return float(
+            t * report.gradient_norm
+            + 0.5 * lipschitz * (t * alpha_hi * report.s_value + 1.0) ** 2
+        )
 
 
 def p2gdr_search(

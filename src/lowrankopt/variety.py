@@ -480,7 +480,8 @@ def tightness_instance(
     the distance from X + G to the feasible set is at least
     ``(1/(2*sigma_min) - epsilon) * ||G||^2``: shrinking the smallest
     singular value makes the quadratic bound's constant blow up, so no
-    bound of this form can drop the ``1/sigma_min`` factor.
+    bound of this form can drop the ``1/sigma_min`` factor. An ``epsilon``
+    so small that an entry of X passes the largest double raises ValueError.
     """
     r, m, n = (json_number(key, value, integer=True) for key, value in zip("rmn", (r, m, n)))
     if r < 1:
@@ -489,6 +490,9 @@ def tightness_instance(
         raise ValueError(f"shape {(m, n)} too small: need m, n >= r + 1 = {r + 1}")
     epsilon = _real_argument("epsilon", epsilon)
     scale = 1.0 / (4.0 * epsilon)
+    if (2.0 if r > 1 else 1.0) * scale == math.inf:
+        raise ValueError(f"'epsilon' must be large enough that the largest entry, "
+                         f"{2 if r > 1 else 1}/(4*epsilon), fits a double, got {epsilon}")
     x = np.zeros((m, n))
     for i in range(r - 1):
         x[i, i] = 2.0 * scale

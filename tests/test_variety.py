@@ -1,6 +1,5 @@
 import re
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -494,6 +493,12 @@ class TestSuppliedGradient:
         with pytest.raises(NonFiniteError):
             stationarity_measure(problem, point, NormedGradient(gradient(), np.inf))
 
+    def test_measure_past_a_double_raises_under_a_finite_norm(self):
+        point = point_from_matrix(np.diag([1.0, 0.0, 0.0]), 2)
+        g = NormedGradient(np.full((3, 3), 1e200), 1.0)
+        with pytest.raises(NonFiniteError, match="^measure inf is not finite$"):
+            stationarity_measure(LowRankApproxProblem(np.zeros((3, 3))), point, g)
+
     def test_full_rank_allocates_less_than_one_copy(self):
         # At full rank no D-block is formed.
         rng = np.random.default_rng(51)
@@ -535,10 +540,8 @@ class TestSuppliedGradient:
         point = make_point(rng, 8, 6, 4, rank)
         g = rng.standard_normal((8, 6))
         g[3, 2] = entry
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError):
-                stationarity_measure(LowRankApproxProblem(np.zeros((8, 6))), point, g)
+        with pytest.raises(NonFiniteError):
+            stationarity_measure(LowRankApproxProblem(np.zeros((8, 6))), point, g)
 
 
 class TestTangentCurve:
@@ -690,10 +693,22 @@ class TestTightnessInstance:
         with pytest.raises(ValueError):
             tightness_instance(2, 2, 3, 0.25)
 
-    @pytest.mark.parametrize("epsilon", ["0.25", True, np.inf])
+    def test_rejects_rank_below_one(self):
+        with pytest.raises(ValueError, match="^r must be at least 1$"):
+            tightness_instance(0, 3, 3, 0.25)
+
+    # 5e-324 and 2.5e-309 put 2/(4*epsilon) past the largest double.
+    @pytest.mark.parametrize("epsilon", ["0.25", True, np.inf, 5e-324, 2.5e-309])
     def test_rejects_bad_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="^'epsilon' must be"):
             tightness_instance(2, 3, 3, epsilon)
+
+    @pytest.mark.parametrize("r, epsilon", [(1, 2.5e-309), (2, 2.7815e-309), (2, 1e-308)])
+    def test_smallest_epsilons_build(self, r, epsilon):
+        # The largest entry, (2 if r > 1 else 1)/(4*epsilon), fits a double: the
+        # first two only just.
+        point, _ = tightness_instance(r, r + 1, r + 1, epsilon)
+        assert point.rank == r and np.isfinite(point.sigma[0])
 
 
 def test_continuity_of_measure_on_fixed_rank():
@@ -755,6 +770,22 @@ def test_point_delta_rank_requires_positive_delta(delta):
     point = point_from_matrix(np.diag([3.0, 1.0, 0.0]), 2)
     with pytest.raises(ValueError, match="^'delta' must be"):
         point.delta_rank(delta)
+
+
+def test_factor_widths_must_agree():
+    eye = np.eye(3)
+    with pytest.raises(ValueError, match="^factor ranks disagree: u has 2, v has 1, sigma has 2$"):
+        VarietyPoint(eye[:, :2], np.array([2.0, 1.0]), eye[:, :1], 2)
+
+
+def test_zero_point_has_no_sigma_min():
+    with pytest.raises(ValueError, match="^the zero matrix has no smallest nonzero"):
+        VarietyPoint.zero((3, 3), 2).sigma_min
+
+
+def test_truncated_to_its_own_rank_is_the_point():
+    point = make_point(np.random.default_rng(23), 6, 5, 3, 2)
+    assert point.truncated(2) is point
 
 
 def test_truncated_keeps_leading_triplets():
