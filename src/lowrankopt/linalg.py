@@ -1,5 +1,5 @@
 """Dense SVD utilities: numerical rank, singular-value thresholds, and
-best approximations by matrices of bounded rank, plus an iterative SVD of
+best approximations by matrices of bounded rank, plus iterative SVDs of
 the leading triplets for matrices much larger than the rank kept.
 
 All norms and distances are Frobenius. Matrices are plain 2-D float64
@@ -37,6 +37,14 @@ LEADING_PRODUCT_BUDGET = 6
 # more slowly, so its last step overshoots the tolerance less and its triplets
 # land nearer it.
 LEADING_NARROW_GAIN = 1.5
+# Past that cutoff, a matrix of at least LEADING_LANCZOS_ENTRIES entries first
+# tries Golub-Kahan-Lanczos (:func:`_leading_lanczos`): one matrix-vector
+# product with a and one with a^T a step, which pays once a's products cost
+# more than the run's Python and small SVDs. A second run certifies that no
+# copy of a singular value at or above sigma_k was missed, except with a
+# chance of at most LEADING_MISS_CHANCE over its random start.
+LEADING_LANCZOS_ENTRIES = 2**19
+LEADING_MISS_CHANCE = 1e-12
 # A product that forms or reads an m-by-n matrix goes over row blocks of it of
 # about this many bytes (:func:`_row_blocks`), so that each block is still in
 # cache when the next step reads it; a matrix of at most two blocks is taken
@@ -319,12 +327,149 @@ def _narrowed_width(s: np.ndarray, k: int, residual: float, tol: float,
     return kept if LEADING_NARROW_GAIN * works[kept] <= works.get(width, math.inf) else width
 
 
+def _append_orthonormal(basis: np.ndarray, j: int, x: np.ndarray, deflate=None) -> float:
+    """Take ``x`` twice off the rows ``basis[:j]`` (and off the columns of
+    ``deflate``) by classical Gram-Schmidt, in place, and write it scaled to
+    unit length into ``basis[j]``. Returns its length before the scaling; at
+    0 nothing is written."""
+    done = basis[:j]
+    for _ in range(2):
+        if deflate is not None:
+            x -= deflate @ (deflate.T @ x)
+        x -= done.T @ (done @ x)
+    length = float(_root_sum_of_squares(x))
+    if length > 0:
+        np.divide(x, length, out=basis[j])
+    return length
+
+
+def _golub_kahan(a: np.ndarray, start: np.ndarray, steps: int, stop, deflate=None):
+    """Golub-Kahan-Lanczos bidiagonalization of ``a`` from the n-vector ``start``.
+
+    ``v_1`` is ``start`` scaled to unit length. Step j forms ``u_j = (a v_j -
+    beta_{j-1} u_{j-1}) / alpha_j`` and ``v_{j+1} = (a^T u_j - alpha_j v_j) /
+    beta_j``, each orthogonalized against all the vectors before it
+    (:func:`_append_orthonormal`, full reorthogonalization). After j steps
+    ``a V_j = U_j B_j`` and ``a^T U_j = V_j B_j^T + beta_j v_{j+1} e_j^T``
+    with orthonormal columns, where B_j is the j-by-j upper bidiagonal with
+    alpha_1..alpha_j on its diagonal and beta_1..beta_{j-1} above it. With
+    ``deflate``, an n-by-k matrix W with orthonormal columns, ``v_1`` and
+    every ``v_{j+1}`` are also taken off W, so the run bidiagonalizes
+    ``a (I - W W^T)`` with the products of ``a`` alone.
+
+    The bases are the rows of arrays sized for ``steps`` steps. After each
+    step, ``stop(B_j, beta_j)`` ends the run with its result unless that is
+    None. Returns ``(result, U_j^T, V_j^T)``, or None when an alpha or beta
+    is 0 (a breakdown) or ``steps`` steps give no result.
+    """
+    m, n = a.shape
+    us, vs, b = np.empty((steps, m)), np.empty((steps + 1, n)), np.zeros((steps, steps + 1))
+    if not _append_orthonormal(vs, 0, start, deflate):
+        return None
+    for j in range(steps):
+        p = a @ vs[j]
+        if j:
+            p -= b[j - 1, j] * us[j - 1]
+        b[j, j] = _append_orthonormal(us, j, p)
+        if not b[j, j]:
+            return None
+        q = a.T @ us[j]
+        q -= b[j, j] * vs[j]
+        b[j, j + 1] = _append_orthonormal(vs, j + 1, q, deflate)
+        if not b[j, j + 1]:
+            return None
+        result = stop(b[: j + 1, : j + 1], b[j, j + 1])
+        if result is not None:
+            return result, us[: j + 1], vs[: j + 1]
+    return None
+
+
+def _leading_lanczos(a: np.ndarray, k: int) -> SvdFactorization | None:
+    """The leading ``k`` triplets of ``a`` by Golub-Kahan-Lanczos, certified
+    against a missed singular value; None where they are not found.
+
+    The first run (:func:`_golub_kahan`) starts from a Gaussian n-vector
+    drawn with a fixed seed. After step j >= k the SVD ``B_j = P S Q^T`` of
+    its bidiagonal gives the Ritz triplets ``u_i = U_j p_i``, ``s_i``,
+    ``v_i = V_j q_i``, with ``a v_i = s_i u_i`` by construction and
+    ``||a^T u_i - s_i v_i|| = beta_j |e_j^T p_i|`` (Golub & Kahan 1965). It
+    stops when each of the k residuals is at most ``LEADING_RES_TOL * s_1``,
+    the block iteration's rule.
+
+    From one start, Lanczos sees one copy of each singular value: on
+    ``diag(B, B)`` it returns sigma_1(B) and sigma_2(B) where the answer is
+    sigma_1(B) twice. So a second run, from an independent fixed start,
+    bidiagonalizes the deflated ``a (I - V V^T)``, whose singular values
+    are, up to the first run's residuals, those of a that it did not
+    return. Its largest Ritz value ``theta_s`` after s steps
+    underestimates the deflated matrix's largest
+    singular value by a factor below ``sqrt(1 - eps)`` with a chance of at
+    most ``1.648 sqrt(n) exp(-sqrt(eps) (2s - 1))`` over a uniform start
+    (Kuczynski & Wozniakowski 1992). The run stops once ``(2s - 1) sqrt(1 -
+    theta_s^2 / s_k^2) >= ln(1.648 sqrt(n) / LEADING_MISS_CHANCE)``: a
+    value at or above s_k is then missed with a chance of at most
+    ``LEADING_MISS_CHANCE``. Its bidiagonal's values are taken only once
+    ``2s - 1`` reaches the right side, the first step that could pass.
+
+    Each run takes at most ``(LEADING_FILTER_DEGREE + 1) * (k +
+    LEADING_OVERSAMPLE) / 2`` steps, so the two together take at most the
+    column-products of one filtered sweep of the block iteration (two per
+    step). The first run's bases are freed before the second allocates
+    its own. None is returned, for the block iteration to run, when a run
+    breaks down or reaches its cap, when ``theta_s`` reaches s_k or is
+    too close to it for the rule to pass by the cap (``theta_s`` never
+    falls as s grows), or when an SVD of a bidiagonal fails.
+    """
+    n = a.shape[1]
+    steps = (LEADING_FILTER_DEGREE + 1) * (k + LEADING_OVERSAMPLE) // 2
+
+    def converged(b, beta):
+        if len(b) < k:
+            return None
+        p, s, qh = _lapack("svd", b)
+        if np.max(beta * np.abs(p[-1, :k])) <= LEADING_RES_TOL * s[0]:
+            return p[:, :k], s[:k].copy(), qh[:k]
+        return None
+
+    bound = math.log(1.648 * math.sqrt(n) / LEADING_MISS_CHANCE)
+
+    def certified(b, beta):
+        width = 2 * len(b) - 1
+        if width < bound:
+            return None
+        theta = _lapack("svd", b, compute_uv=False)[0]
+        if not theta < sigma[-1]:
+            return False
+        gap = math.sqrt(1.0 - (theta / sigma[-1]) ** 2)
+        if width * gap >= bound:
+            return True
+        # theta_s never falls as s grows: a run that cannot pass by its cap ends now.
+        return False if (2 * steps - 1) * gap < bound else None
+
+    try:
+        found = _golub_kahan(a, np.random.default_rng(0).standard_normal(n), steps, converged)
+        if found is None:
+            return None
+        (p, sigma, qh), us, vs = found
+        u, v = us.T @ p, vs.T @ qh.T
+        del found, us, vs
+        check = _golub_kahan(a, np.random.default_rng(1).standard_normal(n), steps, certified,
+                             deflate=v)
+    except NumericalFailure:
+        return None
+    return SvdFactorization(u, sigma, v) if check is not None and check[0] else None
+
+
 def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
     """SVD of ``a`` whose leading ``k`` triplets are exact to a residual tolerance.
 
     When ``min(m, n)`` is at least ``LEADING_MIN_RATIO * (k +
-    LEADING_OVERSAMPLE)``, the k triplets come from Chebyshev-filtered
-    block subspace iteration. It starts from a Gaussian block of width
+    LEADING_OVERSAMPLE)``, the k triplets come from an iteration. On a
+    matrix of at least ``LEADING_LANCZOS_ENTRIES`` entries that is first
+    :func:`_leading_lanczos`, whose matrix-vector products beat the block
+    products there; where it finds no certified triplets, and on smaller
+    matrices, it is Chebyshev-filtered block subspace iteration. That
+    starts from a Gaussian block of width
     ``w = k + LEADING_OVERSAMPLE`` drawn with a fixed seed, so repeated
     calls return identical bytes. Each Rayleigh-Ritz step orthonormalizes
     the last ``a Y`` into ``Q``, forms ``B = Q^T a`` and takes the SVD of
@@ -361,6 +506,10 @@ def _leading_svd(a: np.ndarray, k: int) -> SvdFactorization:
     m, n = a.shape
     if LEADING_MIN_RATIO * (k + LEADING_OVERSAMPLE) > min(m, n):
         return compute_svd(a)
+    if a.size >= LEADING_LANCZOS_ENTRIES:
+        fact = _leading_lanczos(a, k)
+        if fact is not None:
+            return fact
     width = min(k + LEADING_OVERSAMPLE, m, n)
     budget = LEADING_PRODUCT_BUDGET * min(m, n)
     omega = np.random.default_rng(0).standard_normal((n, width))

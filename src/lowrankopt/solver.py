@@ -300,7 +300,10 @@ def kappa_bound(problem, point: VarietyPoint, alpha_hi: float, lipschitz: float)
     enough to contain every projected trial point, any step size up to
     ``(1 - c) / kappa`` passes the sufficient-decrease test, so backtracking
     accepts at least ``min(alpha_lo, beta * (1 - c) / kappa)``. A bound
-    past the largest double is returned as Inf, with no warning.
+    past the largest double is returned as Inf, with no warning. A term
+    whose gradient norm or stationarity measure is 0 is 0, also where a
+    subnormal smallest singular value makes its factor Inf: at such a
+    stationary point the bound is ``lipschitz / 2``.
     """
     alpha_hi = _real_argument("alpha_hi", alpha_hi)
     lipschitz = _real_argument("lipschitz", lipschitz)
@@ -309,10 +312,9 @@ def kappa_bound(problem, point: VarietyPoint, alpha_hi: float, lipschitz: float)
     report = stationarity_measure(problem, point)
     with np.errstate(over="ignore"):
         t = np.sqrt(point.rank) / (2.0 * point.sigma_min)
-        return float(
-            t * report.gradient_norm
-            + 0.5 * lipschitz * (t * alpha_hi * report.s_value + 1.0) ** 2
-        )
+        slope = t * report.gradient_norm if report.gradient_norm else 0.0
+        reach = t * alpha_hi * report.s_value if report.s_value else 0.0
+        return float(slope + 0.5 * lipschitz * (reach + 1.0) ** 2)
 
 
 def p2gdr_search(

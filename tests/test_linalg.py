@@ -16,6 +16,7 @@ from lowrankopt.linalg import (
     SvdFactorization,
     _leading_svd,
     _narrowed_width,
+    _root_sum_of_squares,
     compute_svd,
     delta_rank,
     distance_to_bounded_rank,
@@ -377,6 +378,179 @@ class TestLeadingSvd:
         point = project_to_variety(a, 1)
         assert dense_svd_calls == list(small)
         assert point.sigma[0] == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.fixture
+def lanczos_path(monkeypatch):
+    """Every matrix past the block iteration's cutoff first tries Lanczos."""
+    monkeypatch.setattr(linalg, "LEADING_LANCZOS_ENTRIES", 1)
+
+
+def golub_kahan_runs(monkeypatch) -> list:
+    """What each ``linalg._golub_kahan`` run returns during the test."""
+    results = []
+    golub_kahan = linalg._golub_kahan
+
+    def recorded(*args, **kwargs):
+        results.append(golub_kahan(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(linalg, "_golub_kahan", recorded)
+    return results
+
+
+def spiked_copies(rng) -> np.ndarray:
+    """diag(B, B) for a 60-by-50 Gaussian B plus spikes of 68 and 60."""
+    u = np.linalg.qr(rng.standard_normal((60, 2)))[0]
+    v = np.linalg.qr(rng.standard_normal((50, 2)))[0]
+    b = rng.standard_normal((60, 50)) + (u * [68.0, 60.0]) @ v.T
+    a = np.zeros((120, 100))
+    a[:60, :50] = a[60:, 50:] = b
+    return a
+
+
+class TestLeadingLanczos:
+    # Each case against compute_svd, with the size constant at 1, so that
+    # blocks of a few hundred rows take the path 1000x800 takes.
+    # A certificate passes within its cap only past a gap after sigma_k:
+    # at k = 1 the cap is 22 steps, enough for sigma_2 / sigma_1 = 0.5, not 0.8.
+    @pytest.mark.parametrize("scale", [1.0, 1e156, 1e-200])
+    @pytest.mark.parametrize("shape, k, decay", [
+        ((200, 160), 4, 0.8), ((160, 200), 1, 0.5), ((300, 250), 10, 0.8),
+    ])
+    def test_graded_spectrum_matches_dense(self, lanczos_path, monkeypatch, dense_svd_calls,
+                                           shape, k, decay, scale):
+        a = graded(np.random.default_rng(40 + k), *shape, decay ** np.arange(min(shape))) * scale
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args: qr_calls.append(1) or qr(*args))
+        fact = _leading_svd(a, k)
+        assert qr_calls == [] and dense_svd_calls == []  # neither the block iteration nor dense
+        dense = compute_svd(a).leading(k)
+        u, s, v = fact.u, fact.sigma, fact.v
+        assert u.shape == (shape[0], k) and v.shape == (shape[1], k)
+        assert_allclose(s, dense.sigma, rtol=0, atol=1e-13 * dense.sigma[0])
+        assert frobenius((fact.reconstruct() - dense.reconstruct()) / scale) <= 1e-9 * frobenius(
+            dense.reconstruct() / scale)
+        # a v_i = s_i u_i by construction; a^T u_i - s_i v_i is the stopping residual.
+        left = _root_sum_of_squares(a @ v - u * s)
+        right = _root_sum_of_squares(a.T @ u - v * s)
+        assert np.all(left <= 1e-13 * s[0]), left / s[0]
+        assert np.all(right <= LEADING_RES_TOL * s[0]), right / s[0]
+        assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+        assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12
+        again = _leading_svd(a, k)
+        for name in ("u", "sigma", "v"):
+            assert getattr(fact, name).tobytes() == getattr(again, name).tobytes()
+
+    def test_both_copies_of_a_repeated_value(self, lanczos_path, monkeypatch):
+        # From one start the first run sees one copy of sigma_1(B) and
+        # converges to sigma_1(B) and sigma_2(B); the deflated run then finds
+        # the other copy above sigma_2(B), and the block iteration runs.
+        a = spiked_copies(np.random.default_rng(41))
+        runs = golub_kahan_runs(monkeypatch)
+        fact = _leading_svd(a, 2)
+        dense = compute_svd(a)
+        b = np.linalg.svd(a[:60, :50], compute_uv=False)
+        assert_allclose(runs[0][0][1], b[:2], rtol=1e-13)
+        assert runs[1][0] is False and len(runs) == 2
+        assert_allclose(fact.sigma, [b[0], b[0]], rtol=1e-13)
+        assert_allclose(fact.sigma, dense.sigma[:2], rtol=1e-13)
+        difference = fact.reconstruct() - dense.leading(2).reconstruct()
+        assert frobenius(difference) <= 1e-9 * frobenius(a)
+
+    def test_rank_below_k(self, lanczos_path, monkeypatch):
+        a = graded(np.random.default_rng(20), 200, 170, [5.0, 2.0, 1.0])
+        runs = golub_kahan_runs(monkeypatch)
+        fact = _leading_svd(a, 6)
+        assert runs[-1] is None or runs[-1][0] is not True  # not certified
+        dense = compute_svd(a)
+        assert fact.numerical_rank == dense.numerical_rank == 3
+        assert_allclose(fact.sigma[:3], dense.sigma[:3], rtol=1e-13)
+        assert frobenius(fact.reconstruct() - a) <= 1e-12 * frobenius(a)
+
+    def test_tie_at_sigma_k(self, lanczos_path, monkeypatch):
+        sigma = np.concatenate([[4.0, 3.0, 2.0, 2.0], 0.8 ** np.arange(1, 167)])
+        a = graded(np.random.default_rng(32), 200, 170, sigma)
+        runs = golub_kahan_runs(monkeypatch)
+        fact = _leading_svd(a, 3)
+        assert runs[-1] is None or runs[-1][0] is not True  # not certified
+        dense = compute_svd(a)
+        assert_allclose(fact.sigma, dense.sigma[:3], rtol=1e-13)
+        left = _root_sum_of_squares(a @ fact.v - fact.u * fact.sigma)
+        assert np.all(left <= LEADING_RES_TOL * fact.sigma[0])
+
+    def test_flat_gaussian_spectrum_falls_back(self, lanczos_path, monkeypatch, dense_svd_calls):
+        # The first run reaches its cap; the block iteration then predicts
+        # more products than the dense SVD costs.
+        a = np.random.default_rng(33).standard_normal((200, 170))
+        runs = golub_kahan_runs(monkeypatch)
+        fact = _leading_svd(a, 3)
+        assert runs == [None] and dense_svd_calls == [(200, 170)]
+        dense = compute_svd(a)
+        for name in ("u", "sigma", "v"):
+            assert getattr(fact, name).tobytes() == getattr(dense, name).tobytes()
+
+    def test_failed_bidiagonal_svd_returns_to_the_block_iteration(self, lanczos_path,
+                                                                    monkeypatch):
+        a = graded(np.random.default_rng(24), 200, 170, 0.5 ** np.arange(170))
+        svd = np.linalg.svd
+        failures = [np.linalg.LinAlgError("SVD did not converge")]
+
+        def svd_failing_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_failing_once)
+        fact = _leading_svd(a, 5)
+        assert failures == []
+        monkeypatch.setattr(linalg, "LEADING_LANCZOS_ENTRIES", a.size + 1)
+        block = _leading_svd(a, 5)
+        for name in ("u", "sigma", "v"):
+            assert getattr(fact, name).tobytes() == getattr(block, name).tobytes()
+
+    def test_runs_from_the_size_cutoff(self, monkeypatch):
+        # 2**19 entries: 512x1024 takes the path, 512x1023 does not.
+        calls = []
+        lanczos = linalg._leading_lanczos
+        monkeypatch.setattr(linalg, "_leading_lanczos",
+                            lambda a, k: calls.append(a.shape) or lanczos(a, k))
+        rng = np.random.default_rng(42)
+        for n in (1023, 1024):
+            a = np.outer(rng.standard_normal(512), rng.standard_normal(n))
+            a += 1e-3 * rng.standard_normal((512, n))
+            fact = _leading_svd(a, 1)
+            assert fact.sigma[0] == pytest.approx(compute_svd(a).sigma[0], rel=1e-13)
+        assert calls == [(512, 1024)]
+
+
+class TestGolubKahan:
+    def test_bidiagonalizes_with_orthonormal_bases(self):
+        rng = np.random.default_rng(43)
+        a, w = rng.standard_normal((30, 20)), np.linalg.qr(rng.standard_normal((20, 3)))[0]
+        for deflate in (None, w):
+            (b, beta), us, vs = linalg._golub_kahan(
+                a, rng.standard_normal(20), 10,
+                lambda b, beta: (b.copy(), beta) if len(b) == 8 else None, deflate)
+            assert us.shape == (8, 30) and vs.shape == (8, 20)
+            assert np.array_equal(b, np.triu(np.tril(b, 1)))  # upper bidiagonal
+            assert np.all(np.diag(b) > 0) and np.all(np.diag(b, 1) > 0) and beta > 0
+            assert np.abs(us @ us.T - np.eye(8)).max() <= 1e-14
+            assert np.abs(vs @ vs.T - np.eye(8)).max() <= 1e-14
+            op = a if deflate is None else a - (a @ w) @ w.T
+            assert np.abs(op @ vs.T - us.T @ b).max() <= 1e-13 * frobenius(a)
+            if deflate is not None:
+                assert np.abs(vs @ w).max() <= 1e-15
+
+    def test_breakdown_ends_the_run(self):
+        # A zero start, an alpha of 0 (the zero matrix) and a beta of 0 (a
+        # singular vector as the start) each return None before any stop.
+        stops = []
+        e1 = np.eye(3)[0]
+        for a, start in ((np.eye(3), np.zeros(3)), (np.zeros((3, 3)), e1), (np.eye(3), e1)):
+            assert linalg._golub_kahan(a, start.copy(), 2, lambda b, beta: stops.append(1)) is None
+        assert stops == []
 
 
 class TestDeltaRank:

@@ -100,19 +100,63 @@ def test_svd_replays_a_graded_and_a_flat_block(probe, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith(
-        f"0 shape=200x160 k=4 sweeps={sweeps} width={widths[-1]} "
-        f"col_products={col_products} fallback=no best_s="
+        f"0 shape=200x160 k=4 path=block lanczos_steps=0+0 sweeps={sweeps} width={widths[-1]} "
+        f"col_products={col_products} best_s="
     )
     assert lines[1].startswith(
-        f"1 shape=200x170 k=3 sweeps={flat_sweeps} width={flat_widths[-1]} "
-        f"col_products={flat_col_products} fallback=yes best_s="
+        f"1 shape=200x170 k=3 path=dense lanczos_steps=0+0 sweeps={flat_sweeps} "
+        f"width={flat_widths[-1]} col_products={flat_col_products} best_s="
     )
     assert lines[2].startswith(
-        f"total calls=2 sweeps={sweeps + flat_sweeps} width={widths[-1] + flat_widths[-1]} "
-        f"col_products={col_products + flat_col_products} fallbacks=1 best_s="
+        f"total calls=2 dense=1 lanczos=0 block=1 lanczos_steps=0+0 "
+        f"sweeps={sweeps + flat_sweeps} width={widths[-1] + flat_widths[-1]} "
+        f"col_products={col_products + flat_col_products} best_s="
     )
     times = [float(line.rsplit("best_s=", 1)[1]) for line in lines]
     assert all(t > 0 for t in times) and times[2] == pytest.approx(times[0] + times[1], abs=2e-6)
+
+
+def lanczos_steps(monkeypatch, a, k) -> list[int]:
+    """The steps of each Lanczos run in one ``_leading_svd``, from its
+    orthogonalizations: one for the start and two a step, the
+    certificate's v-side ones (its start's too) with deflation."""
+    calls = []
+    append = linalg._append_orthonormal
+
+    def counted(basis, j, x, deflate=None):
+        calls.append(deflate is not None)
+        return append(basis, j, x, deflate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_append_orthonormal", counted)
+        linalg._leading_svd(a, k)
+    certificate = max(calls.count(True) - 1, 0)
+    return [(calls.count(False) - 1 - certificate) // 2, certificate]
+
+
+def test_svd_replays_lanczos_runs(probe, monkeypatch, capsys):
+    # With the size constant at 1, a graded block takes the Lanczos path,
+    # and a flat Gaussian one runs the first run to its cap, then the block
+    # iteration, which falls back to the dense SVD.
+    monkeypatch.setattr(linalg, "LEADING_LANCZOS_ENTRIES", 1)
+    graded_block = graded(np.random.default_rng(22), 200, 160, 0.7 ** np.arange(160))
+    flat_block = np.random.default_rng(33).standard_normal((200, 170))
+    main, certificate = lanczos_steps(monkeypatch, graded_block, 4)
+    flat_main, flat_certificate = lanczos_steps(monkeypatch, flat_block, 3)
+    assert main > 4 and certificate > 0
+    assert flat_main == (linalg.LEADING_FILTER_DEGREE + 1) * (3 + linalg.LEADING_OVERSAMPLE) // 2
+    assert flat_certificate == 0
+    probe.replay([(graded_block, 4), (flat_block, 3)], 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(
+        f"0 shape=200x160 k=4 path=lanczos lanczos_steps={main}+{certificate} sweeps=0 width=0 "
+        f"col_products={2 * (main + certificate)} best_s="
+    )
+    assert lines[1].startswith(
+        f"1 shape=200x170 k=3 path=dense lanczos_steps={flat_main}+0 sweeps=")
+    assert lines[2].startswith(
+        f"total calls=2 dense=1 lanczos=1 block=0 lanczos_steps={main + flat_main}+{certificate} "
+    )
 
 
 def test_svd_records_a_tiny_workload_solve(probe, capsys):
@@ -123,8 +167,9 @@ def test_svd_records_a_tiny_workload_solve(probe, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith(
-        "0 shape=60x50 k=3 sweeps=0 width=0 col_products=0 fallback=yes best_s="
+        "0 shape=60x50 k=3 path=dense lanczos_steps=0+0 sweeps=0 width=0 col_products=0 best_s="
     )
     assert lines[1].startswith(
-        "total calls=1 sweeps=0 width=0 col_products=0 fallbacks=1 best_s="
+        "total calls=1 dense=1 lanczos=0 block=0 lanczos_steps=0+0 sweeps=0 width=0 "
+        "col_products=0 best_s="
     )

@@ -567,6 +567,7 @@ class TestPolynomial:
         ((1, 1), [([(0, 0, np.True_)], 1.0)], "'power' must be an integer, got np.True_"),
         ((1, 1), [([(0, 0, 1)], 10**5000)], "'coeff' must be a number that fits a double"),
         ((10**5000, 2), [], "shape must be positive and fit an array, got (<int of"),
+        ((10**5000, 2, 3), [], "'shape' must hold 2 integers, got (<int of 16610 bits>, 2, 3)"),
         ((1, 1), [([(0, 0, 1)], True)], "'coeff' must be a number, got True"),
         ((1, 1), [([(0, 0, 1)], "2")], "'coeff' must be a number, got '2'"),
         (5, [], "'shape' must be an array, got 5"),
@@ -577,7 +578,8 @@ class TestPolynomial:
         ((3, 3), [([(0, 0)], 1.0)], "'monomial factor' must hold 3 integers, got (0, 0)"),
     ], ids=["power", "entry", "shape", "coefficient", "three-entry-shape", "bool-shape",
             "bool-row", "bool-col", "bool-power", "numpy-bool-power", "long-coefficient",
-            "long-shape", "bool-coefficient", "string-coefficient", "int-shape", "int-terms",
+            "long-shape", "long-three-entry-shape", "bool-coefficient", "string-coefficient",
+            "int-shape", "int-terms",
             "int-term", "int-monomial", "int-factor", "two-entry-factor"])
     def test_inexact_input_is_named(self, shape, terms, message):
         # Not truncated by int() or float(): x00 ** 2.5 would be read as
@@ -897,8 +899,11 @@ class TestLoading:
         ("polynomial", lambda doc: (doc.update(shape=[3, 10**30]),
                                     doc["payload"]["terms"][0]["monomial"][0].__setitem__(0, 1)),
          f"shape must be positive and fit an array, got {(3, 10**30)}"),
+        ("lowrank_approx", lambda doc: doc.update(shape=[10**5000, 2, 3]),
+         "'shape' must hold 2 integers, got (<int of 16610 bits>, 2, 3)"),
     ], ids=["shape-null", "coeff-null", "rows-null", "mask-cols-null", "factor-null",
-            "rows-cols-negative", "rows-zero", "type-list", "type-object", "shape-past-an-array"])
+            "rows-cols-negative", "rows-zero", "type-list", "type-object", "shape-past-an-array",
+            "long-three-entry-shape"])
     def test_bad_values_are_named(self, kind, change, message):
         doc = problem_skeleton(kind)
         change(doc)

@@ -427,6 +427,12 @@ class TestKappaBound:
         point = point_from_matrix(np.diag([1.0, 0.5, 0.0]), 2)
         assert kappa_bound(problem, point, 1e300, 1.0) == np.inf
 
+    def test_subnormal_sigma_min_at_a_stationary_point(self):
+        # sqrt(r) / (2 sigma_min) is Inf at sigma_min = 5e-324; with a zero
+        # gradient and s, neither term reads Inf * 0, and the bound is L / 2.
+        d = np.diag([1.0, 0.0, 0.0]) * 5e-324
+        assert kappa_bound(LowRankApproxProblem(d), point_from_matrix(d, 2), 1.0, 1.0) == 0.5
+
     @pytest.mark.parametrize("lipschitz", [0.0, "1.0", True, np.inf])
     def test_rejects_bad_lipschitz(self, lipschitz):
         problem = LowRankApproxProblem(np.eye(3))

@@ -22,14 +22,17 @@ Builds one perfbench workload at one seed, solves it directly with
   time it is made: wall time that no traced span holds.
 - ``svd`` (rankdrop-cli, 3): records each ``linalg._leading_svd`` call of
   the solve (the start's SVD and every D-block with spare rank), replays
-  each alone and prints its shape, k, sweeps, kept width,
-  column-products, whether the dense SVD ran and its best wall time; then
-  a line of totals. A sweep is one Rayleigh-Ritz step (one
-  ``np.linalg.qr``) with the Chebyshev filter that follows it if it has
-  not converged. The kept width is the last sweep's block width (0 below
-  the size cutoff, where no sweep runs). A column-product is one column
-  times ``a`` or ``a^T``: the start block's columns, twice a sweep's
-  width and twice the filter degree times a filter's width.
+  each alone and prints its shape, k, the path that gave its result
+  (``dense``, ``lanczos`` or ``block``), the completed steps of its
+  Lanczos runs (the first run, then the certificate's; 0+0 where none
+  ran), its sweeps, kept width, column-products and best wall time; then
+  a line of totals. A sweep is one Rayleigh-Ritz step of the block
+  iteration (one ``np.linalg.qr``) with the Chebyshev filter that follows
+  it if it has not converged. The kept width is the last sweep's block
+  width (0 where no sweep runs). A column-product is one column times
+  ``a`` or ``a^T``: two per Lanczos step, the start block's columns,
+  twice a sweep's width and twice the filter degree times a filter's
+  width.
 
     PYTHONPATH=src python3 tools/probe.py point|faults|svd [--workload W] [--seed 101] [--size full] [--repeats N]
 
@@ -142,11 +145,16 @@ def record(problem, x0, params) -> list[tuple[np.ndarray, int]]:
     return calls
 
 
-def count(a: np.ndarray, k: int) -> tuple[int, int, int, bool]:
-    """Sweeps (Rayleigh-Ritz steps, one QR each), the kept width, the
-    column-products and whether the dense SVD ran, for one ``_leading_svd(a, k)``."""
-    qr_widths, filter_columns, dense_calls = [], [], []
+def count(a: np.ndarray, k: int) -> tuple[str, list[int], int, int, int]:
+    """The path that gave the result (dense, lanczos or block), the
+    completed steps of each Lanczos run, the sweeps (Rayleigh-Ritz steps,
+    one QR each), the kept width and the column-products of one
+    ``_leading_svd(a, k)``."""
+    qr_widths, filter_columns, dense_calls, runs, found = [], [], [], [], []
     qr, chebyshev_filter, dense = np.linalg.qr, linalg._chebyshev_filter, linalg.compute_svd
+    # A library from before the Lanczos path has neither routine to patch.
+    golub_kahan = getattr(linalg, "_golub_kahan", None)
+    lanczos = getattr(linalg, "_leading_lanczos", None)
 
     def counted_qr(x, *args, **kwargs):
         qr_widths.append(np.shape(x)[1])
@@ -160,33 +168,53 @@ def count(a: np.ndarray, k: int) -> tuple[int, int, int, bool]:
         dense_calls.append(1)
         return dense(x)
 
+    def counted_golub_kahan(a, start, steps, stop, deflate=None):
+        runs.append(0)
+
+        def counted_stop(b, beta):
+            runs[-1] += 1
+            return stop(b, beta)
+
+        return golub_kahan(a, start, steps, counted_stop, deflate)
+
+    def recorded_lanczos(a, k):
+        fact = lanczos(a, k)
+        found.append(fact is not None)
+        return fact
+
     with (patch.object(np.linalg, "qr", counted_qr),
           patch.object(linalg, "_chebyshev_filter", counted_filter),
-          patch.object(linalg, "compute_svd", counted_dense)):
+          patch.object(linalg, "compute_svd", counted_dense),
+          patch.object(linalg, "_golub_kahan", counted_golub_kahan, create=True),
+          patch.object(linalg, "_leading_lanczos", recorded_lanczos, create=True)):
         linalg._leading_svd(a, k)
-    if not qr_widths:
-        return 0, 0, 0, bool(dense_calls)
-    col_products = qr_widths[0] + 2 * sum(qr_widths) + sum(filter_columns)
-    return len(qr_widths), qr_widths[-1], col_products, bool(dense_calls)
+    path = "dense" if dense_calls else "lanczos" if any(found) else "block"
+    col_products = 2 * sum(runs)
+    if qr_widths:
+        col_products += qr_widths[0] + 2 * sum(qr_widths) + sum(filter_columns)
+    width = qr_widths[-1] if qr_widths else 0
+    return path, (runs + [0, 0])[:2], len(qr_widths), width, col_products
 
 
 def replay(calls: list[tuple[np.ndarray, int]], repeats: int) -> None:
     """Print one line per recorded call, then the totals."""
-    sweeps_total = widths = col_products_total = fallbacks = 0
-    seconds_total = 0.0
+    paths = dict.fromkeys(("dense", "lanczos", "block"), 0)
+    steps_total, sweeps_total, widths, col_products_total, seconds_total = [0, 0], 0, 0, 0, 0.0
     for i, (a, k) in enumerate(calls):
-        sweeps, width, col_products, fallback = count(a, k)
+        path, steps, sweeps, width, col_products = count(a, k)
         seconds = best_s(lambda: linalg._leading_svd(a, k), repeats)
+        paths[path] += 1
+        steps_total = [total + run for total, run in zip(steps_total, steps)]
         sweeps_total += sweeps
         widths += width
         col_products_total += col_products
-        fallbacks += fallback
         seconds_total += seconds
-        print(f"{i} shape={a.shape[0]}x{a.shape[1]} k={k} sweeps={sweeps} width={width} "
-              f"col_products={col_products} fallback={'yes' if fallback else 'no'} "
-              f"best_s={seconds:.6f}")
-    print(f"total calls={len(calls)} sweeps={sweeps_total} width={widths} "
-          f"col_products={col_products_total} fallbacks={fallbacks} best_s={seconds_total:.6f}")
+        print(f"{i} shape={a.shape[0]}x{a.shape[1]} k={k} path={path} "
+              f"lanczos_steps={steps[0]}+{steps[1]} sweeps={sweeps} width={width} "
+              f"col_products={col_products} best_s={seconds:.6f}")
+    print(f"total calls={len(calls)} " + " ".join(f"{path}={n}" for path, n in paths.items())
+          + f" lanczos_steps={steps_total[0]}+{steps_total[1]} sweeps={sweeps_total} "
+          f"width={widths} col_products={col_products_total} best_s={seconds_total:.6f}")
 
 
 def svd(inst, args) -> None:
