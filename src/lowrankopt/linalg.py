@@ -40,9 +40,13 @@ LEADING_NARROW_GAIN = 1.5
 # Past that cutoff, a matrix of at least LEADING_LANCZOS_ENTRIES entries first
 # tries Golub-Kahan-Lanczos (:func:`_leading_lanczos`): one matrix-vector
 # product with a and one with a^T a step, which pays once a's products cost
-# more than the run's Python and small SVDs. A second run certifies that no
-# copy of a singular value at or above sigma_k was missed, except with a
-# chance of at most LEADING_MISS_CHANCE over its random start.
+# more than the run's Python and small SVDs. Below it the block iteration
+# goes first: on a 300x250 completion solve whose SVDs keep k = 1, 2 and 6,
+# Lanczos first made the solve 43% slower, a certified pair at k <= 2 taking
+# 1.4 to 2.2 times the block iteration's time; the crossovers at k = 6 and 10
+# lie below 2e5 entries (README, "The leading-triplet SVD"). A second run
+# certifies that no copy of a singular value at or above sigma_k was missed,
+# except with a chance of at most LEADING_MISS_CHANCE over its random start.
 LEADING_LANCZOS_ENTRIES = 2**19
 LEADING_MISS_CHANCE = 1e-12
 # A product that forms or reads an m-by-n matrix goes over row blocks of it of
@@ -405,13 +409,16 @@ def _leading_lanczos(a: np.ndarray, k: int) -> SvdFactorization | None:
     underestimates the deflated matrix's largest
     singular value by a factor below ``sqrt(1 - eps)`` with a chance of at
     most ``1.648 sqrt(n) exp(-sqrt(eps) (2s - 1))`` over a uniform start
-    (Kuczynski & Wozniakowski 1992). The run stops once ``(2s - 1) sqrt(1 -
-    theta_s^2 / s_k^2) >= ln(1.648 sqrt(n) / LEADING_MISS_CHANCE)``: a
-    value at or above s_k is then missed with a chance of at most
-    ``LEADING_MISS_CHANCE``. Its bidiagonal's values are taken only once
-    ``2s - 1`` reaches the right side, the first step that could pass.
+    (Kuczynski & Wozniakowski 1992). The run tests this at each step up
+    to its cap of c steps and stops at the first pass, once ``(2s - 1)
+    sqrt(1 - theta_s^2 / s_k^2) >= ln(1.648 sqrt(n) c /
+    LEADING_MISS_CHANCE)``: each test then misses a value at or above s_k
+    with a chance of at most ``LEADING_MISS_CHANCE / c``, and the at most
+    c tests together with at most ``LEADING_MISS_CHANCE``. Its
+    bidiagonal's values are taken only once ``2s - 1`` reaches the right
+    side, the first step that could pass.
 
-    Each run takes at most ``(LEADING_FILTER_DEGREE + 1) * (k +
+    Each run takes at most ``c = (LEADING_FILTER_DEGREE + 1) * (k +
     LEADING_OVERSAMPLE) / 2`` steps, so the two together take at most the
     column-products of one filtered sweep of the block iteration (two per
     step). The first run's bases are freed before the second allocates
@@ -431,7 +438,7 @@ def _leading_lanczos(a: np.ndarray, k: int) -> SvdFactorization | None:
             return p[:, :k], s[:k].copy(), qh[:k]
         return None
 
-    bound = math.log(1.648 * math.sqrt(n) / LEADING_MISS_CHANCE)
+    bound = math.log(1.648 * math.sqrt(n) * steps / LEADING_MISS_CHANCE)
 
     def certified(b, beta):
         width = 2 * len(b) - 1

@@ -461,10 +461,10 @@ def load_problem(source) -> CostFunction:
 
 def _integers(key: str, values, count: int) -> tuple[int, ...]:
     """A JSON array of exactly ``count`` integers, each read with :func:`json_number`.
-    A wrong count is named with the integers read, each by :func:`_shown`."""
+    A wrong count is named with the tuple of integers read, each by :func:`_shown`."""
     ints = tuple(json_number(key, v, integer=True) for v in json_array(key, values))
     if len(ints) != count:
-        shown = ", ".join(map(_shown, ints))
+        shown = ", ".join(map(_shown, ints)) + ("," if len(ints) == 1 else "")
         raise ValueError(f"{key!r} must hold {count} integers, got ({shown})")
     return ints
 

@@ -560,6 +560,7 @@ class TestPolynomial:
         ((2.5, 2), [], "'shape' must be an integer, got 2.5"),
         ((1, 1), [([(0, 0, 1)], 10**400)], "'coeff' must be a number that fits a double"),
         ((2, 2, 5), [], "'shape' must hold 2 integers, got (2, 2, 5)"),
+        ([5], [], "'shape' must hold 2 integers, got (5,)"),
         ((True, 2), [], "'shape' must be an integer, got True"),
         ((2, 2), [([(True, 0, 1)], 1.0)], "'row' must be an integer, got True"),
         ((2, 2), [([(0, False, 1)], 1.0)], "'col' must be an integer, got False"),
@@ -576,11 +577,11 @@ class TestPolynomial:
         ((3, 3), [(5, 1.0)], "'monomial' must be an array, got 5"),
         ((3, 3), [([5], 1.0)], "'monomial factor' must hold 3 integers, got 5"),
         ((3, 3), [([(0, 0)], 1.0)], "'monomial factor' must hold 3 integers, got (0, 0)"),
-    ], ids=["power", "entry", "shape", "coefficient", "three-entry-shape", "bool-shape",
-            "bool-row", "bool-col", "bool-power", "numpy-bool-power", "long-coefficient",
-            "long-shape", "long-three-entry-shape", "bool-coefficient", "string-coefficient",
-            "int-shape", "int-terms",
-            "int-term", "int-monomial", "int-factor", "two-entry-factor"])
+    ], ids=["power", "entry", "shape", "coefficient", "three-entry-shape", "one-entry-shape",
+            "bool-shape", "bool-row", "bool-col", "bool-power", "numpy-bool-power",
+            "long-coefficient", "long-shape", "long-three-entry-shape", "bool-coefficient",
+            "string-coefficient", "int-shape", "int-terms", "int-term", "int-monomial",
+            "int-factor", "two-entry-factor"])
     def test_inexact_input_is_named(self, shape, terms, message):
         # Not truncated by int() or float(): x00 ** 2.5 would be read as
         # x00 ** 2, True as x00 ** 1 and (2, 2, 5) as (2, 2). An int past

@@ -37,9 +37,10 @@ Builds one perfbench workload at one seed, solves it directly with
     PYTHONPATH=src python3 tools/probe.py point|faults|svd [--workload W] [--seed 101] [--size full] [--repeats N]
 
 Point PYTHONPATH at another checkout's ``src`` to probe that library on
-the same instance. ``perfbench/workloads.py`` is loaded read-only from
-this checkout, as ``tools/trace_digest.py`` loads it. BLAS runs on one
-thread, as in the benchmark.
+the same instance (``svd`` needs one with ``linalg._golub_kahan``).
+``perfbench/workloads.py`` is loaded read-only from this checkout, as
+``tools/trace_digest.py`` loads it. BLAS runs on one thread, as in the
+benchmark.
 """
 
 from __future__ import annotations
@@ -152,9 +153,7 @@ def count(a: np.ndarray, k: int) -> tuple[str, list[int], int, int, int]:
     ``_leading_svd(a, k)``."""
     qr_widths, filter_columns, dense_calls, runs, found = [], [], [], [], []
     qr, chebyshev_filter, dense = np.linalg.qr, linalg._chebyshev_filter, linalg.compute_svd
-    # A library from before the Lanczos path has neither routine to patch.
-    golub_kahan = getattr(linalg, "_golub_kahan", None)
-    lanczos = getattr(linalg, "_leading_lanczos", None)
+    golub_kahan, lanczos = linalg._golub_kahan, linalg._leading_lanczos
 
     def counted_qr(x, *args, **kwargs):
         qr_widths.append(np.shape(x)[1])
@@ -185,8 +184,8 @@ def count(a: np.ndarray, k: int) -> tuple[str, list[int], int, int, int]:
     with (patch.object(np.linalg, "qr", counted_qr),
           patch.object(linalg, "_chebyshev_filter", counted_filter),
           patch.object(linalg, "compute_svd", counted_dense),
-          patch.object(linalg, "_golub_kahan", counted_golub_kahan, create=True),
-          patch.object(linalg, "_leading_lanczos", recorded_lanczos, create=True)):
+          patch.object(linalg, "_golub_kahan", counted_golub_kahan),
+          patch.object(linalg, "_leading_lanczos", recorded_lanczos)):
         linalg._leading_svd(a, k)
     path = "dense" if dense_calls else "lanczos" if any(found) else "block"
     col_products = 2 * sum(runs)
